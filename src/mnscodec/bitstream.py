@@ -13,6 +13,7 @@ import struct
 
 from .encoder import (
     DELTA_MAGNITUDE_BITS,
+    MAX_SIDE,
     ROOT_SIZE,
     BaselinePayload,
     LeafRecord,
@@ -134,7 +135,7 @@ def _serialize(code: QuadtreeCode) -> BitWriter:
         raise ValueError("padded dimensions must be multiples of 16")
     if not (0 < code.orig_w <= code.padded_w and 0 < code.orig_h <= code.padded_h):
         raise ValueError("original dimensions must fit inside the padded raster")
-    if code.padded_w > 0xFFFF or code.padded_h > 0xFFFF:
+    if code.padded_w > MAX_SIDE or code.padded_h > MAX_SIDE:
         raise ValueError("dimensions exceed the 16-bit header fields")
 
     writer = BitWriter()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import CONTRAST_SETS, Phase1Payload, Phase2Payload, QuadtreeCode
+from .encoder import CONTRAST_SETS, Phase1Payload, Phase2Payload, QuadtreeCode, phase2_targets
 from .image import BlockRect, GrayImage, co_domain_rect, downsample_mean2
 from .transform import apply_map, dequantize_contrast
 
@@ -52,9 +52,7 @@ def decode_step(code: QuadtreeCode, current: np.ndarray) -> np.ndarray:
                    dequantize_contrast(payload.s_code), float(payload.o_byte))
         elif isinstance(payload, Phase2Payload):
             pair = CONTRAST_SETS[leaf.level]
-            d1, d2, d3 = payload.deltas
-            targets = (payload.o_byte + d1, payload.o_byte + d2, payload.o_byte + d3,
-                       payload.o_byte - (d1 + d2 + d3))
+            targets = phase2_targets(payload.o_byte, payload.deltas)
             for quad, target, bit in zip(leaf.rect.quadrants(), targets, payload.s_bits):
                 _paint(out, cur, quad, co_domain_rect(quad, w, h), pair[bit], float(target))
         else:

@@ -24,11 +24,12 @@ from .image import (
     downsample_mean2,
     pad_to_multiple,
 )
-from .transform import dequantize_contrast, fit_affine, quantize_contrast, rms_error
+from .transform import CONTRAST_VALUES, dequantize_contrast, fit_affine, quantize_contrast, rms_error
 
 MODES = ("no_search", "mns", "local_search", "full_search")
 
 ROOT_SIZE = 16
+MAX_SIDE = 0xFFFF  # largest padded side: the .mns header stores each dimension as a u16
 LEVEL_SIZES = {1: 16, 2: 8, 3: 4, 4: 2}
 SIZE_LEVELS = {size: level for level, size in LEVEL_SIZES.items()}
 
@@ -42,6 +43,11 @@ DELTA_MAGNITUDE_BITS = {1: 4, 2: 5, 3: 5}
 def delta_limit(level: int) -> int:
     """Largest sub-block mean offset encodable at this level."""
     return (1 << DELTA_MAGNITUDE_BITS[level]) - 1
+
+
+def phase2_targets(o_byte: int, deltas: tuple[int, int, int]) -> tuple[int, int, int, int]:
+    """Reconstructed TL, TR, BL, BR quadrant means; the BR mean is implied by the block mean."""
+    return (o_byte + deltas[0], o_byte + deltas[1], o_byte + deltas[2], o_byte - sum(deltas))
 
 
 def round_to_int(value: float) -> int:
@@ -188,12 +194,9 @@ def try_phase2(
         return rejected
     o_byte = round_to_int(o_mean)
     deltas = tuple(round_to_int(m - o_mean) for m in quad_means[:3])
-    if max(abs(d) for d in deltas) > delta_limit(level):
+    targets = phase2_targets(o_byte, deltas)  # the implied fourth mean must stay a byte
+    if max(abs(d) for d in deltas) > delta_limit(level) or not 0 <= targets[3] <= 255:
         return rejected
-    implied = o_byte - sum(deltas)  # 4*o_byte minus the three coded quadrant means
-    if not 0 <= implied <= 255:
-        return rejected
-    targets = (o_byte + deltas[0], o_byte + deltas[1], o_byte + deltas[2], implied)
     s_lo, s_hi = CONTRAST_SETS[level]
     tol = config.threshold(level)
     bits = []
@@ -222,6 +225,8 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     """
     if config.mode not in ("no_search", "mns"):
         raise ValueError(f"encode_quadtree handles no_search/mns, not {config.mode!r}")
+    if -(-max(image.width, image.height) // ROOT_SIZE) * ROOT_SIZE > MAX_SIDE:
+        raise ValueError("padded dimensions exceed the 16-bit header fields")
     padded = pad_to_multiple(image, ROOT_SIZE)
     min_dim = min(padded.width, padded.height)
     leaves: list[LeafRecord] = []
@@ -246,17 +251,48 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     )
 
 
+def _box_sums(padded: GrayImage) -> np.ndarray:
+    """2x2 box-sum table: entry (y, x) sums the pixels at rows y..y+1, columns x..x+1."""
+    arr = padded.pixels.astype(np.float64)
+    return arr[:-1, :-1] + arr[:-1, 1:] + arr[1:, :-1] + arr[1:, 1:]
+
+
+def _domain_pool(sums2: np.ndarray, xs: np.ndarray, ys: np.ndarray, range_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-removed 2x downsamples of the double-size domains at origins (xs, ys),
+    one flattened row per origin, and each row's squared norm."""
+    steps = np.arange(0, 2 * range_size, 2)
+    pool = sums2[ys[:, None, None] + steps[:, None], xs[:, None, None] + steps].reshape(len(xs), -1)
+    pool -= pool.mean(axis=1, keepdims=True)
+    pool *= 0.25  # box sums to 2x2 means, in place; scaling by 1/4 is exact, so the order is free
+    return pool, np.einsum("ij,ij->i", pool, pool)
+
+
+def _pick_domain(pool: np.ndarray, norms: np.ndarray, r: np.ndarray) -> tuple[int, int, int]:
+    """Lowest-error (pool row, contrast code, o byte) for the flattened range pixels r,
+    each row scored with its quantized least-squares contrast; ties go to the first row."""
+    o_byte = round_to_int(float(r.mean()))
+    cross = pool @ (r - r.mean())
+    # a zero-norm row is all zeros, so its cross term and fitted s are 0 too
+    codes = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))
+    s_q = np.take(CONTRAST_VALUES, codes)
+    rr = r - float(o_byte)
+    # expanded sum of squared residuals; cross ignores the shift by o_byte as pool rows are mean-removed
+    sse = float(rr @ rr) - 2.0 * s_q * cross + s_q * s_q * norms
+    best = int(np.argmin(sse))
+    return best, int(codes[best]), o_byte
+
+
 def encode_full_search(
     image: GrayImage, range_size: int, config: EncoderConfig
 ) -> tuple[QuadtreeCode, list[tuple[int, int]]]:
     """Exhaustive-domain baseline on a fixed-size partition.
 
     The domain pool holds every double-size block on a lattice with stride
-    config.full_search_step. Per range the best (domain, quantized s, o) by
-    RMS wins, ties going to the smallest (y, x) domain origin. Also returns
-    one (dx, dy) domain-minus-range center offset per range, the raw material
-    for the locality histograms. Cost is quadratic in the pool size, so this
-    is for desk-scale images.
+    config.full_search_step; it is built once per image. Per range the best
+    (domain, quantized s, o) by error wins, ties going to the smallest
+    (y, x) domain origin. Also returns one (dx, dy) domain-minus-range
+    center offset per range, the raw material for the locality histograms.
+    Cost is quadratic in the pool size, so this is for desk-scale images.
     """
     if range_size not in SIZE_LEVELS:
         raise ValueError(f"range size must be one of {sorted(SIZE_LEVELS)}")
@@ -264,47 +300,21 @@ def encode_full_search(
     if image.width < dsize or image.height < dsize:
         raise ValueError(f"image too small for any {dsize}x{dsize} domain")
     padded = pad_to_multiple(image, range_size)
-    level = SIZE_LEVELS[range_size]
-    arr = padded.pixels.astype(np.float64)
-    h, w = arr.shape
-
-    # One 2x2 box-sum table serves every domain downsample as a strided view.
-    sums2 = arr[:-1, :-1] + arr[:-1, 1:] + arr[1:, :-1] + arr[1:, 1:]
+    w, h = padded.width, padded.height
     step = config.full_search_step
-    origins = [(x, y) for y in range(0, h - dsize + 1, step) for x in range(0, w - dsize + 1, step)]
-    n = range_size * range_size
-    pool = np.empty((len(origins), n), dtype=np.float64)
-    for i, (x, y) in enumerate(origins):
-        pool[i] = (sums2[y : y + dsize : 2, x : x + dsize : 2] * 0.25).ravel()
-    pool -= pool.mean(axis=1, keepdims=True)
-    denom = np.einsum("ij,ij->i", pool, pool)
-    safe = np.where(denom > 0.0, denom, 1.0)
+    ys, xs = np.mgrid[0 : h - dsize + 1 : step, 0 : w - dsize + 1 : step].reshape(2, -1)
+    pool, norms = _domain_pool(_box_sums(padded), xs, ys, range_size)
 
     leaves: list[LeafRecord] = []
     samples: list[tuple[int, int]] = []
     half = range_size // 2
     for ry in range(0, h, range_size):
         for rx in range(0, w, range_size):
-            r = arr[ry : ry + range_size, rx : rx + range_size].ravel()
-            o_byte = round_to_int(float(r.mean()))
-            cross = pool @ (r - r.mean())
-            codes = np.minimum(np.floor((np.clip(cross / safe, -1.0, 1.0) + 1.0) * 4.0), 7.0)
-            codes = np.where(denom > 0.0, codes, 4.0)  # degenerate domains quantize s = 0
-            s_q = -0.875 + 0.25 * codes
-            rr = r - float(o_byte)
-            # sum of squared residuals, expanded; cross is unchanged by the
-            # constant shift because each pool row is mean-removed
-            sse = float(rr @ rr) - 2.0 * s_q * cross + s_q * s_q * denom
-            best = int(np.argmin(sse))
-            bx, by = origins[best]
-            leaves.append(
-                LeafRecord(
-                    BlockRect(rx, ry, range_size),
-                    level,
-                    BaselinePayload(BlockRect(bx, by, dsize), o_byte, int(codes[best])),
-                )
-            )
-            samples.append(((bx + range_size) - (rx + half), (by + range_size) - (ry + half)))
+            rect = BlockRect(rx, ry, range_size)
+            best, s_code, o_byte = _pick_domain(pool, norms, block_pixels(padded, rect).ravel())
+            domain = BlockRect(int(xs[best]), int(ys[best]), dsize)
+            leaves.append(LeafRecord(rect, SIZE_LEVELS[range_size], BaselinePayload(domain, o_byte, s_code)))
+            samples.append(((domain.x + range_size) - (rx + half), (domain.y + range_size) - (ry + half)))
     code = QuadtreeCode(tuple(leaves), w, h, image.width, image.height, "full_search", False)
     return code, samples
 
@@ -313,35 +323,23 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
     """81-candidate local search around each 8x8 range's co-centered domain.
 
     Candidates are the co-centered 16x16 block translated by dx, dy in
-    -4..4, each clamped back in bounds; clamped duplicates are still
-    evaluated, so exactly 81 fits run per range. Ties keep the first
-    candidate in (dy, dx) scan order.
+    -4..4, each clamped back in bounds; clamped duplicates are still scored,
+    81 per range. Ties keep the first candidate in (dy, dx) scan order.
     """
     if image.width < 16 or image.height < 16:
         raise ValueError("local search needs at least a 16x16 image")
     padded = pad_to_multiple(image, 8)
     w, h = padded.width, padded.height
+    sums2 = _box_sums(padded)
+    dys, dxs = np.indices((9, 9)).reshape(2, 81) - 4  # shifts in (dy, dx) scan order
     leaves: list[LeafRecord] = []
     for ry in range(0, h, 8):
         for rx in range(0, w, 8):
             rect = BlockRect(rx, ry, 8)
-            r = block_pixels(padded, rect)
             base = co_domain_rect(rect, w, h)
-            o_byte = round_to_int(float(r.mean()))
-            best_rms = math.inf
-            best_domain = base
-            best_code = 0
-            for dy in range(-4, 5):
-                for dx in range(-4, 5):
-                    cand = BlockRect(
-                        min(max(base.x + dx, 0), w - 16),
-                        min(max(base.y + dy, 0), h - 16),
-                        16,
-                    )
-                    d = downsample_mean2(padded, cand)
-                    s_code = quantize_contrast(fit_affine(r, d).s)
-                    rms = rms_error(r, d, dequantize_contrast(s_code), float(o_byte))
-                    if rms < best_rms:
-                        best_rms, best_domain, best_code = rms, cand, s_code
-            leaves.append(LeafRecord(rect, 2, BaselinePayload(best_domain, o_byte, best_code)))
+            xs, ys = np.clip(base.x + dxs, 0, w - 16), np.clip(base.y + dys, 0, h - 16)
+            pool, norms = _domain_pool(sums2, xs, ys, 8)
+            best, s_code, o_byte = _pick_domain(pool, norms, block_pixels(padded, rect).ravel())
+            domain = BlockRect(int(xs[best]), int(ys[best]), 16)
+            leaves.append(LeafRecord(rect, 2, BaselinePayload(domain, o_byte, s_code)))
     return QuadtreeCode(tuple(leaves), w, h, image.width, image.height, "local_search", False)

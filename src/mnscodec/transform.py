@@ -43,21 +43,23 @@ def fit_affine(block_r, block_d) -> AffineParams:
     return AffineParams(float(d0 @ (r - o)) / denom, o)
 
 
-def quantize_contrast(s: float) -> int:
-    """Snap s, clamped into [-1, 1], onto the 3-bit contrast grid.
+def quantize_contrast(s: float | np.ndarray) -> int | np.ndarray:
+    """Snap s, a float or an array, clamped into [-1, 1], onto the 3-bit contrast grid.
 
     Bins are half-open with boundaries going to the upper bin; the last bin
     is closed so s = 1 maps to code 7.
     """
-    clamped = min(1.0, max(-1.0, float(s)))
-    return min(int(math.floor((clamped + 1.0) * 4.0)), CONTRAST_CODES - 1)
+    # one formula for both; a float takes Python's min/max/floor, which cost ~4x less per call than numpy's
+    lo, hi, floor = (np.fmax, np.fmin, np.floor) if isinstance(s, np.ndarray) else (max, min, math.floor)
+    codes = hi(floor((hi(1.0, lo(-1.0, s)) + 1.0) * 4.0), CONTRAST_CODES - 1)
+    return codes.astype(np.intp) if isinstance(codes, np.ndarray) else int(codes)
 
 
 def dequantize_contrast(code: int) -> float:
     """Center of contrast bin `code`: -0.875 + 0.25 * code."""
     if not 0 <= code < CONTRAST_CODES:
         raise ValueError(f"contrast code {code} outside [0, {CONTRAST_CODES - 1}]")
-    return -0.875 + 0.25 * code
+    return CONTRAST_VALUES[code]
 
 
 def apply_map(block_d, s: float, o: float) -> np.ndarray:

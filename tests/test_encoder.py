@@ -190,6 +190,15 @@ class TestQuadtree:
         assert code.level_counts()[0] == 0
         assert sum(code.level_counts()) == len(code.leaves) > 0
 
+    def test_oversize_image_fails_before_any_fit(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("phase 1 ran on an image the stream header cannot hold")
+
+        monkeypatch.setattr(enc, "try_phase1", never)
+        img = GrayImage(np.zeros((1, 65521), dtype=np.uint8))  # pads to 65536 columns
+        with pytest.raises(ValueError, match="16-bit"):
+            encode_quadtree(img, EncoderConfig())
+
     def test_rejects_baseline_modes(self, constant_64):
         with pytest.raises(ValueError, match="no_search/mns"):
             encode_quadtree(constant_64, EncoderConfig(mode="full_search"))
@@ -233,16 +242,16 @@ class TestFullSearch:
 class TestLocalSearch:
     def test_exactly_81_candidates_per_range(self, monkeypatch):
         img = noise_image(32, 32, seed=6)
-        calls = [0]
-        real = enc.rms_error
+        rows = []
+        real = enc._pick_domain
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
+        def counting(pool, norms, r):
+            rows.append(len(pool))
+            return real(pool, norms, r)
 
-        monkeypatch.setattr(enc, "rms_error", counting)
+        monkeypatch.setattr(enc, "_pick_domain", counting)
         encode_local_search(img, EncoderConfig(mode="local_search"))
-        assert calls[0] == 81 * 16
+        assert rows == [81] * 16
 
     def test_never_beats_full_search(self):
         img = noise_image(32, 32, seed=8)

@@ -94,6 +94,15 @@ class TestContrastQuantizer:
         assert quantize_contrast(1.0) == 7
         assert quantize_contrast(-1.0) == 0
 
+    def test_array_codes_match_clamp_then_floor(self):
+        edges = np.arange(-12, 13) / 8  # bin edges and centers, in and outside [-1, 1]
+        s = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [-np.inf, np.inf]])
+        expected = [min(math.floor((min(1.0, max(-1.0, x)) + 1.0) * 4.0), 7) for x in s.tolist()]
+        codes = quantize_contrast(s)
+        assert codes.dtype.kind == "i" and codes.tolist() == expected
+        assert [quantize_contrast(x) for x in s.tolist()] == expected
+        assert type(quantize_contrast(0.3)) is int
+
     def test_dequantize_formula(self):
         assert dequantize_contrast(0) == -0.875
         assert dequantize_contrast(7) == 0.875
