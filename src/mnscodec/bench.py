@@ -61,6 +61,7 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
                     elapsed = time.perf_counter() - start
                     blob = write_stream(code)
                     decoded = decode(read_stream(blob), dec_cfg)
+                    bits = stream_bit_count(code)
                 except Exception as exc:
                     raise RuntimeError(
                         f"sweep point failed (mode={mode}, E=({e1:g},{e2:g},{e3:g}), t2={t2}): {exc}"
@@ -69,8 +70,8 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
                     mode=mode,
                     thresholds=(float(e1), float(e2), float(e3)),
                     technique2=t2,
-                    bits=stream_bit_count(code),
-                    bpp=stream_bit_count(code) / (image.width * image.height),
+                    bits=bits,
+                    bpp=bits / (image.width * image.height),
                     psnr=psnr(image, decoded),
                     encode_seconds=elapsed,
                     leaf_counts=code.level_counts(),

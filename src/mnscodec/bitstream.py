@@ -101,10 +101,6 @@ def leaf_bit_width(level: int, phase2: bool, mode: str, id_elided: bool = False)
     return bits + payload_bit_width(level, phase2)
 
 
-def _is_phase2(leaf: LeafRecord) -> bool:
-    return isinstance(leaf.payload, Phase2Payload)
-
-
 def _validate_leaf(leaf: LeafRecord, mode: str) -> None:
     payload = leaf.payload
     if isinstance(payload, BaselinePayload):
@@ -158,7 +154,7 @@ def _serialize(code: QuadtreeCode) -> BitWriter:
         _validate_leaf(leaf, code.mode)
         if write_id:
             writer.write(level - 1, 2)
-        phase2 = _is_phase2(leaf)
+        phase2 = isinstance(leaf.payload, Phase2Payload)
         if code.mode == "mns" and level <= 3:
             writer.write(1 if phase2 else 0, 1)
         payload = leaf.payload
@@ -281,24 +277,8 @@ def read_stream(data: bytes) -> QuadtreeCode:
 
 
 def stream_bit_count(code: QuadtreeCode) -> int:
-    """Exact serialized size in bits, header included, before byte padding.
-
-    Agrees bit-for-bit with write_stream by construction of the width table.
-    """
-    bits = HEADER_BYTES * 8
-    run4 = 0
-    for leaf in code.leaves:
-        elided = False
-        if leaf.level == 4:
-            if run4:
-                run4 -= 1
-                elided = code.technique2
-            else:
-                run4 = 3
-        else:
-            run4 = 0
-        bits += leaf_bit_width(leaf.level, _is_phase2(leaf), code.mode, elided)
-    return bits
+    """Exact serialized size in bits, header included, before byte padding."""
+    return _serialize(code).bit_count
 
 
 def level_id_bit_count(code: QuadtreeCode, technique2: bool) -> int:

@@ -2,7 +2,7 @@
 
 Every per-block map is non-expansive in luminance (|s| <= 1 on mean-removed
 domains), so repeated sweeps from any starting raster settle onto the coded
-image. Sweeps are Jacobi style: each leaf reads only the previous raster and
+image. Sweeps are Jacobi style: each block reads only the previous raster and
 writes its own disjoint region of the next, which keeps the result
 independent of leaf order.
 """
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import CONTRAST_SETS, Phase1Payload, Phase2Payload, QuadtreeCode, phase2_targets
-from .image import BlockRect, GrayImage, co_domain_rect, downsample_mean2
+from .encoder import CONTRAST_SETS, BaselinePayload, Phase2Payload, QuadtreeCode, phase2_targets
+from .image import GrayImage, box_sums, co_domain_rect, downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
 
@@ -29,35 +29,46 @@ class DecodeConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-def _paint(out: np.ndarray, current: np.ndarray, dst: BlockRect, domain: BlockRect, s: float, o: float) -> None:
-    d = downsample_mean2(current, domain)
-    out[dst.y : dst.y + dst.size, dst.x : dst.x + dst.size] = apply_map(d, s, o)
+def _block_table(code: QuadtreeCode) -> dict[int, np.ndarray]:
+    """Rows (y, x, domain y, domain x, domain side, s, o) of every painted block, keyed by
+    block side: one per phase-1 or search leaf, four quadrants per phase-2 leaf."""
+    w, h = code.padded_w, code.padded_h
+    rows: dict[int, list] = {}
+    for leaf in code.leaves:
+        p = leaf.payload
+        if isinstance(p, Phase2Payload):
+            pair, targets = CONTRAST_SETS[leaf.level], phase2_targets(p.o_byte, p.deltas)
+            blocks = [(q, co_domain_rect(q, w, h), pair[b], t)
+                      for q, t, b in zip(leaf.rect.quadrants(), targets, p.s_bits)]
+        else:
+            domain = p.domain if isinstance(p, BaselinePayload) else co_domain_rect(leaf.rect, w, h)
+            blocks = [(leaf.rect, domain, dequantize_contrast(p.s_code), p.o_byte)]
+        for rect, d, s, o in blocks:
+            rows.setdefault(rect.size, []).append((rect.y, rect.x, d.y, d.x, d.size, s, o))
+    table = {k: np.array(r, dtype=np.float64) for k, r in rows.items()}
+    for k, t in table.items():
+        fits = (t[:, :4] >= 0) & (t[:, :4] + (k, k, 2 * k, 2 * k) <= (h, w, h, w)) & (t[:, 4:5] == 2 * k)
+        if not fits.all():
+            raise ValueError(f"a {k}x{k} block or its domain does not fit the {w}x{h} raster")
+    return table
 
 
 def decode_step(code: QuadtreeCode, current: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep: every leaf repaints its range from `current`.
-
-    `current` must be a padded-size raster; the clamped result lands in a
-    fresh float array, never in place.
-    """
+    """One Jacobi sweep of the padded-size raster `current` into a fresh raster: per block
+    side, the domains' 2x2 means are gathered from the box sums of `current`, mapped by one
+    apply_map call and scattered. A misfit domain raises ValueError before any pixel is read."""
     cur = np.asarray(current, dtype=np.float64)
     if cur.shape != (code.padded_h, code.padded_w):
         raise ValueError(f"raster shape {cur.shape} does not match padded {code.padded_h}x{code.padded_w}")
-    w, h = code.padded_w, code.padded_h
+    table = _block_table(code)
+    sums = box_sums(cur)
     out = np.empty_like(cur)
-    for leaf in code.leaves:
-        payload = leaf.payload
-        if isinstance(payload, Phase1Payload):
-            _paint(out, cur, leaf.rect, co_domain_rect(leaf.rect, w, h),
-                   dequantize_contrast(payload.s_code), float(payload.o_byte))
-        elif isinstance(payload, Phase2Payload):
-            pair = CONTRAST_SETS[leaf.level]
-            targets = phase2_targets(payload.o_byte, payload.deltas)
-            for quad, target, bit in zip(leaf.rect.quadrants(), targets, payload.s_bits):
-                _paint(out, cur, quad, co_domain_rect(quad, w, h), pair[bit], float(target))
-        else:
-            _paint(out, cur, leaf.rect, payload.domain,
-                   dequantize_contrast(payload.s_code), float(payload.o_byte))
+    for k, t in table.items():
+        y, x, dy, dx = t[:, :4].astype(np.intp).T[:, :, None, None]
+        i = np.arange(k)
+        domains = sums[dy + 2 * i[:, None], dx + 2 * i]
+        domains *= 0.25
+        out[y + i[:, None], x + i] = apply_map(domains, t[:, 5, None, None], t[:, 6, None, None])
     return out
 
 

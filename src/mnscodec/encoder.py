@@ -20,6 +20,7 @@ from .image import (
     GrayImage,
     block_mean,
     block_pixels,
+    box_sums,
     co_domain_rect,
     downsample_mean2,
     pad_to_multiple,
@@ -251,12 +252,6 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     )
 
 
-def _box_sums(padded: GrayImage) -> np.ndarray:
-    """2x2 box-sum table: entry (y, x) sums the pixels at rows y..y+1, columns x..x+1."""
-    arr = padded.pixels.astype(np.float64)
-    return arr[:-1, :-1] + arr[:-1, 1:] + arr[1:, :-1] + arr[1:, 1:]
-
-
 def _domain_pool(sums2: np.ndarray, xs: np.ndarray, ys: np.ndarray, range_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean-removed 2x downsamples of the double-size domains at origins (xs, ys),
     one flattened row per origin, and each row's squared norm."""
@@ -303,7 +298,7 @@ def encode_full_search(
     w, h = padded.width, padded.height
     step = config.full_search_step
     ys, xs = np.mgrid[0 : h - dsize + 1 : step, 0 : w - dsize + 1 : step].reshape(2, -1)
-    pool, norms = _domain_pool(_box_sums(padded), xs, ys, range_size)
+    pool, norms = _domain_pool(box_sums(padded), xs, ys, range_size)
 
     leaves: list[LeafRecord] = []
     samples: list[tuple[int, int]] = []
@@ -330,7 +325,7 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
         raise ValueError("local search needs at least a 16x16 image")
     padded = pad_to_multiple(image, 8)
     w, h = padded.width, padded.height
-    sums2 = _box_sums(padded)
+    sums2 = box_sums(padded)
     dys, dxs = np.indices((9, 9)).reshape(2, 81) - 4  # shifts in (dy, dx) scan order
     leaves: list[LeafRecord] = []
     for ry in range(0, h, 8):

@@ -171,6 +171,12 @@ def downsample_mean2(image, rect: BlockRect) -> np.ndarray:
     return (a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2]) * 0.25
 
 
+def box_sums(image) -> np.ndarray:
+    """2x2 box sums, (y, x) over rows y..y+1 and columns x..x+1, added as downsample_mean2 adds."""
+    arr = np.asarray(_raster(image), dtype=np.float64)
+    return arr[:-1, :-1] + arr[:-1, 1:] + arr[1:, :-1] + arr[1:, 1:]
+
+
 def co_domain_rect(range_rect: BlockRect, img_w: int, img_h: int) -> BlockRect:
     """Double-size block sharing the range's center, shifted to stay in bounds.
 

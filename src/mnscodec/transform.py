@@ -62,10 +62,13 @@ def dequantize_contrast(code: int) -> float:
     return CONTRAST_VALUES[code]
 
 
-def apply_map(block_d, s: float, o: float) -> np.ndarray:
-    """s * (D - mean(D)) + o, clamped into [0, 255]."""
+def apply_map(block_d, s, o) -> np.ndarray:
+    """s * (D - mean(D)) + o clamped into [0, 255]: D a k x k block, or an (n, k, k) stack with (n, 1, 1) s, o."""
     d = np.asarray(block_d, dtype=np.float64)
-    return np.clip(s * (d - d.mean()) + o, 0.0, 255.0)
+    out = d - d.mean(axis=(-2, -1), keepdims=True)  # a fresh array, so the rest runs in place
+    out *= s
+    out += o
+    return np.clip(out, 0.0, 255.0, out=out)
 
 
 def rms_error(block_r, block_d, s: float, o: float) -> float:

@@ -8,6 +8,7 @@ from mnscodec.image import (
     GrayImage,
     PgmFormatError,
     block_mean,
+    box_sums,
     co_domain_rect,
     downsample_mean2,
     load_pgm,
@@ -125,6 +126,19 @@ class TestBlockOps:
         img = GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8))
         for rect in (BlockRect(0, 0, 32), BlockRect(4, 8, 16), BlockRect(17, 3, 8)):
             assert float(downsample_mean2(img, rect).mean()) == block_mean(img, rect)
+
+    def test_box_sums_quartered_equal_downsample(self):
+        # the decoder gathers its domains from box sums, so this must hold bit for bit on real rasters
+        raster = np.random.default_rng(2).uniform(-100.0, 400.0, (24, 20))
+        sums = box_sums(raster)
+        assert sums.shape == (23, 19)
+        for rect in (BlockRect(0, 0, 20), BlockRect(3, 5, 16), BlockRect(11, 7, 8), BlockRect(18, 22, 2)):
+            quarter = sums[rect.y : rect.y + rect.size : 2, rect.x : rect.x + rect.size : 2] * 0.25
+            assert np.array_equal(quarter, downsample_mean2(raster, rect))
+
+    def test_box_sums_of_image(self):
+        img = GrayImage(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8))
+        assert box_sums(img).tolist() == [[12.0, 16.0]]
 
 
 class TestCoDomain:

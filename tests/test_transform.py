@@ -144,6 +144,19 @@ class TestApplyMap:
         out = apply_map(d, 1.0, 250.0)
         assert out.tolist() == [[122.5, 255.0]]
 
+    @pytest.mark.parametrize("k", (1, 2, 4, 8, 16))
+    def test_stack_matches_per_block_calls(self, k):
+        rng = np.random.default_rng(k)
+        stack = rng.uniform(-300.0, 600.0, (40, k, k))
+        before = stack.copy()
+        s = rng.choice(CONTRAST_VALUES + (0.2, 0.5, 0.65, 0.9), 40)
+        o = rng.integers(-40, 300, 40).astype(np.float64)
+        out = apply_map(stack, s[:, None, None], o[:, None, None])
+        assert np.array_equal(out, [apply_map(b, float(si), float(oi)) for b, si, oi in zip(stack, s, o)])
+        # and each block as the plain formula gives it, with the whole-block mean
+        assert np.array_equal(out, [np.clip(si * (b - b.mean()) + oi, 0.0, 255.0) for b, si, oi in zip(stack, s, o)])
+        assert np.array_equal(stack, before)  # the input is never written
+
 
 class TestRmsError:
     def test_perfect_match(self):
