@@ -9,7 +9,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .bitstream import read_stream, stream_bit_count, write_stream
+from . import bitstream
+from .bitstream import read_stream
 from .decoder import DecodeConfig, decode
 from .encoder import EncoderConfig, encode_quadtree
 from .image import GrayImage
@@ -59,9 +60,9 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
                     start = time.perf_counter()
                     code = encode_quadtree(image, config)
                     elapsed = time.perf_counter() - start
-                    blob = write_stream(code)
-                    decoded = decode(read_stream(blob), dec_cfg)
-                    bits = stream_bit_count(code)
+                    writer = bitstream._serialize(code)  # one pass: the stream bytes and their exact bit count
+                    decoded = decode(read_stream(writer.getvalue()), dec_cfg)
+                    bits = writer.bit_count
                 except Exception as exc:
                     raise RuntimeError(
                         f"sweep point failed (mode={mode}, E=({e1:g},{e2:g},{e3:g}), t2={t2}): {exc}"

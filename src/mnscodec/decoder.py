@@ -9,6 +9,7 @@ independent of leaf order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if math.isnan(self.stop_delta):
+            raise ValueError("stop_delta must not be NaN")
+        if not math.isfinite(self.initial_value):
+            raise ValueError("initial_value must be finite")
 
 
 def _block_table(code: QuadtreeCode) -> dict[int, np.ndarray]:

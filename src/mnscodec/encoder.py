@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .image import (
-    BlockRect,
-    GrayImage,
-    block_mean,
-    block_pixels,
-    box_sums,
-    co_domain_rect,
-    downsample_mean2,
-    pad_to_multiple,
-)
-from .transform import CONTRAST_VALUES, dequantize_contrast, fit_affine, quantize_contrast, rms_error
+from .image import BlockRect, GrayImage, block_pixels, box_sums, co_domain_rect, pad_to_multiple
+from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
+from .transform import CONTRAST_VALUES, quantize_contrast
+from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
 
 MODES = ("no_search", "mns", "local_search", "full_search")
 
@@ -33,6 +27,8 @@ ROOT_SIZE = 16
 MAX_SIDE = 0xFFFF  # largest padded side: the .mns header stores each dimension as a u16
 LEVEL_SIZES = {1: 16, 2: 8, 3: 4, 4: 2}
 SIZE_LEVELS = {size: level for level, size in LEVEL_SIZES.items()}
+BAND_ROOT_ROWS = 2  # root rows per band of the level-at-a-time walk
+QUADRANT_STEPS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])  # (dx, dy) of TL, TR, BL, BR, in quadrant sides
 
 # Two-element contrast sets searched per quadrant in phase 2, one per level.
 CONTRAST_SETS = {1: (0.2, 0.5), 2: (0.4, 0.65), 3: (0.5, 0.9)}
@@ -71,6 +67,8 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if any(math.isnan(v) for v in (self.e1, self.e2, self.e3, self.mean_tol)):
+            raise ValueError("error thresholds and mean_tol must not be NaN")
         if min(self.e1, self.e2, self.e3) <= 0:
             raise ValueError("error thresholds must be positive")
         if self.mean_tol < 0:
@@ -149,106 +147,194 @@ class QuadtreeCode:
         return sum(1 for leaf in self.leaves if isinstance(leaf.payload, Phase2Payload))
 
 
-def try_phase1(
-    image: GrayImage, rect: BlockRect, level: int, config: EncoderConfig
-) -> tuple[Optional[LeafRecord], float]:
-    """Fit the co-centered domain onto rect and test the level threshold.
+@dataclass(frozen=True)
+class RowBand:
+    """Rows lo.. of a padded raster with their 2x2 box sums: what the phase kernels read.
 
-    The acceptance RMS is re-evaluated with the quantized contrast code and
-    rounded mean, so the decision matches what the decoder reconstructs.
-    Level 4 accepts unconditionally. Returns (record, rms), record None on
-    rejection.
+    width and height are the whole raster's, since domains clamp to its edges.
     """
-    if LEVEL_SIZES[level] != rect.size:
-        raise ValueError(f"level {level} expects block size {LEVEL_SIZES[level]}, got {rect.size}")
-    domain = co_domain_rect(rect, image.width, image.height)
-    d = downsample_mean2(image, domain)
-    r = block_pixels(image, rect)
-    s_fit, o_fit = fit_affine(r, d)
-    s_code = quantize_contrast(s_fit)
-    o_byte = round_to_int(o_fit)
-    rms = rms_error(r, d, dequantize_contrast(s_code), float(o_byte))
-    if level == 4 or rms <= config.threshold(level):
-        return LeafRecord(rect, level, Phase1Payload(o_byte, s_code)), rms
-    return None, rms
+
+    pixels: np.ndarray  # uint8 rows lo .. lo + len(pixels)
+    sums: np.ndarray  # box_sums(pixels, np.uint16): exact integer sums
+    lo: int
+    width: int
+    height: int
 
 
-def try_phase2(
-    image: GrayImage, rect: BlockRect, level: int, config: EncoderConfig
-) -> tuple[Optional[LeafRecord], float]:
-    """Code rect through its quadrant means with 1-bit contrast picks.
+Blocks = Union[BlockRect, np.ndarray]  # one block, or an (n, 2) array of (x, y) origins
+
+
+def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
+    """Pixel rows y0..y1 plus every row their domains reach: an 8-row halo, or 16 rows on
+    the far side where a level-1 domain is clamped at the raster's top or bottom edge."""
+    lo, hi, d = 0, image.height, 2 * ROOT_SIZE
+    if hi >= d:  # level 1 runs; otherwise the band is the whole 16-row raster
+        lo = min(max(y0 - ROOT_SIZE // 2, 0), hi - d)
+        hi = min(max(y1 - ROOT_SIZE - ROOT_SIZE // 2, 0), hi - d) + d
+    pixels = image.pixels[lo:hi]
+    return RowBand(pixels, box_sums(pixels, np.uint16), lo, image.width, image.height)
+
+
+def _ranges_and_domains(band: RowBand, xy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float pixels of the k x k ranges at origins xy, one row each, and the 2x2 means of
+    their co-centered domains: quarters of exact integer sums, so downsample_mean2's values."""
+    if 2 * k > min(band.width, band.height):
+        raise ValueError(f"no {2 * k}x{2 * k} domain fits a {band.width}x{band.height} image")
+    x, y = xy.T
+    # co_domain_rect's clamp, for arrays
+    dx = np.clip(x - k // 2, 0, band.width - 2 * k)
+    dy = np.clip(y - k // 2, 0, band.height - 2 * k)
+    r = sliding_window_view(band.pixels, (k, k))[y - band.lo, x].reshape(-1, k * k).astype(np.float64)
+    d = sliding_window_view(band.sums, (2 * k - 1, 2 * k - 1))[dy - band.lo, dx, ::2, ::2].reshape(-1, k * k)
+    d = d * 0.25  # to float64
+    return r, d
+
+
+def _quadrants(xy: np.ndarray, size: int) -> np.ndarray:
+    """Origins of each block's four quadrants, TL, TR, BL, BR per block, as BlockRect.quadrants."""
+    return (xy[:, None, :] + QUADRANT_STEPS * (size // 2)).reshape(-1, 2)
+
+
+def _batch(image: Union[GrayImage, RowBand], blocks: Blocks, level: int) -> tuple[RowBand, np.ndarray]:
+    """The band and (n, 2) block origins of a kernel call; a BlockRect is a batch of one."""
+    band = _band(image, 0, image.height) if isinstance(image, GrayImage) else image
+    if not isinstance(blocks, BlockRect):
+        return band, blocks
+    if LEVEL_SIZES[level] != blocks.size:
+        raise ValueError(f"level {level} expects block size {LEVEL_SIZES[level]}, got {blocks.size}")
+    x, y, k = blocks.x, blocks.y, blocks.size
+    if not (0 <= x <= band.width - k and band.lo <= y <= band.lo + len(band.pixels) - k):
+        raise ValueError(f"{blocks} out of bounds for the band")
+    return band, np.array([[x, y]])
+
+
+def _records(xy: np.ndarray, level: int, payload: np.ndarray) -> list[LeafRecord]:
+    """Leaf records from payload rows: (o_byte, s_code) for phase 1, or
+    (o_byte, three deltas, four s_bits) for phase 2."""
+    size = LEVEL_SIZES[level]
+    rects = [BlockRect(x, y, size) for x, y in xy.tolist()]
+    if payload.shape[1] == 2:
+        return [LeafRecord(rect, level, Phase1Payload(o, s)) for rect, (o, s) in zip(rects, payload.tolist())]
+    return [LeafRecord(rect, level, Phase2Payload(p[0], (p[1], p[2], p[3]), (p[4], p[5], p[6], p[7])))
+            for rect, p in zip(rects, payload.tolist())]
+
+
+def _result(blocks: Blocks, xy: np.ndarray, level: int, accepted: np.ndarray, payload: np.ndarray, rms: np.ndarray):
+    """A batch result as it stands, or (LeafRecord | None, rms) for a single BlockRect."""
+    if not isinstance(blocks, BlockRect):
+        return accepted, payload, rms
+    return (_records(xy, level, payload)[0] if accepted[0] else None), float(rms[0])
+
+
+def _rms(r: np.ndarray, d0: np.ndarray, s, o, out=None) -> np.ndarray:
+    """rms_error of each last-axis row: the same operations in the same order, and a mean
+    over a contiguous last axis, which reduces each row as rms_error reduces one block.
+    The residuals go to `out` if given, which may be d0 itself."""
+    res = np.multiply(s, d0, out=out)
+    res += o
+    np.subtract(r, res, out=res)
+    res *= res
+    return np.sqrt(res.mean(axis=-1))
+
+
+def try_phase1(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, config: EncoderConfig):
+    """Fit each block's co-centered domain and test the level threshold.
+
+    blocks is an (n, 2) array of (x, y) origins in a RowBand, or one BlockRect
+    of a GrayImage. The acceptance RMS is re-evaluated with the quantized
+    contrast code and rounded mean, so the decision matches what the decoder
+    reconstructs. Level 4 accepts unconditionally. A batch returns (accepted
+    mask, (n, 2) rows of (o_byte, s_code), rms); a BlockRect returns
+    (record, rms), record None on rejection.
+    """
+    band, xy = _batch(image, blocks, level)
+    r, d = _ranges_and_domains(band, xy, LEVEL_SIZES[level])
+    d -= d.mean(axis=1, keepdims=True)
+    # fit_affine's least-squares s. On integer pixels every sum here is exact in float64, and
+    # the rows of d sum to exactly 0, so the cross term needs no mean-removed copy of r.
+    denom = np.einsum("ij,ij->i", d, d)
+    s_code = quantize_contrast(np.einsum("ij,ij->i", d, r) / np.where(denom > 0.0, denom, 1.0))  # flat d: s = 0
+    o_byte = np.floor(r.mean(axis=1) + 0.5)  # round_to_int
+    rms = _rms(r, d, np.take(CONTRAST_VALUES, s_code)[:, None], o_byte[:, None], out=d)
+    accepted = np.full(len(xy), True) if level == 4 else rms <= config.threshold(level)
+    return _result(blocks, xy, level, accepted, np.stack([o_byte.astype(np.intp), s_code], axis=1), rms)
+
+
+def try_phase2(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, config: EncoderConfig):
+    """Code each block through its quadrant means with 1-bit contrast picks.
 
     Applicable at levels 1..3 when every quadrant mean lies within mean_tol
     of the block mean, every coded offset fits the level's bit width, and the
     implied fourth mean stays a byte. Each quadrant keeps its luminance fixed
     to the reconstructed quadrant mean and only chooses between the two set
-    values; all four quadrants must meet the level threshold.
-    Returns (record, worst quadrant rms), or (None, inf) on rejection.
+    values, ties going to the lower; all four quadrants must meet the level
+    threshold. blocks is as for try_phase1. A batch returns (accepted mask,
+    (n, 8) rows of (o_byte, three deltas, four s_bits), worst quadrant rms or
+    inf on rejection); a BlockRect returns (record, rms), or (None, inf).
     """
     if level not in CONTRAST_SETS:
         raise ValueError("phase 2 exists only at levels 1..3")
-    rejected: tuple[Optional[LeafRecord], float] = (None, math.inf)
-    o_mean = block_mean(image, rect)
-    quads = rect.quadrants()
-    quad_means = [block_mean(image, q) for q in quads]
-    if max(abs(m - o_mean) for m in quad_means) > config.mean_tol:
-        return rejected
-    o_byte = round_to_int(o_mean)
-    deltas = tuple(round_to_int(m - o_mean) for m in quad_means[:3])
-    targets = phase2_targets(o_byte, deltas)  # the implied fourth mean must stay a byte
-    if max(abs(d) for d in deltas) > delta_limit(level) or not 0 <= targets[3] <= 255:
-        return rejected
-    s_lo, s_hi = CONTRAST_SETS[level]
-    tol = config.threshold(level)
-    bits = []
-    worst = 0.0
-    for quad, target in zip(quads, targets):
-        d = downsample_mean2(image, co_domain_rect(quad, image.width, image.height))
-        r = block_pixels(image, quad)
-        rms_lo = rms_error(r, d, s_lo, float(target))
-        rms_hi = rms_error(r, d, s_hi, float(target))
-        bit, rms = (0, rms_lo) if rms_lo <= rms_hi else (1, rms_hi)
-        if rms > tol:
-            return rejected
-        bits.append(bit)
-        worst = max(worst, rms)
-    record = LeafRecord(rect, level, Phase2Payload(o_byte, deltas, (bits[0], bits[1], bits[2], bits[3])))
-    return record, worst
+    band, xy = _batch(image, blocks, level)
+    n = len(xy)
+    r, d = _ranges_and_domains(band, _quadrants(xy, LEVEL_SIZES[level]), LEVEL_SIZES[level] // 2)
+    r, d = r.reshape(n, 4, -1), d.reshape(n, 4, -1)
+    # block and quadrant means are exact in float64 on integer pixels
+    o_mean = r.reshape(n, -1).mean(axis=1)
+    quad_means = r.mean(axis=2)
+    o_byte = np.floor(o_mean + 0.5)
+    deltas = np.floor(quad_means[:, :3] - o_mean[:, None] + 0.5)
+    implied = o_byte - deltas.sum(axis=1)  # the implied fourth mean must stay a byte
+    accepted = ((np.abs(quad_means - o_mean[:, None]).max(axis=1) <= config.mean_tol)
+                & (np.abs(deltas).max(axis=1) <= delta_limit(level)) & (implied >= 0) & (implied <= 255))
+    targets = np.concatenate([o_byte[:, None] + deltas, implied[:, None]], axis=1)[:, :, None]
+    d -= d.mean(axis=2, keepdims=True)
+    rms_lo, rms_hi = (_rms(r, d, s, targets) for s in CONTRAST_SETS[level])
+    bits = rms_hi < rms_lo
+    rms = np.where(bits, rms_hi, rms_lo)
+    accepted &= (rms <= config.threshold(level)).all(axis=1)
+    payload = np.concatenate([o_byte[:, None], deltas, bits], axis=1).astype(np.intp)
+    return _result(blocks, xy, level, accepted, payload, np.where(accepted, rms.max(axis=1), np.inf))
 
 
 def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
-    """No-search / MNS quadtree encode over 16x16 roots in raster order.
+    """No-search / MNS quadtree encode over 16x16 roots, one level at a time.
 
-    Phase 1 is tried first; in mns mode a phase-1 rejection falls through to
-    phase 2; if both reject, the block splits into TL, TR, BL, BR children.
-    Level-4 blocks always terminate through phase 1. Output is deterministic
-    for identical inputs.
+    The padded raster is walked in bands of BAND_ROOT_ROWS root rows. In each
+    band, phase 1 runs on every live block of a level in one batch; in mns
+    mode the blocks it rejects go to phase 2; what both reject splits into
+    TL, TR, BL, BR children, the next level's live blocks. Level-4 blocks
+    always terminate through phase 1. Leaves carry a root-index-plus-
+    quadrant-path key, and one sort puts them in DFS order: roots in raster
+    order, children in TL, TR, BL, BR order. Output is deterministic for
+    identical inputs.
     """
     if config.mode not in ("no_search", "mns"):
         raise ValueError(f"encode_quadtree handles no_search/mns, not {config.mode!r}")
     if -(-max(image.width, image.height) // ROOT_SIZE) * ROOT_SIZE > MAX_SIDE:
         raise ValueError("padded dimensions exceed the 16-bit header fields")
     padded = pad_to_multiple(image, ROOT_SIZE)
-    min_dim = min(padded.width, padded.height)
-    leaves: list[LeafRecord] = []
-
-    def visit(rect: BlockRect, level: int) -> None:
-        record = None
-        if 2 * rect.size <= min_dim:  # a 16-wide raster has no room for level-1 domains
-            record, _ = try_phase1(padded, rect, level, config)
-            if record is None and config.mode == "mns":
-                record, _ = try_phase2(padded, rect, level, config)
-        if record is not None:
-            leaves.append(record)
-            return
-        for quad in rect.quadrants():
-            visit(quad, level + 1)
-
-    for y in range(0, padded.height, ROOT_SIZE):
-        for x in range(0, padded.width, ROOT_SIZE):
-            visit(BlockRect(x, y, ROOT_SIZE), 1)
+    w, h = padded.width, padded.height
+    min_dim = min(w, h)
+    records: list[LeafRecord] = []
+    keys: list[np.ndarray] = []
+    band_rows = BAND_ROOT_ROWS * ROOT_SIZE
+    for y0 in range(0, h, band_rows):
+        band = _band(padded, y0, min(y0 + band_rows, h))
+        ys, xs = np.mgrid[y0 : min(y0 + band_rows, h) : ROOT_SIZE, 0:w:ROOT_SIZE].reshape(2, -1)
+        xy = np.stack([xs, ys], axis=1)
+        path = ys // ROOT_SIZE * (w // ROOT_SIZE) + xs // ROOT_SIZE  # root index, then a base-4 digit per level
+        for level, size in LEVEL_SIZES.items():
+            # phase 1 accepts every level-4 block, so phase 2 never runs at level 4
+            for phase in (try_phase1, try_phase2) if config.mode == "mns" else (try_phase1,):
+                if len(xy) and 2 * size <= min_dim:  # a 16-wide raster has no room for level-1 domains
+                    accepted, payload, _ = phase(band, xy, level, config)
+                    records += _records(xy[accepted], level, payload[accepted])
+                    keys.append(path[accepted] * 4 ** (len(LEVEL_SIZES) - level))
+                    xy, path = xy[~accepted], path[~accepted]
+            xy, path = _quadrants(xy, size), (path[:, None] * 4 + np.arange(4)).ravel()
+    order = np.argsort(np.concatenate(keys)).tolist()
     return QuadtreeCode(
-        tuple(leaves), padded.width, padded.height, image.width, image.height, config.mode, config.technique2
+        tuple(records[i] for i in order), w, h, image.width, image.height, config.mode, config.technique2
     )
 
 

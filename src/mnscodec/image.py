@@ -171,10 +171,18 @@ def downsample_mean2(image, rect: BlockRect) -> np.ndarray:
     return (a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2]) * 0.25
 
 
-def box_sums(image) -> np.ndarray:
-    """2x2 box sums, (y, x) over rows y..y+1 and columns x..x+1, added as downsample_mean2 adds."""
-    arr = np.asarray(_raster(image), dtype=np.float64)
-    return arr[:-1, :-1] + arr[:-1, 1:] + arr[1:, :-1] + arr[1:, 1:]
+def box_sums(image, dtype=np.float64) -> np.ndarray:
+    """2x2 box sums, (y, x) over rows y..y+1 and columns x..x+1, added as downsample_mean2 adds.
+
+    The sums are added in `dtype`; uint16 holds any sum of four 8-bit pixels
+    exactly, in a quarter of float64's memory.
+    """
+    arr = np.asarray(_raster(image))
+    # added in place, so there is no converted copy of the raster and no temporary
+    sums = np.add(arr[:-1, :-1], arr[:-1, 1:], dtype=dtype)
+    sums += arr[1:, :-1]
+    sums += arr[1:, 1:]
+    return sums
 
 
 def co_domain_rect(range_rect: BlockRect, img_w: int, img_h: int) -> BlockRect:

@@ -88,6 +88,20 @@ class TestErrors:
         assert rc == 1
         assert "e-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ("--e1", "--e3", "--tmean"))
+    def test_nan_threshold_is_data_error(self, constant_pgm, tmp_path, capsys, flag):
+        out = tmp_path / "x.mns"
+        assert main(["encode", "--in", constant_pgm, "--out", str(out), flag, "nan"]) == 1
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_stop_delta_is_data_error(self, constant_pgm, tmp_path, capsys):
+        mns, out = tmp_path / "x.mns", tmp_path / "y.pgm"
+        assert main(["encode", "--in", constant_pgm, "--out", str(mns)]) == 0
+        assert main(["decode", "--in", str(mns), "--out", str(out), "--stop-delta", "nan"]) == 1
+        assert "stop_delta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_mode_list_is_data_error(self, constant_pgm, tmp_path, capsys):
         rc = main(["bench", "rd", "--in", constant_pgm, "--modes", "ns,warp", "--csv", str(tmp_path / "o.csv")])
         assert rc == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -95,3 +96,13 @@ class TestDecode:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="max_iters"):
             DecodeConfig(max_iters=0)
+
+    @pytest.mark.parametrize("field, value", (
+        ("stop_delta", math.nan),
+        ("initial_value", math.nan),
+        ("initial_value", math.inf),
+        ("initial_value", -math.inf),
+    ))
+    def test_rejects_nan_and_infinite_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DecodeConfig(**{field: value})

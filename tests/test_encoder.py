@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mnscodec.encoder import (
 from mnscodec.image import BlockRect, GrayImage, block_pixels, co_domain_rect, downsample_mean2, pad_to_multiple
 from mnscodec.transform import dequantize_contrast, rms_error
 
-from util import noise_image
+from util import natural_image, noise_image
 
 
 def quantized_grid_best_rms(image, rect):
@@ -199,6 +200,18 @@ class TestQuadtree:
         with pytest.raises(ValueError, match="16-bit"):
             encode_quadtree(img, EncoderConfig())
 
+    def test_traced_peak_stays_below_a_whole_image_copy(self):
+        # a float64 copy of this raster alone is 8 MB; the band walk keeps its working set
+        # to a few root rows, so the peak is mostly the returned leaves themselves
+        img = natural_image(1024, 1024, seed=7)
+        tracemalloc.start()
+        try:
+            encode_quadtree(img, EncoderConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_rejects_baseline_modes(self, constant_64):
         with pytest.raises(ValueError, match="no_search/mns"):
             encode_quadtree(constant_64, EncoderConfig(mode="full_search"))
@@ -294,3 +307,9 @@ class TestConfig:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="full_search_step"):
             EncoderConfig(full_search_step=0)
+
+    @pytest.mark.parametrize("field", ("e1", "e2", "e3", "mean_tol"))
+    def test_rejects_nan(self, field):
+        # every ordered comparison with NaN is false, so NaN would slip past the sign checks
+        with pytest.raises(ValueError, match="NaN"):
+            EncoderConfig(**{field: math.nan})

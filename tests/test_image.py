@@ -140,6 +140,14 @@ class TestBlockOps:
         img = GrayImage(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8))
         assert box_sums(img).tolist() == [[12.0, 16.0]]
 
+    def test_uint16_box_sums_are_exact(self):
+        # the encoder keeps its band sums in uint16; four 255s must not wrap
+        pixels = np.random.default_rng(4).integers(0, 256, (20, 24), dtype=np.uint8)
+        pixels[:2, :2] = 255
+        sums = box_sums(GrayImage(pixels), np.uint16)
+        assert sums.dtype == np.uint16 and sums[0, 0] == 1020
+        assert np.array_equal(sums, box_sums(GrayImage(pixels)))
+
 
 class TestCoDomain:
     def test_centered_interior(self):

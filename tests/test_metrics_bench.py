@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mnscodec import bitstream
 from mnscodec.bench import RD_CSV_COLUMNS, histogram_csv, offset_histogram, rd_csv, rd_sweep
+from mnscodec.bitstream import stream_bit_count
 from mnscodec.image import GrayImage
 from mnscodec.metrics import mse, psnr
 
@@ -113,6 +115,20 @@ class TestRdSweep:
         a = rd_sweep(natural_128, ["mns"], [6.0, 9.0])
         b = rd_sweep(natural_128, ["mns"], [6.0, 9.0])
         assert strip_time(a) == strip_time(b)
+
+    def test_serializes_each_point_once(self, natural_128, monkeypatch):
+        codes = []
+        serialize = bitstream._serialize
+
+        def counting(code):
+            codes.append(code)
+            return serialize(code)
+
+        monkeypatch.setattr(bitstream, "_serialize", counting)
+        points = rd_sweep(natural_128, ["no_search", "mns"], [6.0], (True, False))
+        monkeypatch.undo()
+        assert len(codes) == len(points) == 4
+        assert [p.bits for p in points] == [stream_bit_count(code) for code in codes]
 
     def test_rejects_empty_grid(self, constant_64):
         with pytest.raises(ValueError):
