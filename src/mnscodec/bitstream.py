@@ -70,16 +70,11 @@ class BitReader:
         self._end = len(data) * 8
 
     def read(self, nbits: int) -> int:
-        if self._pos + nbits > self._end:
+        pos, end = self._pos, self._pos + nbits
+        if end > self._end:
             raise StreamFormatError("truncated stream")
-        value = 0
-        pos = self._pos
-        data = self._data
-        for _ in range(nbits):
-            value = (value << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self._pos = pos
-        return value
+        self._pos = end
+        return (int.from_bytes(self._data[pos >> 3 : (end + 7) >> 3], "big") >> (-end & 7)) & ((1 << nbits) - 1)
 
     def bits_left(self) -> int:
         return self._end - self._pos

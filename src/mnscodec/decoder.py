@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .encoder import CONTRAST_SETS, BaselinePayload, Phase2Payload, QuadtreeCode, phase2_targets
-from .image import GrayImage, box_sums, co_domain_rect, downsample_mean2  # noqa: F401 (traced by perfbench)
+from .encoder import CONTRAST_SETS, QUADRANT_STEPS, BaselinePayload, Phase2Payload, QuadtreeCode, phase2_targets
+from .image import GrayImage, box_sums, co_domain_origins, downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
 
@@ -34,56 +36,68 @@ class DecodeConfig:
             raise ValueError("initial_value must be finite")
 
 
-def _block_table(code: QuadtreeCode) -> dict[int, np.ndarray]:
-    """Rows (y, x, domain y, domain x, domain side, s, o) of every painted block, keyed by
-    block side: one per phase-1 or search leaf, four quadrants per phase-2 leaf."""
-    w, h = code.padded_w, code.padded_h
-    rows: dict[int, list] = {}
+class _Plan(NamedTuple):
+    """What every sweep of one code paints: per block side, a tuple (k, y, x, dy, dx, s, o) of the
+    side, the (n,) origins of the blocks and of their domains, and s and o as (n, 1, 1)."""
+
+    shape: tuple[int, int]  # padded (h, w)
+    sides: list[tuple]
+
+
+def _plan(code: QuadtreeCode) -> _Plan:
+    """Plan every painted block, one per phase-1 or search leaf and four per phase-2 leaf; misfits raise ValueError."""
+    w, h, steps = code.padded_w, code.padded_h, QUADRANT_STEPS.tolist()
+    rows = []  # (y, x, side, s, o, co-centered, domain y, domain x, domain side)
     for leaf in code.leaves:
-        p = leaf.payload
+        r, p = leaf.rect, leaf.payload
         if isinstance(p, Phase2Payload):
-            pair, targets = CONTRAST_SETS[leaf.level], phase2_targets(p.o_byte, p.deltas)
-            blocks = [(q, co_domain_rect(q, w, h), pair[b], t)
-                      for q, t, b in zip(leaf.rect.quadrants(), targets, p.s_bits)]
+            k, pair = r.size // 2, CONTRAST_SETS[leaf.level]
+            rows += [(r.y + qy * k, r.x + qx * k, k, pair[b], t, 1, 0, 0, 2 * k)
+                     for (qx, qy), t, b in zip(steps, phase2_targets(p.o_byte, p.deltas), p.s_bits)]
         else:
-            domain = p.domain if isinstance(p, BaselinePayload) else co_domain_rect(leaf.rect, w, h)
-            blocks = [(leaf.rect, domain, dequantize_contrast(p.s_code), p.o_byte)]
-        for rect, d, s, o in blocks:
-            rows.setdefault(rect.size, []).append((rect.y, rect.x, d.y, d.x, d.size, s, o))
-    table = {k: np.array(r, dtype=np.float64) for k, r in rows.items()}
-    for k, t in table.items():
-        fits = (t[:, :4] >= 0) & (t[:, :4] + (k, k, 2 * k, 2 * k) <= (h, w, h, w)) & (t[:, 4:5] == 2 * k)
-        if not fits.all():
-            raise ValueError(f"a {k}x{k} block or its domain does not fit the {w}x{h} raster")
-    return table
+            d = (0, p.domain.y, p.domain.x, p.domain.size) if isinstance(p, BaselinePayload) else (1, 0, 0, 2 * r.size)
+            rows.append((r.y, r.x, r.size, dequantize_contrast(p.s_code), p.o_byte, *d))
+    t = np.array(rows, dtype=np.float64).reshape(-1, 9)
+    y, x, k, dy, dx, dk = t[:, [0, 1, 2, 6, 7, 8]].astype(np.intp).T
+    co = t[:, 5] == 1
+    dx[co], dy[co] = co_domain_origins(x[co], y[co], k[co], w, h)
+    misfit = (np.minimum.reduce([y, x, dy, dx]) < 0) | (y + k > h) | (x + k > w) | (dy + dk > h) | (dx + dk > w)
+    misfit |= (dk != 2 * k) | (k < 1)
+    if misfit.any():
+        raise ValueError(f"a {k[misfit][0]}x{k[misfit][0]} block or its domain does not fit the {w}x{h} raster")
+    s, o = t[:, 3, None, None], t[:, 4, None, None]
+    masks = {side: k == side for side in dict.fromkeys(k.tolist())}
+    return _Plan((h, w), [(side, y[m], x[m], dy[m], dx[m], s[m], o[m]) for side, m in masks.items()])
 
 
-def decode_step(code: QuadtreeCode, current: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep of the padded-size raster `current` into a fresh raster: per block
-    side, the domains' 2x2 means are gathered from the box sums of `current`, mapped by one
-    apply_map call and scattered. A misfit domain raises ValueError before any pixel is read."""
+def decode_step(code: QuadtreeCode | _Plan, current: np.ndarray) -> np.ndarray:
+    """One Jacobi sweep of the padded-size raster `current` into a fresh raster: per block side, one
+    gather takes the domains' 2x2 means from windows on the box sums of `current`, one apply_map call
+    maps them, and one scatter writes the blocks through windows on the fresh raster. `code` is a
+    QuadtreeCode, planned here, or decode's plan of one; a misfit raises ValueError."""
+    plan = code if isinstance(code, _Plan) else _plan(code)
     cur = np.asarray(current, dtype=np.float64)
-    if cur.shape != (code.padded_h, code.padded_w):
-        raise ValueError(f"raster shape {cur.shape} does not match padded {code.padded_h}x{code.padded_w}")
-    table = _block_table(code)
+    if cur.shape != plan.shape:
+        raise ValueError(f"raster shape {cur.shape} does not match padded {plan.shape[0]}x{plan.shape[1]}")
     sums = box_sums(cur)
     out = np.empty_like(cur)
-    for k, t in table.items():
-        y, x, dy, dx = t[:, :4].astype(np.intp).T[:, :, None, None]
-        i = np.arange(k)
-        domains = sums[dy + 2 * i[:, None], dx + 2 * i]
+    for k, y, x, dy, dx, s, o in plan.sides:
+        domains = sliding_window_view(sums, (2 * k - 1, 2 * k - 1))[dy, dx, ::2, ::2]
         domains *= 0.25
-        out[y + i[:, None], x + i] = apply_map(domains, t[:, 5, None, None], t[:, 6, None, None])
+        sliding_window_view(out, (k, k), writeable=True)[y, x] = apply_map(domains, s, o)
     return out
 
 
 def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
     """Iterate decode_step from a flat raster, then round once and crop."""
     cfg = config if config is not None else DecodeConfig()
-    current = np.full((code.padded_h, code.padded_w), cfg.initial_value, dtype=np.float64)
+    plan = _plan(code)
+    current = np.full(plan.shape, cfg.initial_value, dtype=np.float64)
     for _ in range(cfg.max_iters):
-        nxt = decode_step(code, current)
-        delta = float(np.max(np.abs(nxt - current)))
+        nxt = decode_step(plan, current)
+        diff = nxt - current
+        delta = float(np.abs(diff, out=diff).max())
+        del diff  # not held through the next sweep, which would add a raster to the peak
         current = nxt
         if delta < cfg.stop_delta:
             break

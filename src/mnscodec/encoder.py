@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .image import BlockRect, GrayImage, block_pixels, box_sums, co_domain_rect, pad_to_multiple
+from .image import BlockRect, GrayImage, block_pixels, box_sums, co_domain_origins, co_domain_rect, pad_to_multiple
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import CONTRAST_VALUES, quantize_contrast
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
@@ -178,12 +178,8 @@ def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
 def _ranges_and_domains(band: RowBand, xy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Float pixels of the k x k ranges at origins xy, one row each, and the 2x2 means of
     their co-centered domains: quarters of exact integer sums, so downsample_mean2's values."""
-    if 2 * k > min(band.width, band.height):
-        raise ValueError(f"no {2 * k}x{2 * k} domain fits a {band.width}x{band.height} image")
     x, y = xy.T
-    # co_domain_rect's clamp, for arrays
-    dx = np.clip(x - k // 2, 0, band.width - 2 * k)
-    dy = np.clip(y - k // 2, 0, band.height - 2 * k)
+    dx, dy = co_domain_origins(x, y, k, band.width, band.height)
     r = sliding_window_view(band.pixels, (k, k))[y - band.lo, x].reshape(-1, k * k).astype(np.float64)
     d = sliding_window_view(band.sums, (2 * k - 1, 2 * k - 1))[dy - band.lo, dx, ::2, ::2].reshape(-1, k * k)
     d = d * 0.25  # to float64

@@ -199,3 +199,13 @@ def co_domain_rect(range_rect: BlockRect, img_w: int, img_h: int) -> BlockRect:
     x = min(max(range_rect.x - range_rect.size // 2, 0), img_w - d)
     y = min(max(range_rect.y - range_rect.size // 2, 0), img_h - d)
     return BlockRect(x, y, d)
+
+
+def co_domain_origins(x, y, k, img_w: int, img_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """co_domain_rect for arrays: domain origins (x, y) of the k x k ranges at x, y; k may be one side."""
+    if np.any(k % 2):
+        raise ValueError("range size must be even")
+    if np.any(2 * k > min(img_w, img_h)):
+        raise ValueError(f"no {2 * np.max(k)}x{2 * np.max(k)} domain fits a {img_w}x{img_h} image")
+    # co_domain_rect's clamp; np.clip would cost the encoder's many small calls a few µs each
+    return np.minimum(np.maximum(x - k // 2, 0), img_w - 2 * k), np.minimum(np.maximum(y - k // 2, 0), img_h - 2 * k)

@@ -99,6 +99,28 @@ class TestBitIO:
         with pytest.raises(StreamFormatError, match="truncated"):
             r.read(1)
 
+    @pytest.mark.parametrize("start", range(8))
+    def test_reader_matches_bit_by_bit_reference(self, start):
+        # fields of every width 1..16 from every bit offset, on random bytes cut after each byte,
+        # so a field is cut at each of its bit positions; the reference reads one bit at a time
+        data = np.random.default_rng(start).integers(0, 256, 5, dtype=np.uint8).tobytes()
+        for n in range(len(data) + 1):
+            bits = "".join(f"{byte:08b}" for byte in data[:n])
+            for width in range(1, 17):
+                r = BitReader(data[:n])
+                if start > len(bits):
+                    with pytest.raises(StreamFormatError, match="truncated"):
+                        r.read(start)
+                    continue
+                assert r.read(start) == (int(bits[:start], 2) if start else 0)
+                pos = start
+                while pos + width <= len(bits):
+                    assert r.read(width) == int(bits[pos : pos + width], 2)
+                    pos += width
+                with pytest.raises(StreamFormatError, match="truncated"):
+                    r.read(width)
+                assert r.bits_left() == len(bits) - pos  # a truncated read consumes nothing
+
 
 class TestRoundTrip:
     def test_spec_base_case_single_level1_leaf(self):

@@ -1,13 +1,27 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mnscodec import decoder
 from mnscodec.decoder import DecodeConfig, decode, decode_step
-from mnscodec.encoder import EncoderConfig, encode_full_search, encode_local_search, encode_quadtree
-from mnscodec.image import GrayImage
+from mnscodec.encoder import (
+    BaselinePayload,
+    EncoderConfig,
+    LeafRecord,
+    Phase1Payload,
+    QuadtreeCode,
+    encode_full_search,
+    encode_local_search,
+    encode_quadtree,
+)
+from mnscodec.image import BlockRect, GrayImage
+
+from test_decoder_oracle import IMAGES, _rasters
+from util import natural_image, random_code, scene_image
 
 
 class TestDecodeStep:
@@ -106,3 +120,94 @@ class TestDecode:
     def test_rejects_nan_and_infinite_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             DecodeConfig(**{field: value})
+
+
+def _oracle_codes():
+    """The codes test_decoder_oracle checks: quadtree, search and random codes that fit their raster."""
+    for image in IMAGES.values():
+        for mode in ("mns", "no_search"):
+            for e in (2.0, 8.0, 20.0):
+                yield encode_quadtree(image, EncoderConfig(e1=e, e2=e, e3=e, mode=mode))
+    search_image = scene_image(48, 40, seed=4)
+    yield encode_local_search(search_image, EncoderConfig(mode="local_search"))
+    for range_size in (4, 8):
+        yield encode_full_search(search_image, range_size, EncoderConfig(mode="full_search", full_search_step=3))[0]
+    rng = np.random.default_rng(21)
+    for mode in ("mns", "no_search"):
+        for technique2 in (True, False):
+            for _ in range(10):
+                code = random_code(rng, mode=mode, technique2=technique2)
+                if min(code.padded_w, code.padded_h) >= 32:  # room for level-1 domains
+                    yield code
+
+
+def _misfit_codes():
+    """A level-1 leaf with no room for its domain, a search domain past the right edge, and an
+    empty search block whose empty domain is twice its side."""
+    cocentered = [LeafRecord(BlockRect(x, 0, 16), 1, Phase1Payload(100, 3)) for x in (0, 16, 32)]
+    searched = [LeafRecord(BlockRect(x, y, 8), 2, BaselinePayload(BlockRect(0, 0, 16), 90, 5))
+                for y in range(0, 32, 8) for x in range(0, 32, 8)]
+    past_edge, empty = list(searched), list(searched)
+    past_edge[5] = LeafRecord(searched[5].rect, 2, BaselinePayload(BlockRect(20, 0, 16), 90, 5))
+    empty[5] = LeafRecord(BlockRect(8, 8, 0), 2, BaselinePayload(BlockRect(0, 0, 0), 90, 5))
+    return (QuadtreeCode(tuple(cocentered), 48, 16, 48, 16, "no_search", False),
+            *(QuadtreeCode(tuple(leaves), 32, 32, 32, 32, "local_search", False) for leaves in (past_edge, empty)))
+
+
+class TestPlanOnce:
+    def test_decode_plans_once_for_all_sweeps(self, natural_128, monkeypatch):
+        code = encode_quadtree(natural_128, EncoderConfig(mode="mns"))
+        planned, sweeps = [], []
+        plan, step = decoder._plan, decoder.decode_step
+        monkeypatch.setattr(decoder, "_plan", lambda c: planned.append(c) or plan(c))
+        monkeypatch.setattr(decoder, "decode_step", lambda p, r: sweeps.append(p) or step(p, r))
+        decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
+        assert len(sweeps) == 9
+        assert planned == [code]
+
+    def test_each_sweep_reads_the_previous_raster_and_leaves_it_unchanged(self, natural_128, monkeypatch):
+        code = encode_quadtree(natural_128, EncoderConfig(mode="mns"))
+        calls = []  # (raster passed, its copy before the sweep, the sweep's result)
+        step = decoder.decode_step
+
+        def traced(plan, current):
+            before = current.copy()
+            out = step(plan, current)
+            calls.append((current, before, out))
+            return out
+
+        monkeypatch.setattr(decoder, "decode_step", traced)
+        decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
+        assert len(calls) == 9
+        assert np.all(calls[0][0] == 128.0)
+        for (_, _, previous), (current, _, _) in zip(calls, calls[1:]):
+            assert current is previous
+        for current, before, _ in calls:
+            assert np.array_equal(current, before)
+
+    def test_planned_sweep_matches_a_sweep_of_the_code(self):
+        for n, code in enumerate(_oracle_codes()):
+            plan = decoder._plan(code)
+            for raster in _rasters(code, n):
+                assert decode_step(plan, raster).tobytes() == decode_step(code, raster).tobytes()
+
+    @pytest.mark.parametrize("code", _misfit_codes())
+    def test_misfit_code_raises_before_any_sweep(self, code, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(decoder, "decode_step", lambda *args: sweeps.append(args))
+        with pytest.raises(ValueError):
+            decode(code)
+        assert sweeps == []
+
+
+def test_decode_peak_memory_stays_under_five_rasters():
+    # the plan keeps block and domain origins, not per-pixel indices, and no sweep holds the
+    # previous sweep's difference raster
+    code = encode_quadtree(natural_image(512, 512), EncoderConfig())
+    tracemalloc.start()
+    try:
+        decode(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 512 * 512 * 8

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from mnscodec.image import (
     PgmFormatError,
     block_mean,
     box_sums,
+    co_domain_origins,
     co_domain_rect,
     downsample_mean2,
     load_pgm,
@@ -179,3 +182,26 @@ class TestCoDomain:
             if half <= x <= w - size - half and half <= y <= h - size - half:
                 assert dom.x + size == x + half
                 assert dom.y + size == y + half
+
+    @pytest.mark.parametrize("w, h", ((48, 30), (30, 48)))
+    def test_array_form_matches_scalar_form(self, w, h):
+        # every side 2..16 at every origin, so domains clamp at each edge; odd sides, and the
+        # 32x32 domain that no 30-pixel side holds, raise the same error in both forms
+        fitting = []
+        for k in range(2, 17):
+            y, x = np.mgrid[: h - k + 1, : w - k + 1].reshape(2, -1)
+            try:
+                expected = [co_domain_rect(BlockRect(a, b, k), w, h) for a, b in zip(x.tolist(), y.tolist())]
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    co_domain_origins(x, y, k, w, h)
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    co_domain_origins(x, y, np.full(len(x), k), w, h)
+                continue
+            dx, dy = co_domain_origins(x, y, k, w, h)
+            assert [BlockRect(a, b, 2 * k) for a, b in zip(dx.tolist(), dy.tolist())] == expected
+            fitting.append((x, y, np.full(len(x), k), dx, dy))
+        # one call over every fitting side at once, as a decoder makes it
+        x, y, k, dx, dy = (np.concatenate(col) for col in zip(*fitting))
+        got_x, got_y = co_domain_origins(x, y, k, w, h)
+        assert np.array_equal(got_x, dx) and np.array_equal(got_y, dy)
