@@ -18,7 +18,7 @@ from .metrics import psnr
 
 RD_CSV_COLUMNS = (
     "mode", "E1", "E2", "E3", "t2", "bits", "bpp", "psnr", "encode_s",
-    "leaves_l1", "leaves_l2", "leaves_l3", "leaves_l4", "phase2",
+    "leaves_l1", "leaves_l2", "leaves_l3", "leaves_l4", "phase2", "write_s", "read_s", "decode_s",
 )
 
 
@@ -35,6 +35,9 @@ class RdPoint:
     encode_seconds: float
     leaf_counts: tuple[int, int, int, int]
     phase2_count: int
+    write_seconds: float
+    read_seconds: float
+    decode_seconds: float
 
 
 def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,), *,
@@ -44,7 +47,8 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
     threshold_grid entries are either one RMS value applied to all three
     splittable levels or an (E1, E2, E3) triple. Rows come out in grid order
     (modes outer, thresholds, then technique-2 options) and, timing aside,
-    are a pure function of the inputs. The timer covers encode_quadtree only.
+    are a pure function of the inputs. Each layer has its own timer: encode_quadtree,
+    serialization, read_stream and decode.
     PSNR is taken against the original image, so padding pixels never count.
     """
     if not modes or not threshold_grid:
@@ -57,12 +61,16 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
             for t2 in technique2_options:
                 config = EncoderConfig(e1=e1, e2=e2, e3=e3, mean_tol=mean_tol, mode=mode, technique2=t2)
                 try:
-                    start = time.perf_counter()
+                    clock = [time.perf_counter()]  # after each layer: encode, write, read, decode
                     code = encode_quadtree(image, config)
-                    elapsed = time.perf_counter() - start
+                    clock.append(time.perf_counter())
                     writer = bitstream._serialize(code)  # one pass: the stream bytes and their exact bit count
-                    decoded = decode(read_stream(writer.getvalue()), dec_cfg)
-                    bits = writer.bit_count
+                    blob, bits = writer.getvalue(), writer.bit_count
+                    clock.append(time.perf_counter())
+                    back = read_stream(blob)
+                    clock.append(time.perf_counter())
+                    decoded = decode(back, dec_cfg)
+                    clock.append(time.perf_counter())
                 except Exception as exc:
                     raise RuntimeError(
                         f"sweep point failed (mode={mode}, E=({e1:g},{e2:g},{e3:g}), t2={t2}): {exc}"
@@ -74,9 +82,12 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
                     bits=bits,
                     bpp=bits / (image.width * image.height),
                     psnr=psnr(image, decoded),
-                    encode_seconds=elapsed,
+                    encode_seconds=clock[1] - clock[0],
                     leaf_counts=code.level_counts(),
                     phase2_count=code.phase2_count(),
+                    write_seconds=clock[2] - clock[1],
+                    read_seconds=clock[3] - clock[2],
+                    decode_seconds=clock[4] - clock[3],
                 ))
     return points
 
@@ -97,6 +108,7 @@ def rd_csv(points) -> str:
             f"{p.encode_seconds:.4f}",
             p.leaf_counts[0], p.leaf_counts[1], p.leaf_counts[2], p.leaf_counts[3],
             p.phase2_count,
+            f"{p.write_seconds:.4f}", f"{p.read_seconds:.4f}", f"{p.decode_seconds:.4f}",
         ])
     return buf.getvalue()
 

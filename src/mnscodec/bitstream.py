@@ -5,79 +5,36 @@ then the leaves in DFS order packed MSB-first. Per leaf: a 2-bit level id
 (level - 1), a phase bit at levels 1..3 in mns mode only, then the payload.
 With technique 2 set, the 2nd..4th members of each level-4 sibling quartet
 drop their level ids; the quartet is implied by the first member.
+
+Writer and reader work on a code's LeafTable columns. A leaf's Morton start
+is the total area of the leaves before it, in 2x2-pixel cells: a level-L
+leaf covers 4 ** (4 - L) cells, a root 64. Leaves tile the padded raster in
+DFS order iff every start is a multiple of its leaf's area, every leaf's
+(x, y) is its start de-interleaved, and the areas sum to 64 per root. The
+quartet siblings are the level-4 leaves whose start is not a multiple of 4.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
-from .encoder import (
-    DELTA_MAGNITUDE_BITS,
-    MAX_SIDE,
-    ROOT_SIZE,
-    BaselinePayload,
-    LeafRecord,
-    Phase1Payload,
-    Phase2Payload,
-    QuadtreeCode,
-    delta_limit,
-)
-from .image import BlockRect
+import numpy as np
+
+from .encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode
 
 MAGIC = b"MNS1"
 HEADER_BYTES = 13
+HEADER_BITS = 8 * HEADER_BYTES
 FLAG_MNS = 0x01
 FLAG_TECHNIQUE2 = 0x02
+ROOT_CELLS = 64  # 2x2-pixel cells per 16x16 root
+FIELDS = 8  # per leaf: level id, phase bit, o byte, s code, three sign-and-magnitude deltas, the four s bits
+MAGNITUDE_BITS = np.array([0, DELTA_MAGNITUDE_BITS[1], DELTA_MAGNITUDE_BITS[2], DELTA_MAGNITUDE_BITS[3], 0])
 
 
 class StreamFormatError(ValueError):
     """Byte stream that does not parse as a valid .mns container."""
-
-
-class BitWriter:
-    """MSB-first bit packer. bit_count tracks exact bits before padding."""
-
-    def __init__(self) -> None:
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self.bit_count = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if not 0 <= value < (1 << nbits):
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-        self.bit_count += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._bytes.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        """Packed bytes; the final partial byte is zero-padded."""
-        if self._nbits:
-            return bytes(self._bytes) + bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return bytes(self._bytes)
-
-
-class BitReader:
-    """MSB-first bit unpacker; reading past the end raises StreamFormatError."""
-
-    def __init__(self, data: bytes, offset_bytes: int = 0) -> None:
-        self._data = data
-        self._pos = offset_bytes * 8
-        self._end = len(data) * 8
-
-    def read(self, nbits: int) -> int:
-        pos, end = self._pos, self._pos + nbits
-        if end > self._end:
-            raise StreamFormatError("truncated stream")
-        self._pos = end
-        return (int.from_bytes(self._data[pos >> 3 : (end + 7) >> 3], "big") >> (-end & 7)) & ((1 << nbits) - 1)
-
-    def bits_left(self) -> int:
-        return self._end - self._pos
 
 
 def payload_bit_width(level: int, phase2: bool) -> int:
@@ -96,30 +53,25 @@ def leaf_bit_width(level: int, phase2: bool, mode: str, id_elided: bool = False)
     return bits + payload_bit_width(level, phase2)
 
 
-def _validate_leaf(leaf: LeafRecord, mode: str) -> None:
-    payload = leaf.payload
-    if isinstance(payload, BaselinePayload):
-        raise ValueError("search-baseline records have no stream encoding")
-    if leaf.level not in (1, 2, 3, 4):
-        raise ValueError(f"bad leaf level {leaf.level}")
-    if not 0 <= payload.o_byte <= 255:
-        raise ValueError(f"luminance byte {payload.o_byte} out of range")
-    if isinstance(payload, Phase1Payload):
-        if not 0 <= payload.s_code <= 7:
-            raise ValueError(f"contrast code {payload.s_code} out of range")
-        return
-    if mode != "mns":
-        raise ValueError("phase-2 record in a no_search code")
-    if leaf.level == 4:
-        raise ValueError("phase-2 record at level 4")
-    limit = delta_limit(leaf.level)
-    if len(payload.deltas) != 3 or any(abs(d) > limit for d in payload.deltas):
-        raise ValueError(f"delta exceeds level-{leaf.level} width: {payload.deltas}")
-    if len(payload.s_bits) != 4 or any(b not in (0, 1) for b in payload.s_bits):
-        raise ValueError(f"bad contrast selection bits {payload.s_bits}")
+def _layout(level: np.ndarray, phase2: np.ndarray, roots_x: int, mns: bool, technique2: bool):
+    """Each leaf's Morton start and area in 2x2-pixel cells, its (x, y), which is the start
+    de-interleaved, and the (n, FIELDS) bit widths of its fields in stream order."""
+    cells = ROOT_CELLS >> 2 * (level - 1)
+    start = np.cumsum(cells) - cells
+    root, m = np.divmod(start, ROOT_CELLS)
+    x, y = root % roots_x * ROOT_SIZE, root // roots_x * ROOT_SIZE
+    for shift in (4, 2, 0):  # the TL/TR/BL/BR digits of levels 2, 3 and 4, whose sides are 8, 4 and 2
+        digit, side = (m >> shift) & 3, 2 << shift // 2
+        x, y = x + (digit & 1) * side, y + (digit >> 1) * side
+    widths = np.zeros((len(level), FIELDS), dtype=np.uint8)  # a field a leaf lacks is 0 wide
+    widths[:, 0] = np.where(technique2 & (level == 4) & (start % 4 != 0), 0, 2)  # quartet siblings share an id
+    widths[:, 1], widths[:, 2], widths[:, 3] = mns & (level <= 3), 8, np.where(phase2, 0, 3)
+    widths[:, 4:7], widths[:, 7] = (phase2 * (1 + MAGNITUDE_BITS[level]))[:, None], 4 * phase2
+    return start, cells, x, y, widths
 
 
-def _serialize(code: QuadtreeCode) -> BitWriter:
+def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
+    """Check that `code` serializes; then its leaves' (n, FIELDS) field values and bit widths."""
     if code.mode not in ("no_search", "mns"):
         raise ValueError(f"only no_search/mns codes serialize, not {code.mode!r}")
     if code.padded_w % ROOT_SIZE or code.padded_h % ROOT_SIZE:
@@ -128,77 +80,109 @@ def _serialize(code: QuadtreeCode) -> BitWriter:
         raise ValueError("original dimensions must fit inside the padded raster")
     if code.padded_w > MAX_SIDE or code.padded_h > MAX_SIDE:
         raise ValueError("dimensions exceed the 16-bit header fields")
+    t = code.leaves
+    level, p2, o, s_code, d, bits = t.level, t.kind == PHASE2, t.o_byte, t.s_code, t.deltas, t.s_bits
+    if ((level < 1) | (level > 4)).any():
+        raise ValueError(f"bad leaf level {level[(level < 1) | (level > 4)][0]}")
+    roots_x, mns = code.padded_w // ROOT_SIZE, code.mode == "mns"
+    start, cells, x, y, widths = _layout(level, p2, roots_x, mns, bool(code.technique2))
+    total = ROOT_CELLS * roots_x * (code.padded_h // ROOT_SIZE)
+    nbits, misplaced = MAGNITUDE_BITS[level, None], (start % cells != 0) | (t.x != x) | (t.y != y)
+    for bad, what in (((start < total) & (misplaced | (t.size != 2 * ROOT_SIZE >> level)), "does not tile the raster"),
+                      (t.kind == SEARCH, "search-baseline records have no stream encoding"),
+                      ((o < 0) | (o > 255), "luminance byte out of range"),
+                      (~p2 & ((s_code < 0) | (s_code > 7)), "contrast code out of range"),
+                      (p2 & (not mns), "phase-2 record in a no_search code"),
+                      (p2 & (level == 4), "phase-2 record at level 4"),
+                      (p2 & (np.abs(d) >= 1 << nbits).any(axis=1), "delta exceeds its level's width"),
+                      (p2 & ((bits < 0) | (bits > 1)).any(axis=1), "bad contrast selection bits")):
+        if bad.any():
+            raise ValueError(f"leaf {int(bad.argmax())} {t[int(bad.argmax())]}: {what}")
+    if cells.sum() != total:
+        raise ValueError("leaf list under-fills the padded raster" if cells.sum() < total else "excess leaf records")
+    values = np.zeros_like(widths)
+    values[:, 0], values[:, 1], values[:, 2], values[:, 3] = level - 1, p2, o, s_code
+    values[:, 4:7], values[:, 7] = (d < 0) << nbits | np.abs(d), bits @ (8, 4, 2, 1)  # sign, then magnitude
+    values[widths == 0] = 0
+    return values, widths
 
-    writer = BitWriter()
-    for byte in MAGIC:
-        writer.write(byte, 8)
+
+class _Packed(NamedTuple):
+    data: bytes
+    bit_count: int  # exact, before byte padding
+
+    def getvalue(self) -> bytes:
+        return self.data
+
+
+def _serialize(code: QuadtreeCode) -> _Packed:
+    values, widths = _leaf_fields(code)
+    word = np.zeros(len(values), dtype=np.int64)  # a leaf's fields MSB first: at most 33 bits
+    for v, w in zip(values.T, widths.T):
+        word <<= w
+        word |= v
+    width = widths.sum(axis=1, dtype=np.int64)
+    pos = np.cumsum(width) - width
+    nbytes = (int(width.sum()) + 7) // 8
+    # each word goes to the 40-bit window of the five bytes from byte pos // 8; windows overlap but
+    # bits do not, so summing each byte's parts ORs them
+    word <<= 40 - width - (pos & 7)
+    parts = (word[:, None] >> np.arange(32, -1, -8)) & 0xFF
+    body = np.bincount(((pos >> 3)[:, None] + np.arange(5)).ravel(), parts.ravel(), nbytes + 5)[:nbytes]
     flags = (FLAG_MNS if code.mode == "mns" else 0) | (FLAG_TECHNIQUE2 if code.technique2 else 0)
-    writer.write(flags, 8)
-    for value in (code.orig_w, code.orig_h, code.padded_w, code.padded_h):
-        writer.write(value, 16)
-
-    leaves = code.leaves
-    pos = 0
-
-    def write_leaf(rect: BlockRect, level: int, write_id: bool) -> None:
-        nonlocal pos
-        leaf = leaves[pos]
-        pos += 1
-        if leaf.level != level or leaf.rect != rect:
-            raise ValueError(f"leaf {pos - 1} ({leaf.level}, {leaf.rect}) does not tile at level {level}, {rect}")
-        _validate_leaf(leaf, code.mode)
-        if write_id:
-            writer.write(level - 1, 2)
-        phase2 = isinstance(leaf.payload, Phase2Payload)
-        if code.mode == "mns" and level <= 3:
-            writer.write(1 if phase2 else 0, 1)
-        payload = leaf.payload
-        writer.write(payload.o_byte, 8)
-        if phase2:
-            nbits = DELTA_MAGNITUDE_BITS[level]
-            for d in payload.deltas:
-                writer.write(1 if d < 0 else 0, 1)  # magnitude 0 forces sign 0
-                writer.write(abs(d), nbits)
-            for b in payload.s_bits:
-                writer.write(b, 1)
-        else:
-            writer.write(payload.s_code, 3)
-
-    def emit(rect: BlockRect, level: int) -> None:
-        if pos >= len(leaves):
-            raise ValueError("leaf list under-fills the padded raster")
-        next_level = leaves[pos].level
-        if next_level == level:
-            write_leaf(rect, level, write_id=True)
-            return
-        if next_level < level or level >= 4:
-            raise ValueError(f"leaf level {next_level} cannot tile a level-{level} node")
-        quads = rect.quadrants()
-        if level == 3:  # a split level-3 node always yields a level-4 quartet
-            write_leaf(quads[0], 4, write_id=True)
-            for quad in quads[1:]:
-                if pos >= len(leaves):
-                    raise ValueError("leaf list under-fills the padded raster")
-                write_leaf(quad, 4, write_id=not code.technique2)
-            return
-        for quad in quads:
-            emit(quad, level + 1)
-
-    for y in range(0, code.padded_h, ROOT_SIZE):
-        for x in range(0, code.padded_w, ROOT_SIZE):
-            emit(BlockRect(x, y, ROOT_SIZE), 1)
-    if pos != len(leaves):
-        raise ValueError("excess leaf records beyond the padded raster")
-    return writer
+    header = struct.pack(">4sB4H", MAGIC, flags, code.orig_w, code.orig_h, code.padded_w, code.padded_h)
+    return _Packed(header + body.astype(np.uint8).tobytes(), HEADER_BITS + int(width.sum()))
 
 
 def write_stream(code: QuadtreeCode) -> bytes:
-    """Serialize a no_search/mns code into .mns container bytes."""
+    """Serialize a no_search/mns code into .mns container bytes.
+
+    Every check and field works on the code's columns at once: tiling is the Morton rule
+    above, and each leaf's fields are packed into one word, then placed by bit offset.
+    """
     return _serialize(code).getvalue()
 
 
+def _scan(data: bytes, mns: bool, technique2: bool, total: int) -> tuple[list[int], int]:
+    """The reader's one sequential pass: each leaf's kind, 2 * level id + phase bit, read from
+    those bits alone, which fix the leaf's width, until the leaves cover `total` cells; also
+    the bit position after the last leaf. A level id must start its leaf at a multiple of the
+    leaf's area; under technique 2 a level-4 id brings three id-less siblings."""
+    mode = "mns" if mns else "no_search"
+    keep = [7 if mns else 6] * 3 + [6]  # of the three bits that start a leaf: its level id, and its phase bit if any
+    runs, steps, spans = [], [], []  # per kind: the kinds its level id adds, their bits and their cells
+    for kind in range(8):
+        level = kind // 2 + 1
+        siblings = 3 if technique2 and level == 4 else 0  # the id-less rest of a level-4 quartet
+        runs.append((kind,) * (1 + siblings))
+        steps.append(leaf_bit_width(level, kind % 2 == 1 and level < 4, mode) + siblings * payload_bit_width(4, False))
+        spans.append((1 + siblings) * ROOT_CELLS >> 2 * (level - 1))
+    pos, end, start, kinds = HEADER_BITS, 8 * len(data), 0, []
+    while start < total:
+        if pos + 11 > end:  # no leaf is narrower
+            raise StreamFormatError("truncated stream")
+        i = pos >> 3
+        three = ((data[i] << 8 | data[i + 1]) >> (13 - (pos & 7))) & 7
+        kind = three & keep[three >> 1]
+        if start % spans[kind & 6]:
+            node = next(level for level, cells in ((1, 64), (2, 16), (3, 4), (4, 1)) if start % cells == 0)
+            raise StreamFormatError(f"level-{kind // 2 + 1} leaf cannot appear inside a level-{node} node")
+        kinds += runs[kind]
+        pos += steps[kind]
+        start += spans[kind]
+    if pos > end:
+        raise StreamFormatError("truncated stream")
+    return kinds, pos
+
+
 def read_stream(data: bytes) -> QuadtreeCode:
-    """Exact inverse of write_stream; rect geometry is rebuilt from the DFS walk."""
+    """Exact inverse of write_stream; anything it did not write raises StreamFormatError.
+
+    One sequential pass reads only the level ids and phase bits, which fix every field's
+    width and offset; every payload field is then gathered by bit offset at once, and each
+    leaf's (x, y) is its Morton start de-interleaved. Memory grows with the stream's length,
+    not with the dimensions its header claims.
+    """
     if len(data) < HEADER_BYTES:
         raise StreamFormatError("truncated header")
     if data[:4] != MAGIC:
@@ -206,74 +190,41 @@ def read_stream(data: bytes) -> QuadtreeCode:
     flags = data[4]
     if flags & ~(FLAG_MNS | FLAG_TECHNIQUE2):
         raise StreamFormatError(f"unknown flag bits 0x{flags:02x}")
-    mode = "mns" if flags & FLAG_MNS else "no_search"
-    technique2 = bool(flags & FLAG_TECHNIQUE2)
+    mns, technique2 = bool(flags & FLAG_MNS), bool(flags & FLAG_TECHNIQUE2)
     orig_w, orig_h, padded_w, padded_h = struct.unpack(">4H", data[5:HEADER_BYTES])
     if min(orig_w, orig_h) < 1:
         raise StreamFormatError("zero image dimension in header")
     if padded_w % ROOT_SIZE or padded_h % ROOT_SIZE or padded_w < orig_w or padded_h < orig_h:
         raise StreamFormatError("padded dimensions inconsistent with original dimensions")
 
-    reader = BitReader(data, HEADER_BYTES)
-    leaves: list[LeafRecord] = []
-
-    def read_leaf(rect: BlockRect, level: int) -> None:
-        phase2 = False
-        if mode == "mns" and level <= 3:
-            phase2 = bool(reader.read(1))
-        o_byte = reader.read(8)
-        if phase2:
-            nbits = DELTA_MAGNITUDE_BITS[level]
-            deltas = []
-            for _ in range(3):
-                sign = reader.read(1)
-                mag = reader.read(nbits)
-                if sign and mag == 0:
-                    raise StreamFormatError("non-canonical negative-zero delta")
-                deltas.append(-mag if sign else mag)
-            s_bits = (reader.read(1), reader.read(1), reader.read(1), reader.read(1))
-            payload = Phase2Payload(o_byte, (deltas[0], deltas[1], deltas[2]), s_bits)
-        else:
-            payload = Phase1Payload(o_byte, reader.read(3))
-        leaves.append(LeafRecord(rect, level, payload))
-
-    def parse(rect: BlockRect, level: int, pending: int | None) -> None:
-        # pending: a level id already read whose leaf lies inside this subtree
-        if pending is None:
-            pending = reader.read(2)
-        depth = pending + 1
-        if depth < level:
-            raise StreamFormatError(f"level-{depth} leaf cannot appear inside a level-{level} node")
-        if depth == level:
-            read_leaf(rect, level)
-            return
-        quads = rect.quadrants()
-        if level == 3:  # depth 4: a full level-4 quartet follows
-            read_leaf(quads[0], 4)
-            for quad in quads[1:]:
-                if not technique2:
-                    sibling = reader.read(2)
-                    if sibling != 3:
-                        raise StreamFormatError(f"level-4 quartet interrupted by level-{sibling + 1} id")
-                read_leaf(quad, 4)
-            return
-        parse(quads[0], level + 1, pending)
-        for quad in quads[1:]:
-            parse(quad, level + 1, None)
-
-    for y in range(0, padded_h, ROOT_SIZE):
-        for x in range(0, padded_w, ROOT_SIZE):
-            parse(BlockRect(x, y, ROOT_SIZE), 1, None)
-    if reader.bits_left() >= 8:
-        raise StreamFormatError(f"{reader.bits_left()} trailing bits after the final leaf")
-    if reader.bits_left() and reader.read(reader.bits_left()) != 0:
+    total = ROOT_CELLS * (padded_w // ROOT_SIZE) * (padded_h // ROOT_SIZE)
+    kinds, pos = _scan(data, mns, technique2, total)
+    if 8 * len(data) - pos >= 8:
+        raise StreamFormatError(f"{8 * len(data) - pos} trailing bits after the final leaf")
+    if pos % 8 and data[-1] & (0xFF >> pos % 8):
         raise StreamFormatError("nonzero padding bits")
-    return QuadtreeCode(tuple(leaves), padded_w, padded_h, orig_w, orig_h, mode, technique2)
+    kind = np.array(kinds, dtype=np.int64)
+    level, p2 = kind // 2 + 1, kind % 2 == 1
+    start, _, x, y, widths = _layout(level, p2, padded_w // ROOT_SIZE, mns, technique2)
+    widths = widths.ravel().astype(np.int64)
+    offset = HEADER_BITS + np.cumsum(widths) - widths  # each field's first bit
+    buf, byte = np.frombuffer(bytes(data) + b"\0\0", dtype=np.uint8), offset >> 3  # 0-wide fields may start at the end
+    fields = ((buf[byte].astype(np.int64) << 8 | buf[byte + 1]) >> (16 - (offset & 7) - widths)) & ((1 << widths) - 1)
+    fields = fields.reshape(-1, FIELDS)
+    nbits = MAGNITUDE_BITS[level, None]
+    sign, mag = fields[:, 4:7] >> nbits, fields[:, 4:7] & (1 << nbits) - 1
+    if (sign & (mag == 0)).any():
+        raise StreamFormatError("non-canonical negative-zero delta")
+    rows = np.zeros((len(kind), LeafTable.WIDTH), dtype=np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = level, PHASE2 * p2, x, y, 2 * ROOT_SIZE >> level
+    rows[:, 5:7], rows[:, 7:10] = fields[:, 2:4], np.where(sign == 1, -mag, mag)
+    rows[:, 10:14] = fields[:, 7:] >> (3, 2, 1, 0) & 1
+    return QuadtreeCode(LeafTable(rows), padded_w, padded_h, orig_w, orig_h, "mns" if mns else "no_search", technique2)
 
 
 def stream_bit_count(code: QuadtreeCode) -> int:
-    """Exact serialized size in bits, header included, before byte padding."""
-    return _serialize(code).bit_count
+    """Exact serialized size in bits, header included, before byte padding: the field widths' sum."""
+    return HEADER_BITS + int(_leaf_fields(code)[1].sum())
 
 
 def level_id_bit_count(code: QuadtreeCode, technique2: bool) -> int:
@@ -281,7 +232,7 @@ def level_id_bit_count(code: QuadtreeCode, technique2: bool) -> int:
 
     With technique 2, each level-4 quartet pays for a single id.
     """
-    count4 = sum(1 for leaf in code.leaves if leaf.level == 4)
+    count4 = int(np.count_nonzero(code.leaves.level == 4))
     others = len(code.leaves) - count4
     if not technique2:
         return 2 * (others + count4)

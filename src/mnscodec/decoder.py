@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .encoder import CONTRAST_SETS, QUADRANT_STEPS, BaselinePayload, Phase2Payload, QuadtreeCode, phase2_targets
+from .encoder import CONTRAST_SETS, PHASE2, QUADRANT_STEPS, SEARCH, QuadtreeCode, phase2_targets
 from .image import GrayImage, box_sums, co_domain_origins, downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
@@ -46,26 +46,27 @@ class _Plan(NamedTuple):
 
 def _plan(code: QuadtreeCode) -> _Plan:
     """Plan every painted block, one per phase-1 or search leaf and four per phase-2 leaf; misfits raise ValueError."""
-    w, h, steps = code.padded_w, code.padded_h, QUADRANT_STEPS.tolist()
-    rows = []  # (y, x, side, s, o, co-centered, domain y, domain x, domain side)
-    for leaf in code.leaves:
-        r, p = leaf.rect, leaf.payload
-        if isinstance(p, Phase2Payload):
-            k, pair = r.size // 2, CONTRAST_SETS[leaf.level]
-            rows += [(r.y + qy * k, r.x + qx * k, k, pair[b], t, 1, 0, 0, 2 * k)
-                     for (qx, qy), t, b in zip(steps, phase2_targets(p.o_byte, p.deltas), p.s_bits)]
-        else:
-            d = (0, p.domain.y, p.domain.x, p.domain.size) if isinstance(p, BaselinePayload) else (1, 0, 0, 2 * r.size)
-            rows.append((r.y, r.x, r.size, dequantize_contrast(p.s_code), p.o_byte, *d))
-    t = np.array(rows, dtype=np.float64).reshape(-1, 9)
-    y, x, k, dy, dx, dk = t[:, [0, 1, 2, 6, 7, 8]].astype(np.intp).T
-    co = t[:, 5] == 1
+    w, h, t = code.padded_w, code.padded_h, code.leaves
+    p2 = t.kind == PHASE2
+    half = t.size[p2, None] // 2
+    qx, qy = QUADRANT_STEPS.T
+    if ((t.level[p2] < 1) | (t.level[p2] > 3) | (t.s_bits[p2] > 1).any(axis=1) | (t.s_bits[p2] < 0).any(axis=1)).any():
+        raise ValueError("a phase-2 leaf lies outside levels 1..3 or picks a contrast other than 0 or 1")
+    pairs = np.array([CONTRAST_SETS[level] for level in (1, 2, 3)])
+    x = np.concatenate([t.x[~p2], (t.x[p2, None] + qx * half).ravel()])
+    y = np.concatenate([t.y[~p2], (t.y[p2, None] + qy * half).ravel()])
+    k = np.concatenate([t.size[~p2], half.repeat(4)])
+    s = np.concatenate([dequantize_contrast(t.s_code[~p2]), pairs[t.level[p2, None] - 1, t.s_bits[p2]].ravel()])
+    o = np.concatenate([t.o_byte[~p2], np.stack(phase2_targets(t.o_byte[p2], t.deltas[p2].T), axis=1).ravel()])
+    dx, dy, dk = np.concatenate([t.domain[~p2], np.zeros((4 * len(half), 3), np.int64)]).T
+    co = np.concatenate([t.kind[~p2] != SEARCH, np.full(4 * len(half), True)])  # co-centered domains
+    dk[co] = 2 * k[co]
     dx[co], dy[co] = co_domain_origins(x[co], y[co], k[co], w, h)
     misfit = (np.minimum.reduce([y, x, dy, dx]) < 0) | (y + k > h) | (x + k > w) | (dy + dk > h) | (dx + dk > w)
     misfit |= (dk != 2 * k) | (k < 1)
     if misfit.any():
         raise ValueError(f"a {k[misfit][0]}x{k[misfit][0]} block or its domain does not fit the {w}x{h} raster")
-    s, o = t[:, 3, None, None], t[:, 4, None, None]
+    s, o = s[:, None, None], o.astype(np.float64)[:, None, None]
     masks = {side: k == side for side in dict.fromkeys(k.tolist())}
     return _Plan((h, w), [(side, y[m], x[m], dy[m], dx[m], s[m], o[m]) for side, m in masks.items()])
 

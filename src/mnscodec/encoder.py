@@ -10,6 +10,7 @@ Modes:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -122,14 +123,79 @@ class LeafRecord:
     payload: Payload
 
 
-@dataclass(frozen=True)
-class QuadtreeCode:
-    """DFS-ordered leaf records tiling the padded raster, plus header metadata.
+PHASE1, PHASE2, SEARCH = 0, 1, 2  # leaf kinds: co-centered fit, sub-block means, stored search domain
 
-    DFS order: 16x16 roots in raster order, children in TL, TR, BL, BR order.
+
+def _record(row: list[int]) -> LeafRecord:
+    level, kind, x, y, size, o_byte, s_code, d0, d1, d2, b0, b1, b2, b3, dx, dy, dsize = row
+    payload = (Phase2Payload(o_byte, (d0, d1, d2), (b0, b1, b2, b3)) if kind == PHASE2
+               else BaselinePayload(BlockRect(dx, dy, dsize), o_byte, s_code) if kind == SEARCH
+               else Phase1Payload(o_byte, s_code))
+    return LeafRecord(BlockRect(x, y, size), level, payload)
+
+
+class LeafTable(Sequence):
+    """A code's leaves as int64 columns of one read-only (n, 17) array, a row per leaf in code order.
+
+    Columns: level, kind (PHASE1, PHASE2 or SEARCH), the block's x, y and size, o_byte, s_code,
+    then the (n, 3) deltas, the (n, 4) s_bits and the search domain's (n, 3) x, y and size;
+    fields a kind does not use are 0. An int64 `rows` array is kept as it is and made
+    read-only. As a sequence it yields LeafRecords, built on demand, and its repr is that
+    of the tuple of them.
     """
 
-    leaves: tuple[LeafRecord, ...]
+    WIDTH = 17
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.WIDTH)
+        self.rows.flags.writeable = False
+        self.level, self.kind, self.x, self.y, self.size, self.o_byte, self.s_code = self.rows.T[:7]
+        self.deltas, self.s_bits, self.domain = self.rows[:, 7:10], self.rows[:, 10:14], self.rows[:, 14:]
+
+    @classmethod
+    def of(cls, records) -> "LeafTable":
+        """The table of any sequence of LeafRecord, out-of-range values included."""
+        rows = []
+        for leaf in records:
+            r, p, dom = leaf.rect, leaf.payload, getattr(leaf.payload, "domain", BlockRect(0, 0, 0))
+            p2 = isinstance(p, Phase2Payload)
+            kind = PHASE2 if p2 else SEARCH if isinstance(p, BaselinePayload) else PHASE1
+            rows.append([leaf.level, kind, r.x, r.y, r.size, p.o_byte, 0 if p2 else p.s_code,
+                         *(p.deltas if p2 else (0, 0, 0)), *(p.s_bits if p2 else (0, 0, 0, 0)), dom.x, dom.y, dom.size])
+        return cls(np.array(rows, dtype=np.int64).reshape(len(rows), cls.WIDTH))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_record, self.rows[i].tolist()))
+        return _record(self.rows[i].tolist())
+
+    def __iter__(self):
+        return map(_record, self.rows.tolist())
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LeafTable):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash(self.rows.tobytes())
+
+
+@dataclass(frozen=True)
+class QuadtreeCode:
+    """Leaves tiling the padded raster in DFS order, plus header metadata.
+
+    DFS order: 16x16 roots in raster order, children in TL, TR, BL, BR order.
+    leaves may be given as any sequence of LeafRecord; it is stored as a LeafTable.
+    """
+
+    leaves: LeafTable
     padded_w: int
     padded_h: int
     orig_w: int
@@ -137,14 +203,15 @@ class QuadtreeCode:
     mode: str
     technique2: bool
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.leaves, LeafTable):
+            object.__setattr__(self, "leaves", LeafTable.of(self.leaves))
+
     def level_counts(self) -> tuple[int, int, int, int]:
-        counts = [0, 0, 0, 0]
-        for leaf in self.leaves:
-            counts[leaf.level - 1] += 1
-        return (counts[0], counts[1], counts[2], counts[3])
+        return tuple(np.bincount(self.leaves.level, minlength=5)[1:5].tolist())
 
     def phase2_count(self) -> int:
-        return sum(1 for leaf in self.leaves if isinstance(leaf.payload, Phase2Payload))
+        return int(np.count_nonzero(self.leaves.kind == PHASE2))
 
 
 @dataclass(frozen=True)
@@ -204,22 +271,21 @@ def _batch(image: Union[GrayImage, RowBand], blocks: Blocks, level: int) -> tupl
     return band, np.array([[x, y]])
 
 
-def _records(xy: np.ndarray, level: int, payload: np.ndarray) -> list[LeafRecord]:
-    """Leaf records from payload rows: (o_byte, s_code) for phase 1, or
-    (o_byte, three deltas, four s_bits) for phase 2."""
-    size = LEVEL_SIZES[level]
-    rects = [BlockRect(x, y, size) for x, y in xy.tolist()]
-    if payload.shape[1] == 2:
-        return [LeafRecord(rect, level, Phase1Payload(o, s)) for rect, (o, s) in zip(rects, payload.tolist())]
-    return [LeafRecord(rect, level, Phase2Payload(p[0], (p[1], p[2], p[3]), (p[4], p[5], p[6], p[7])))
-            for rect, p in zip(rects, payload.tolist())]
+def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
+    """LeafTable rows of the blocks at origins xy from payload rows: (o_byte, s_code) for
+    phase 1, or (o_byte, three deltas, four s_bits) for phase 2."""
+    rows = np.zeros((len(xy), LeafTable.WIDTH), dtype=np.int64)
+    p2 = payload.shape[1] == 8
+    rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4] = level, PHASE2 if p2 else PHASE1, xy, LEVEL_SIZES[level]
+    rows[:, [5, *range(7, 14)] if p2 else [5, 6]] = payload
+    return rows
 
 
 def _result(blocks: Blocks, xy: np.ndarray, level: int, accepted: np.ndarray, payload: np.ndarray, rms: np.ndarray):
     """A batch result as it stands, or (LeafRecord | None, rms) for a single BlockRect."""
     if not isinstance(blocks, BlockRect):
         return accepted, payload, rms
-    return (_records(xy, level, payload)[0] if accepted[0] else None), float(rms[0])
+    return (LeafTable(_rows(xy, level, payload))[0] if accepted[0] else None), float(rms[0])
 
 
 def _rms(r: np.ndarray, d0: np.ndarray, s, o, out=None) -> np.ndarray:
@@ -299,10 +365,11 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     band, phase 1 runs on every live block of a level in one batch; in mns
     mode the blocks it rejects go to phase 2; what both reject splits into
     TL, TR, BL, BR children, the next level's live blocks. Level-4 blocks
-    always terminate through phase 1. Leaves carry a root-index-plus-
-    quadrant-path key, and one sort puts them in DFS order: roots in raster
-    order, children in TL, TR, BL, BR order. Output is deterministic for
-    identical inputs.
+    always terminate through phase 1. Accepted blocks become LeafTable rows
+    keyed by their Morton start (root index, then a quadrant digit per
+    level), and one sort puts them in DFS order: roots in raster order,
+    children in TL, TR, BL, BR order. Output is deterministic for identical
+    inputs.
     """
     if config.mode not in ("no_search", "mns"):
         raise ValueError(f"encode_quadtree handles no_search/mns, not {config.mode!r}")
@@ -311,7 +378,7 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     padded = pad_to_multiple(image, ROOT_SIZE)
     w, h = padded.width, padded.height
     min_dim = min(w, h)
-    records: list[LeafRecord] = []
+    rows: list[np.ndarray] = []
     keys: list[np.ndarray] = []
     band_rows = BAND_ROOT_ROWS * ROOT_SIZE
     for y0 in range(0, h, band_rows):
@@ -324,14 +391,12 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
             for phase in (try_phase1, try_phase2) if config.mode == "mns" else (try_phase1,):
                 if len(xy) and 2 * size <= min_dim:  # a 16-wide raster has no room for level-1 domains
                     accepted, payload, _ = phase(band, xy, level, config)
-                    records += _records(xy[accepted], level, payload[accepted])
-                    keys.append(path[accepted] * 4 ** (len(LEVEL_SIZES) - level))
+                    rows.append(_rows(xy[accepted], level, payload[accepted]))
+                    keys.append(path[accepted] * 4 ** (len(LEVEL_SIZES) - level))  # Morton start, in 2x2 cells
                     xy, path = xy[~accepted], path[~accepted]
             xy, path = _quadrants(xy, size), (path[:, None] * 4 + np.arange(4)).ravel()
-    order = np.argsort(np.concatenate(keys)).tolist()
-    return QuadtreeCode(
-        tuple(records[i] for i in order), w, h, image.width, image.height, config.mode, config.technique2
-    )
+    table = LeafTable(np.concatenate(rows)[np.argsort(np.concatenate(keys))])
+    return QuadtreeCode(table, w, h, image.width, image.height, config.mode, config.technique2)
 
 
 def _domain_pool(sums2: np.ndarray, xs: np.ndarray, ys: np.ndarray, range_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -359,6 +424,17 @@ def _pick_domain(pool: np.ndarray, norms: np.ndarray, r: np.ndarray) -> tuple[in
     return best, int(codes[best]), o_byte
 
 
+def _search_table(picks: list[tuple], w: int, h: int, k: int) -> LeafTable:
+    """LeafTable of the k x k ranges of a w x h raster in raster order, from one
+    (domain x, domain y, s_code, o_byte) pick per range."""
+    dx, dy, s_code, o_byte = np.array(picks, dtype=np.int64).reshape(-1, 4).T
+    ry, rx = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)
+    rows = np.zeros((len(rx), LeafTable.WIDTH), dtype=np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = SIZE_LEVELS[k], SEARCH, rx, ry, k
+    rows[:, 5], rows[:, 6], rows[:, 14], rows[:, 15], rows[:, 16] = o_byte, s_code, dx, dy, 2 * k
+    return LeafTable(rows)
+
+
 def encode_full_search(
     image: GrayImage, range_size: int, config: EncoderConfig
 ) -> tuple[QuadtreeCode, list[tuple[int, int]]]:
@@ -382,18 +458,16 @@ def encode_full_search(
     ys, xs = np.mgrid[0 : h - dsize + 1 : step, 0 : w - dsize + 1 : step].reshape(2, -1)
     pool, norms = _domain_pool(box_sums(padded), xs, ys, range_size)
 
-    leaves: list[LeafRecord] = []
-    samples: list[tuple[int, int]] = []
-    half = range_size // 2
+    picks = []
     for ry in range(0, h, range_size):
         for rx in range(0, w, range_size):
-            rect = BlockRect(rx, ry, range_size)
-            best, s_code, o_byte = _pick_domain(pool, norms, block_pixels(padded, rect).ravel())
-            domain = BlockRect(int(xs[best]), int(ys[best]), dsize)
-            leaves.append(LeafRecord(rect, SIZE_LEVELS[range_size], BaselinePayload(domain, o_byte, s_code)))
-            samples.append(((domain.x + range_size) - (rx + half), (domain.y + range_size) - (ry + half)))
-    code = QuadtreeCode(tuple(leaves), w, h, image.width, image.height, "full_search", False)
-    return code, samples
+            r = block_pixels(padded, BlockRect(rx, ry, range_size)).ravel()
+            best, s_code, o_byte = _pick_domain(pool, norms, r)
+            picks.append((xs[best], ys[best], s_code, o_byte))
+    table = _search_table(picks, w, h, range_size)
+    offsets = table.domain[:, :2] - table.rows[:, 2:4] + range_size - range_size // 2  # domain center - range center
+    code = QuadtreeCode(table, w, h, image.width, image.height, "full_search", False)
+    return code, list(zip(*offsets.T.tolist()))
 
 
 def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
@@ -409,7 +483,7 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
     w, h = padded.width, padded.height
     sums2 = box_sums(padded)
     dys, dxs = np.indices((9, 9)).reshape(2, 81) - 4  # shifts in (dy, dx) scan order
-    leaves: list[LeafRecord] = []
+    picks = []
     for ry in range(0, h, 8):
         for rx in range(0, w, 8):
             rect = BlockRect(rx, ry, 8)
@@ -417,6 +491,5 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
             xs, ys = np.clip(base.x + dxs, 0, w - 16), np.clip(base.y + dys, 0, h - 16)
             pool, norms = _domain_pool(sums2, xs, ys, 8)
             best, s_code, o_byte = _pick_domain(pool, norms, block_pixels(padded, rect).ravel())
-            domain = BlockRect(int(xs[best]), int(ys[best]), 16)
-            leaves.append(LeafRecord(rect, 2, BaselinePayload(domain, o_byte, s_code)))
-    return QuadtreeCode(tuple(leaves), w, h, image.width, image.height, "local_search", False)
+            picks.append((xs[best], ys[best], s_code, o_byte))
+    return QuadtreeCode(_search_table(picks, w, h, 8), w, h, image.width, image.height, "local_search", False)

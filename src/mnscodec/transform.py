@@ -55,11 +55,12 @@ def quantize_contrast(s: float | np.ndarray) -> int | np.ndarray:
     return codes.astype(np.intp) if isinstance(codes, np.ndarray) else int(codes)
 
 
-def dequantize_contrast(code: int) -> float:
-    """Center of contrast bin `code`: -0.875 + 0.25 * code."""
-    if not 0 <= code < CONTRAST_CODES:
+def dequantize_contrast(code: int | np.ndarray) -> float | np.ndarray:
+    """Center of contrast bin `code`, an int or an int array: -0.875 + 0.25 * code."""
+    codes = np.asarray(code)
+    if codes.size and not (0 <= codes.min() and codes.max() < CONTRAST_CODES):
         raise ValueError(f"contrast code {code} outside [0, {CONTRAST_CODES - 1}]")
-    return CONTRAST_VALUES[code]
+    return np.take(CONTRAST_VALUES, codes) if isinstance(code, np.ndarray) else CONTRAST_VALUES[code]
 
 
 def apply_map(block_d, s, o) -> np.ndarray:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from mnscodec.bitstream import (
     HEADER_BYTES,
     MAGIC,
-    BitReader,
-    BitWriter,
     StreamFormatError,
     _serialize,
     leaf_bit_width,
@@ -30,6 +28,7 @@ from mnscodec.encoder import (
 )
 from mnscodec.image import BlockRect
 
+from bitstream_oracle import BitReader, BitWriter
 from util import random_code
 
 
