@@ -206,12 +206,17 @@ def read_stream(data: bytes) -> QuadtreeCode:
     kind = np.array(kinds, dtype=np.int64)
     level, p2 = kind // 2 + 1, kind % 2 == 1
     start, _, x, y, widths = _layout(level, p2, padded_w // ROOT_SIZE, mns, technique2)
-    widths = widths.ravel().astype(np.int64)
-    offset = HEADER_BITS + np.cumsum(widths) - widths  # each field's first bit
-    buf, byte = np.frombuffer(bytes(data) + b"\0\0", dtype=np.uint8), offset >> 3  # 0-wide fields may start at the end
-    fields = ((buf[byte].astype(np.int64) << 8 | buf[byte + 1]) >> (16 - (offset & 7) - widths)) & ((1 << widths) - 1)
+    widths = widths.ravel()
+    # a field lies in the 16-bit window from its first byte; past one int64 offset, it is gathered narrow
+    offset = np.cumsum(widths, dtype=np.int64)
+    offset += HEADER_BITS - widths  # each field's first bit
+    shift = 16 - (offset.astype(np.uint8) & 7) - widths  # the low byte keeps the first bit's place in its byte
+    buf = np.frombuffer(bytes(data) + b"\0\0", dtype=np.uint8)  # 0-wide fields may start at the end
+    fields = (buf[:-1].astype(np.uint16) << 8 | buf[1:])[offset >> 3] >> shift
+    fields &= np.left_shift(1, widths, dtype=np.uint16) - 1
+    del offset  # the int64 offsets go before the table is built
     fields = fields.reshape(-1, FIELDS)
-    nbits = MAGNITUDE_BITS[level, None]
+    nbits = MAGNITUDE_BITS.astype(np.int16)[level, None]  # with uint16 fields, int32 signs and magnitudes
     sign, mag = fields[:, 4:7] >> nbits, fields[:, 4:7] & (1 << nbits) - 1
     if (sign & (mag == 0)).any():
         raise StreamFormatError("non-canonical negative-zero delta")

@@ -28,7 +28,7 @@ ROOT_SIZE = 16
 MAX_SIDE = 0xFFFF  # largest padded side: the .mns header stores each dimension as a u16
 LEVEL_SIZES = {1: 16, 2: 8, 3: 4, 4: 2}
 SIZE_LEVELS = {size: level for level, size in LEVEL_SIZES.items()}
-BAND_ROOT_ROWS = 2  # root rows per band of the level-at-a-time walk
+WORK_PIXELS = 1 << 16  # range pixels per kernel call; a band holds up to 8x as many pixels (one root row at least)
 QUADRANT_STEPS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])  # (dx, dy) of TL, TR, BL, BR, in quadrant sides
 
 # Two-element contrast sets searched per quadrant in phase 2, one per level.
@@ -361,15 +361,15 @@ def try_phase2(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, con
 def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     """No-search / MNS quadtree encode over 16x16 roots, one level at a time.
 
-    The padded raster is walked in bands of BAND_ROOT_ROWS root rows. In each
-    band, phase 1 runs on every live block of a level in one batch; in mns
-    mode the blocks it rejects go to phase 2; what both reject splits into
-    TL, TR, BL, BR children, the next level's live blocks. Level-4 blocks
-    always terminate through phase 1. Accepted blocks become LeafTable rows
-    keyed by their Morton start (root index, then a quadrant digit per
-    level), and one sort puts them in DFS order: roots in raster order,
-    children in TL, TR, BL, BR order. Output is deterministic for identical
-    inputs.
+    Phase 1 takes a level's live blocks in calls of up to WORK_PIXELS range
+    pixels; in mns mode phase 2 takes what it rejects, likewise; what both
+    reject splits into TL, TR, BL, BR children. Level-4 blocks always
+    terminate through phase 1. Bands of whole root rows hold at most
+    8 * WORK_PIXELS pixels (one root row at least), so one band's box sums and
+    one call's float64 arrays bound the memory; 512x512 is one band. Blocks are
+    fitted one by one, so calls and bands do not change the code. Accepted
+    blocks become LeafTable rows keyed by their Morton start (root index, then
+    a quadrant digit per level); one sort puts them in DFS order.
     """
     if config.mode not in ("no_search", "mns"):
         raise ValueError(f"encode_quadtree handles no_search/mns, not {config.mode!r}")
@@ -380,23 +380,27 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     min_dim = min(w, h)
     rows: list[np.ndarray] = []
     keys: list[np.ndarray] = []
-    band_rows = BAND_ROOT_ROWS * ROOT_SIZE
+    band_rows = max(1, 8 * WORK_PIXELS // (ROOT_SIZE * w)) * ROOT_SIZE
     for y0 in range(0, h, band_rows):
         band = _band(padded, y0, min(y0 + band_rows, h))
         ys, xs = np.mgrid[y0 : min(y0 + band_rows, h) : ROOT_SIZE, 0:w:ROOT_SIZE].reshape(2, -1)
         xy = np.stack([xs, ys], axis=1)
         path = ys // ROOT_SIZE * (w // ROOT_SIZE) + xs // ROOT_SIZE  # root index, then a base-4 digit per level
         for level, size in LEVEL_SIZES.items():
+            step = max(1, WORK_PIXELS // size**2)  # blocks per kernel call
             # phase 1 accepts every level-4 block, so phase 2 never runs at level 4
             for phase in (try_phase1, try_phase2) if config.mode == "mns" else (try_phase1,):
-                if len(xy) and 2 * size <= min_dim:  # a 16-wide raster has no room for level-1 domains
-                    accepted, payload, _ = phase(band, xy, level, config)
-                    rows.append(_rows(xy[accepted], level, payload[accepted]))
-                    keys.append(path[accepted] * 4 ** (len(LEVEL_SIZES) - level))  # Morton start, in 2x2 cells
-                    xy, path = xy[~accepted], path[~accepted]
+                live = np.ones(len(xy), dtype=bool)
+                for i in range(0, len(xy) if 2 * size <= min_dim else 0, step):  # a 16-wide raster: no level 1
+                    accepted, payload, _ = phase(band, xy[i : i + step], level, config)
+                    rows.append(_rows(xy[i : i + step][accepted], level, payload[accepted]))
+                    keys.append(path[i : i + step][accepted] * 4 ** (len(LEVEL_SIZES) - level))  # Morton start
+                    live[i : i + step] = ~accepted
+                xy, path = xy[live], path[live]
             xy, path = _quadrants(xy, size), (path[:, None] * 4 + np.arange(4)).ravel()
-    table = LeafTable(np.concatenate(rows)[np.argsort(np.concatenate(keys))])
-    return QuadtreeCode(table, w, h, image.width, image.height, config.mode, config.technique2)
+    table, order = np.concatenate(rows), np.argsort(np.concatenate(keys))
+    rows.clear()  # the parts go before the sort copies the table
+    return QuadtreeCode(LeafTable(table[order]), w, h, image.width, image.height, config.mode, config.technique2)
 
 
 def _domain_pool(sums2: np.ndarray, xs: np.ndarray, ys: np.ndarray, range_size: int) -> tuple[np.ndarray, np.ndarray]:

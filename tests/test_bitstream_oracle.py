@@ -188,3 +188,12 @@ def test_writer_peak_on_all_level4_code():
     code = noise_code()
     write_stream(code)  # warm
     assert traced_peak(write_stream, code) < 2_000_000
+
+
+def test_reader_peak_on_all_level4_stream():
+    # 4,096 leaves in 5,901 bytes: the returned table alone is 0.56 MB, and the gather adds
+    # one int64 offset and a few narrow bytes per field
+    blob = write_stream(noise_code())
+    assert len(blob) == 5901
+    read_stream(blob)  # warm
+    assert traced_peak(read_stream, blob) < 1_500_000

@@ -200,9 +200,22 @@ class TestQuadtree:
         with pytest.raises(ValueError, match="16-bit"):
             encode_quadtree(img, EncoderConfig())
 
+    def test_kernel_calls_are_sized_by_pixels(self, monkeypatch):
+        # a 512x512 raster is one band, and a call takes up to WORK_PIXELS range pixels of a
+        # level's live blocks: a quarter of level 1 per call, not one call per band of root rows
+        calls = []
+        for name in ("try_phase1", "try_phase2"):
+            kernel = getattr(enc, name)
+            monkeypatch.setattr(enc, name, lambda band, xy, level, config, kernel=kernel:
+                                calls.append(len(xy) * enc.LEVEL_SIZES[level] ** 2) or kernel(band, xy, level, config))
+        encode_quadtree(natural_image(512, 512), EncoderConfig())
+        assert len(calls) <= 16
+        assert max(calls) == enc.WORK_PIXELS  # range pixels in a call
+
     def test_traced_peak_stays_below_a_whole_image_copy(self):
-        # a float64 copy of this raster alone is 8 MB; the band walk keeps its working set
-        # to a few root rows, so the peak is mostly the returned leaves themselves
+        # a float64 copy of this raster alone is 8 MB; a band holds at most 8 * WORK_PIXELS
+        # pixels (here 32 root rows) and a call WORK_PIXELS range pixels, so the peak is one
+        # band's uint16 box sums, one call's float64 ranges and domains, and the returned leaves
         img = natural_image(1024, 1024, seed=7)
         tracemalloc.start()
         try:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnscodec import encoder
 from mnscodec.encoder import (
     CONTRAST_SETS,
     LEVEL_SIZES,
@@ -126,7 +127,7 @@ IMAGES = {
     "odd_scene": scene_image(33, 97, seed=9),
     "strip_16xN": natural_image(16, 80, seed=4),  # level 1 skipped: no room for a 32x32 domain
     "strip_Nx16": scene_image(80, 16, seed=6),
-    "tall": natural_image(32, 144, seed=10),  # several bands, one root per row
+    "tall": natural_image(32, 144, seed=10),  # one root per row: one band a row at the smallest WORK_PIXELS
 }
 CONFIGS = [
     EncoderConfig(e1=e, e2=e, e3=e, mean_tol=tol, mode=mode, technique2=t2)
@@ -138,11 +139,32 @@ CONFIGS = [
 ]
 
 
+# WORK_PIXELS = 1 puts one block in each kernel call and one root row in each band, so every
+# root row's domains reach across a band edge into its halo; technique 2 does not change the walk
+ONE_BLOCK_CONFIGS = [c for c in CONFIGS if c.technique2 and c.e1 >= 4.0 and c.mean_tol > 0.0]
+
+
 @pytest.mark.parametrize("name", IMAGES)
-def test_encode_matches_scalar_oracle(name):
+def test_encode_matches_scalar_oracle(name, monkeypatch):
     image = IMAGES[name]
     for config in CONFIGS:
+        expected = oracle_encode(image, config)
+        assert encode_quadtree(image, config) == expected, config
+        if config in ONE_BLOCK_CONFIGS:
+            with monkeypatch.context() as m:
+                m.setattr(encoder, "WORK_PIXELS", 1)
+                assert encode_quadtree(image, config) == expected, config
+
+
+def test_two_band_strip_matches_scalar_oracle(monkeypatch):
+    # at the default WORK_PIXELS a 32-wide band holds 1,024 root rows, so this strip's last
+    # root row is a band of its own, whose level-1 domains clamp at the bottom edge
+    image = natural_image(32, 16400, seed=11)
+    bands, band = [], encoder._band
+    monkeypatch.setattr(encoder, "_band", lambda image, y0, y1: bands.append((y0, y1)) or band(image, y0, y1))
+    for config in (EncoderConfig(), EncoderConfig(mode="no_search"), EncoderConfig(e1=4.0, e2=4.0, e3=4.0, mean_tol=40.0)):
         assert encode_quadtree(image, config) == oracle_encode(image, config), config
+    assert bands == [(0, 16384), (16384, 16400)] * 3
 
 
 def test_mixed_thresholds_match_scalar_oracle():
