@@ -4,6 +4,11 @@ No-search and modified no-search (MNS) quadtree encoders with fixed
 co-centered domains, a bit-exact .mns stream format with level-id sharing,
 an iterative contractive decoder, exhaustive/local search baselines, and a
 rate-distortion benchmark harness.
+
+A code is a QuadtreeCode: header fields plus a LeafTable, the leaves as
+int64 columns, a row per leaf. There are no per-leaf record classes any
+more. try_phase1/try_phase2 take a RowBand and an (n, 2) array of block
+origins.
 """
 
 from .bench import OffsetHistogram, RdPoint, histogram_csv, offset_histogram, rd_csv, rd_sweep
@@ -19,12 +24,10 @@ from .bitstream import (
 from .decoder import DecodeConfig, decode, decode_step
 from .encoder import (
     CONTRAST_SETS,
-    BaselinePayload,
     EncoderConfig,
-    LeafRecord,
-    Phase1Payload,
-    Phase2Payload,
+    LeafTable,
     QuadtreeCode,
+    RowBand,
     encode_full_search,
     encode_local_search,
     encode_quadtree,

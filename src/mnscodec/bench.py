@@ -64,8 +64,7 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
                     clock = [time.perf_counter()]  # after each layer: encode, write, read, decode
                     code = encode_quadtree(image, config)
                     clock.append(time.perf_counter())
-                    writer = bitstream._serialize(code)  # one pass: the stream bytes and their exact bit count
-                    blob, bits = writer.getvalue(), writer.bit_count
+                    blob, bits = bitstream._serialize(code)  # one pass: the stream bytes and their exact bit count
                     clock.append(time.perf_counter())
                     back = read_stream(blob)
                     clock.append(time.perf_counter())

@@ -4,7 +4,8 @@ Layout: 13-byte header (magic "MNS1", flag byte, four big-endian u16 dims),
 then the leaves in DFS order packed MSB-first. Per leaf: a 2-bit level id
 (level - 1), a phase bit at levels 1..3 in mns mode only, then the payload.
 With technique 2 set, the 2nd..4th members of each level-4 sibling quartet
-drop their level ids; the quartet is implied by the first member.
+drop their level ids; the quartet is implied by the first member. A raster
+with a 16-pixel side has no level-1 leaves, since no 32x32 domain fits it.
 
 Writer and reader work on a code's LeafTable columns. A leaf's Morton start
 is the total area of the leaves before it, in 2x2-pixel cells: a level-L
@@ -31,6 +32,7 @@ FLAG_TECHNIQUE2 = 0x02
 ROOT_CELLS = 64  # 2x2-pixel cells per 16x16 root
 FIELDS = 8  # per leaf: level id, phase bit, o byte, s code, three sign-and-magnitude deltas, the four s bits
 MAGNITUDE_BITS = np.array([0, DELTA_MAGNITUDE_BITS[1], DELTA_MAGNITUDE_BITS[2], DELTA_MAGNITUDE_BITS[3], 0])
+NO_LEVEL1 = "level-1 leaf in a raster with a 16-pixel side, where no 32x32 domain fits"
 
 
 class StreamFormatError(ValueError):
@@ -89,6 +91,7 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     total = ROOT_CELLS * roots_x * (code.padded_h // ROOT_SIZE)
     nbits, misplaced = MAGNITUDE_BITS[level, None], (start % cells != 0) | (t.x != x) | (t.y != y)
     for bad, what in (((start < total) & (misplaced | (t.size != 2 * ROOT_SIZE >> level)), "does not tile the raster"),
+                      ((level == 1) & (min(code.padded_w, code.padded_h) < 2 * ROOT_SIZE), NO_LEVEL1),
                       (t.kind == SEARCH, "search-baseline records have no stream encoding"),
                       ((o < 0) | (o > 255), "luminance byte out of range"),
                       (~p2 & ((s_code < 0) | (s_code > 7)), "contrast code out of range"),
@@ -97,7 +100,7 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
                       (p2 & (np.abs(d) >= 1 << nbits).any(axis=1), "delta exceeds its level's width"),
                       (p2 & ((bits < 0) | (bits > 1)).any(axis=1), "bad contrast selection bits")):
         if bad.any():
-            raise ValueError(f"leaf {int(bad.argmax())} {t[int(bad.argmax())]}: {what}")
+            raise ValueError(f"leaf {int(bad.argmax())} {t.rows[bad.argmax()].tolist()}: {what}")
     if cells.sum() != total:
         raise ValueError("leaf list under-fills the padded raster" if cells.sum() < total else "excess leaf records")
     values = np.zeros_like(widths)
@@ -110,9 +113,6 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
 class _Packed(NamedTuple):
     data: bytes
     bit_count: int  # exact, before byte padding
-
-    def getvalue(self) -> bytes:
-        return self.data
 
 
 def _serialize(code: QuadtreeCode) -> _Packed:
@@ -140,7 +140,7 @@ def write_stream(code: QuadtreeCode) -> bytes:
     Every check and field works on the code's columns at once: tiling is the Morton rule
     above, and each leaf's fields are packed into one word, then placed by bit offset.
     """
-    return _serialize(code).getvalue()
+    return _serialize(code).data
 
 
 def _scan(data: bytes, mns: bool, technique2: bool, total: int) -> tuple[list[int], int]:
@@ -205,6 +205,8 @@ def read_stream(data: bytes) -> QuadtreeCode:
         raise StreamFormatError("nonzero padding bits")
     kind = np.array(kinds, dtype=np.int64)
     level, p2 = kind // 2 + 1, kind % 2 == 1
+    if min(padded_w, padded_h) < 2 * ROOT_SIZE and (level == 1).any():
+        raise StreamFormatError(NO_LEVEL1)
     start, _, x, y, widths = _layout(level, p2, padded_w // ROOT_SIZE, mns, technique2)
     widths = widths.ravel()
     # a field lies in the 16-bit window from its first byte; past one int64 offset, it is gathered narrow

@@ -10,9 +10,7 @@ Modes:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,66 +80,16 @@ class EncoderConfig:
         return (self.e1, self.e2, self.e3)[level - 1]
 
 
-@dataclass(frozen=True)
-class Phase1Payload:
-    """Plain co-centered fit: 8-bit block mean plus 3-bit contrast code."""
-
-    o_byte: int
-    s_code: int
-
-
-@dataclass(frozen=True)
-class Phase2Payload:
-    """Sub-block-mean fit: parent mean, three quadrant mean offsets, 1-bit contrast picks.
-
-    deltas covers quadrants TL, TR, BL; the BR mean is implied by the parent
-    mean. s_bits selects the lower (0) or higher (1) value of the level's
-    contrast set, one bit per quadrant in TL, TR, BL, BR order.
-    """
-
-    o_byte: int
-    deltas: tuple[int, int, int]
-    s_bits: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class BaselinePayload:
-    """Search-mode fit carrying an explicit domain position."""
-
-    domain: BlockRect
-    o_byte: int
-    s_code: int
-
-
-Payload = Union[Phase1Payload, Phase2Payload, BaselinePayload]
-
-
-@dataclass(frozen=True)
-class LeafRecord:
-    rect: BlockRect
-    level: int
-    payload: Payload
-
-
 PHASE1, PHASE2, SEARCH = 0, 1, 2  # leaf kinds: co-centered fit, sub-block means, stored search domain
 
 
-def _record(row: list[int]) -> LeafRecord:
-    level, kind, x, y, size, o_byte, s_code, d0, d1, d2, b0, b1, b2, b3, dx, dy, dsize = row
-    payload = (Phase2Payload(o_byte, (d0, d1, d2), (b0, b1, b2, b3)) if kind == PHASE2
-               else BaselinePayload(BlockRect(dx, dy, dsize), o_byte, s_code) if kind == SEARCH
-               else Phase1Payload(o_byte, s_code))
-    return LeafRecord(BlockRect(x, y, size), level, payload)
-
-
-class LeafTable(Sequence):
+class LeafTable:
     """A code's leaves as int64 columns of one read-only (n, 17) array, a row per leaf in code order.
 
     Columns: level, kind (PHASE1, PHASE2 or SEARCH), the block's x, y and size, o_byte, s_code,
     then the (n, 3) deltas, the (n, 4) s_bits and the search domain's (n, 3) x, y and size;
     fields a kind does not use are 0. An int64 `rows` array is kept as it is and made
-    read-only. As a sequence it yields LeafRecords, built on demand, and its repr is that
-    of the tuple of them.
+    read-only. Its repr lists every row in full.
     """
 
     WIDTH = 17
@@ -152,31 +100,11 @@ class LeafTable(Sequence):
         self.level, self.kind, self.x, self.y, self.size, self.o_byte, self.s_code = self.rows.T[:7]
         self.deltas, self.s_bits, self.domain = self.rows[:, 7:10], self.rows[:, 10:14], self.rows[:, 14:]
 
-    @classmethod
-    def of(cls, records) -> "LeafTable":
-        """The table of any sequence of LeafRecord, out-of-range values included."""
-        rows = []
-        for leaf in records:
-            r, p, dom = leaf.rect, leaf.payload, getattr(leaf.payload, "domain", BlockRect(0, 0, 0))
-            p2 = isinstance(p, Phase2Payload)
-            kind = PHASE2 if p2 else SEARCH if isinstance(p, BaselinePayload) else PHASE1
-            rows.append([leaf.level, kind, r.x, r.y, r.size, p.o_byte, 0 if p2 else p.s_code,
-                         *(p.deltas if p2 else (0, 0, 0)), *(p.s_bits if p2 else (0, 0, 0, 0)), dom.x, dom.y, dom.size])
-        return cls(np.array(rows, dtype=np.int64).reshape(len(rows), cls.WIDTH))
-
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(_record, self.rows[i].tolist()))
-        return _record(self.rows[i].tolist())
-
-    def __iter__(self):
-        return map(_record, self.rows.tolist())
-
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        return f"LeafTable({self.rows.tolist()})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LeafTable):
@@ -192,7 +120,6 @@ class QuadtreeCode:
     """Leaves tiling the padded raster in DFS order, plus header metadata.
 
     DFS order: 16x16 roots in raster order, children in TL, TR, BL, BR order.
-    leaves may be given as any sequence of LeafRecord; it is stored as a LeafTable.
     """
 
     leaves: LeafTable
@@ -205,7 +132,7 @@ class QuadtreeCode:
 
     def __post_init__(self) -> None:
         if not isinstance(self.leaves, LeafTable):
-            object.__setattr__(self, "leaves", LeafTable.of(self.leaves))
+            raise TypeError(f"leaves must be a LeafTable, not {type(self.leaves).__name__}")
 
     def level_counts(self) -> tuple[int, int, int, int]:
         return tuple(np.bincount(self.leaves.level, minlength=5)[1:5].tolist())
@@ -226,9 +153,6 @@ class RowBand:
     lo: int
     width: int
     height: int
-
-
-Blocks = Union[BlockRect, np.ndarray]  # one block, or an (n, 2) array of (x, y) origins
 
 
 def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
@@ -258,19 +182,6 @@ def _quadrants(xy: np.ndarray, size: int) -> np.ndarray:
     return (xy[:, None, :] + QUADRANT_STEPS * (size // 2)).reshape(-1, 2)
 
 
-def _batch(image: Union[GrayImage, RowBand], blocks: Blocks, level: int) -> tuple[RowBand, np.ndarray]:
-    """The band and (n, 2) block origins of a kernel call; a BlockRect is a batch of one."""
-    band = _band(image, 0, image.height) if isinstance(image, GrayImage) else image
-    if not isinstance(blocks, BlockRect):
-        return band, blocks
-    if LEVEL_SIZES[level] != blocks.size:
-        raise ValueError(f"level {level} expects block size {LEVEL_SIZES[level]}, got {blocks.size}")
-    x, y, k = blocks.x, blocks.y, blocks.size
-    if not (0 <= x <= band.width - k and band.lo <= y <= band.lo + len(band.pixels) - k):
-        raise ValueError(f"{blocks} out of bounds for the band")
-    return band, np.array([[x, y]])
-
-
 def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     """LeafTable rows of the blocks at origins xy from payload rows: (o_byte, s_code) for
     phase 1, or (o_byte, three deltas, four s_bits) for phase 2."""
@@ -279,13 +190,6 @@ def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4] = level, PHASE2 if p2 else PHASE1, xy, LEVEL_SIZES[level]
     rows[:, [5, *range(7, 14)] if p2 else [5, 6]] = payload
     return rows
-
-
-def _result(blocks: Blocks, xy: np.ndarray, level: int, accepted: np.ndarray, payload: np.ndarray, rms: np.ndarray):
-    """A batch result as it stands, or (LeafRecord | None, rms) for a single BlockRect."""
-    if not isinstance(blocks, BlockRect):
-        return accepted, payload, rms
-    return (LeafTable(_rows(xy, level, payload))[0] if accepted[0] else None), float(rms[0])
 
 
 def _rms(r: np.ndarray, d0: np.ndarray, s, o, out=None) -> np.ndarray:
@@ -299,17 +203,15 @@ def _rms(r: np.ndarray, d0: np.ndarray, s, o, out=None) -> np.ndarray:
     return np.sqrt(res.mean(axis=-1))
 
 
-def try_phase1(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, config: EncoderConfig):
+def try_phase1(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig):
     """Fit each block's co-centered domain and test the level threshold.
 
-    blocks is an (n, 2) array of (x, y) origins in a RowBand, or one BlockRect
-    of a GrayImage. The acceptance RMS is re-evaluated with the quantized
-    contrast code and rounded mean, so the decision matches what the decoder
-    reconstructs. Level 4 accepts unconditionally. A batch returns (accepted
-    mask, (n, 2) rows of (o_byte, s_code), rms); a BlockRect returns
-    (record, rms), record None on rejection.
+    xy holds the (n, 2) (x, y) origins of level-sized blocks inside the band.
+    The acceptance RMS is re-evaluated with the quantized contrast code and
+    rounded mean, so the decision matches what the decoder reconstructs.
+    Level 4 accepts unconditionally. Returns (accepted mask, (n, 2) rows of
+    (o_byte, s_code), rms).
     """
-    band, xy = _batch(image, blocks, level)
     r, d = _ranges_and_domains(band, xy, LEVEL_SIZES[level])
     d -= d.mean(axis=1, keepdims=True)
     # fit_affine's least-squares s. On integer pixels every sum here is exact in float64, and
@@ -319,10 +221,10 @@ def try_phase1(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, con
     o_byte = np.floor(r.mean(axis=1) + 0.5)  # round_to_int
     rms = _rms(r, d, np.take(CONTRAST_VALUES, s_code)[:, None], o_byte[:, None], out=d)
     accepted = np.full(len(xy), True) if level == 4 else rms <= config.threshold(level)
-    return _result(blocks, xy, level, accepted, np.stack([o_byte.astype(np.intp), s_code], axis=1), rms)
+    return accepted, np.stack([o_byte.astype(np.intp), s_code], axis=1), rms
 
 
-def try_phase2(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, config: EncoderConfig):
+def try_phase2(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig):
     """Code each block through its quadrant means with 1-bit contrast picks.
 
     Applicable at levels 1..3 when every quadrant mean lies within mean_tol
@@ -330,13 +232,12 @@ def try_phase2(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, con
     implied fourth mean stays a byte. Each quadrant keeps its luminance fixed
     to the reconstructed quadrant mean and only chooses between the two set
     values, ties going to the lower; all four quadrants must meet the level
-    threshold. blocks is as for try_phase1. A batch returns (accepted mask,
-    (n, 8) rows of (o_byte, three deltas, four s_bits), worst quadrant rms or
-    inf on rejection); a BlockRect returns (record, rms), or (None, inf).
+    threshold. xy is as for try_phase1. Returns (accepted mask, (n, 8) rows
+    of (o_byte, three deltas, four s_bits), worst quadrant rms or inf on
+    rejection).
     """
     if level not in CONTRAST_SETS:
         raise ValueError("phase 2 exists only at levels 1..3")
-    band, xy = _batch(image, blocks, level)
     n = len(xy)
     r, d = _ranges_and_domains(band, _quadrants(xy, LEVEL_SIZES[level]), LEVEL_SIZES[level] // 2)
     r, d = r.reshape(n, 4, -1), d.reshape(n, 4, -1)
@@ -355,7 +256,7 @@ def try_phase2(image: Union[GrayImage, RowBand], blocks: Blocks, level: int, con
     rms = np.where(bits, rms_hi, rms_lo)
     accepted &= (rms <= config.threshold(level)).all(axis=1)
     payload = np.concatenate([o_byte[:, None], deltas, bits], axis=1).astype(np.intp)
-    return _result(blocks, xy, level, accepted, payload, np.where(accepted, rms.max(axis=1), np.inf))
+    return accepted, payload, np.where(accepted, rms.max(axis=1), np.inf)
 
 
 def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:

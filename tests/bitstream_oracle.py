@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import struct
 
-from mnscodec.bitstream import FLAG_MNS, FLAG_TECHNIQUE2, HEADER_BYTES, MAGIC, StreamFormatError
-from mnscodec.encoder import (
-    DELTA_MAGNITUDE_BITS,
-    MAX_SIDE,
-    ROOT_SIZE,
-    BaselinePayload,
-    LeafRecord,
-    Phase1Payload,
-    Phase2Payload,
-    QuadtreeCode,
-    delta_limit,
-)
+from mnscodec.bitstream import FLAG_MNS, FLAG_TECHNIQUE2, HEADER_BYTES, MAGIC, NO_LEVEL1, StreamFormatError
+from mnscodec.encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, ROOT_SIZE, QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect
+
+from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
 
 
 class BitWriter:
@@ -114,8 +106,9 @@ def serialize(code: QuadtreeCode) -> BitWriter:
     for value in (code.orig_w, code.orig_h, code.padded_w, code.padded_h):
         writer.write(value, 16)
 
-    leaves = code.leaves
+    leaves = records(code.leaves)
     pos = 0
+    no_level1 = min(code.padded_w, code.padded_h) < 2 * ROOT_SIZE
 
     def write_leaf(rect: BlockRect, level: int, write_id: bool) -> None:
         nonlocal pos
@@ -124,6 +117,8 @@ def serialize(code: QuadtreeCode) -> BitWriter:
         if leaf.level != level or leaf.rect != rect:
             raise ValueError(f"leaf {pos - 1} ({leaf.level}, {leaf.rect}) does not tile at level {level}, {rect}")
         _validate_leaf(leaf, code.mode)
+        if level == 1 and no_level1:
+            raise ValueError(NO_LEVEL1)
         if write_id:
             writer.write(level - 1, 2)
         phase2 = isinstance(leaf.payload, Phase2Payload)
@@ -192,8 +187,11 @@ def read_stream(data: bytes) -> QuadtreeCode:
 
     reader = BitReader(data, HEADER_BYTES)
     leaves: list[LeafRecord] = []
+    no_level1 = min(padded_w, padded_h) < 2 * ROOT_SIZE
 
     def read_leaf(rect: BlockRect, level: int) -> None:
+        if level == 1 and no_level1:
+            raise StreamFormatError(NO_LEVEL1)
         phase2 = False
         if mode == "mns" and level <= 3:
             phase2 = bool(reader.read(1))
@@ -244,4 +242,4 @@ def read_stream(data: bytes) -> QuadtreeCode:
         raise StreamFormatError(f"{reader.bits_left()} trailing bits after the final leaf")
     if reader.bits_left() and reader.read(reader.bits_left()) != 0:
         raise StreamFormatError("nonzero padding bits")
-    return QuadtreeCode(tuple(leaves), padded_w, padded_h, orig_w, orig_h, mode, technique2)
+    return QuadtreeCode(table_of(leaves), padded_w, padded_h, orig_w, orig_h, mode, technique2)

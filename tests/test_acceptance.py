@@ -18,20 +18,12 @@ from mnscodec.bitstream import (
     write_stream,
 )
 from mnscodec.decoder import decode, decode_step
-from mnscodec.encoder import (
-    EncoderConfig,
-    LeafRecord,
-    Phase1Payload,
-    Phase2Payload,
-    QuadtreeCode,
-    encode_full_search,
-    encode_quadtree,
-    round_to_int,
-)
+from mnscodec.encoder import PHASE2, EncoderConfig, QuadtreeCode, encode_full_search, encode_quadtree, round_to_int
 from mnscodec.image import BlockRect
 from mnscodec.metrics import psnr
 from mnscodec.transform import fit_affine, rms_error
 
+from records import LeafRecord, Phase1Payload, table_of
 from test_transform import grid_min_rms
 from util import random_code
 
@@ -77,15 +69,16 @@ def code_with_level4_leaves(count4):
             else:
                 leaves.append(LeafRecord(l2, 2, Phase1Payload(0, 0)))
     width = 16 * total_roots
-    return QuadtreeCode(tuple(leaves), width, 16, width, 16, "no_search", False)
+    return QuadtreeCode(table_of(leaves), width, 16, width, 16, "no_search", False)
 
 
 def test_c01_phase1_leaf_bit_budget():
     table = leaf_bit_width(1, phase2=False, mode="mns")
-    leaf = LeafRecord(BlockRect(0, 0, 16), 1, Phase1Payload(130, 5))
-    code = QuadtreeCode((leaf,), 16, 16, 16, 16, "mns", True)
-    measured = stream_bit_count(code) - HEADER_BYTES * 8
-    written = _serialize(code).bit_count - HEADER_BYTES * 8
+    # four roots: no level-1 leaf fits a raster with a 16-pixel side
+    leaves = [LeafRecord(BlockRect(x, y, 16), 1, Phase1Payload(130, 5)) for y in (0, 16) for x in (0, 16)]
+    code = QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "mns", True)
+    measured = (stream_bit_count(code) - HEADER_BYTES * 8) / 4
+    written = (_serialize(code).bit_count - HEADER_BYTES * 8) / 4
     report(
         "C1 level-1 phase-1 leaf is 14 bits",
         table == 14 and measured == 14 and written == 14,
@@ -97,7 +90,7 @@ def test_c02_technique2_level_id_arithmetic():
     results = []
     for count4, naive_bits, shared_bits in ((4000, 8000, 2000), (25000, 50000, 12500)):
         code = code_with_level4_leaves(count4)
-        others = sum(1 for leaf in code.leaves if leaf.level != 4)
+        others = int((code.leaves.level != 4).sum())
         got_naive = level_id_bit_count(code, technique2=False) - 2 * others
         got_shared = level_id_bit_count(code, technique2=True) - 2 * others
         results.append(got_naive == naive_bits and got_shared == shared_bits)
@@ -153,9 +146,8 @@ def test_c05_round_trip_1000_random_codes():
         blob = write_stream(code)
         back = read_stream(blob)
         ok = ok and back == code and write_stream(back) == blob
-        for leaf in code.leaves:
-            seen_levels.add(leaf.level)
-            seen_phases.add(isinstance(leaf.payload, Phase2Payload))
+        seen_levels.update(code.leaves.level.tolist())
+        seen_phases.update((code.leaves.kind == PHASE2).tolist())
         seen_modes.add(mode)
         seen_t2.add(technique2)
     covered = (
@@ -269,7 +261,7 @@ def test_c10_level4_quartets_and_exact_savings(natural_128, noise_64):
         for mode in ("no_search", "mns"):
             config = EncoderConfig(e1=3, e2=3, e3=3, mode=mode, technique2=True)
             code = encode_quadtree(image, config)
-            count4 = sum(1 for leaf in code.leaves if leaf.level == 4)
+            count4 = int((code.leaves.level == 4).sum())
             structure_ok = structure_ok and count4 % 4 == 0
             quartets = count4 // 4
             quartet_total += quartets

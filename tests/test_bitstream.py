@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnscodec.bitstream import (
+    FLAG_MNS,
     HEADER_BYTES,
     MAGIC,
     StreamFormatError,
@@ -17,24 +18,21 @@ from mnscodec.bitstream import (
     stream_bit_count,
     write_stream,
 )
-from mnscodec.encoder import (
-    BaselinePayload,
-    EncoderConfig,
-    LeafRecord,
-    Phase1Payload,
-    Phase2Payload,
-    QuadtreeCode,
-    encode_quadtree,
-)
+from mnscodec.decoder import decode
+from mnscodec.encoder import EncoderConfig, QuadtreeCode, encode_quadtree
 from mnscodec.image import BlockRect
 
+import bitstream_oracle as oracle
 from bitstream_oracle import BitReader, BitWriter
+from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
 from util import random_code
 
 
-def single_leaf_code(mode="mns", technique2=True):
-    leaf = LeafRecord(BlockRect(0, 0, 16), 1, Phase1Payload(130, 5))
-    return QuadtreeCode((leaf,), 16, 16, 16, 16, mode, technique2)
+def level1_code(mode="mns", technique2=True, first=Phase1Payload(130, 5)):
+    """A 32x32 raster of four level-1 leaves, the smallest that holds any: `first`, then three phase-1 leaves."""
+    rects = [BlockRect(x, y, 16) for y in (0, 16) for x in (0, 16)]
+    leaves = [LeafRecord(rects[0], 1, first)] + [LeafRecord(r, 1, Phase1Payload(130, 5)) for r in rects[1:]]
+    return QuadtreeCode(table_of(leaves), 32, 32, 32, 32, mode, technique2)
 
 
 def quartet_code(mode="no_search", technique2=True):
@@ -44,7 +42,7 @@ def quartet_code(mode="no_search", technique2=True):
         for rect3 in rect2.quadrants():
             for rect4 in rect3.quadrants():
                 leaves.append(LeafRecord(rect4, 4, Phase1Payload(10, 1)))
-    return QuadtreeCode(tuple(leaves), 16, 16, 16, 16, mode, technique2)
+    return QuadtreeCode(table_of(leaves), 16, 16, 16, 16, mode, technique2)
 
 
 class TestWidthTable:
@@ -68,11 +66,13 @@ class TestWidthTable:
         assert payload_bit_width(1, True) == 27
         assert payload_bit_width(3, True) == 30
 
-    def test_single_leaf_stream_measures_14_bits(self):
-        code = single_leaf_code()
-        assert stream_bit_count(code) - HEADER_BYTES * 8 == 14
+    def test_level1_leaves_measure_14_bits_each(self):
+        code = level1_code()
+        assert stream_bit_count(code) - HEADER_BYTES * 8 == 4 * 14
         blob = write_stream(code)
-        assert len(blob) == HEADER_BYTES + 2  # 14 payload bits round up to 2 bytes
+        assert len(blob) == HEADER_BYTES + 7  # 56 payload bits fill 7 bytes
+        no_search = write_stream(level1_code("no_search"))
+        assert len(no_search) == HEADER_BYTES + 7  # 4 x 13 = 52 payload bits round up to 7 bytes
 
 
 class TestBitIO:
@@ -122,8 +122,8 @@ class TestBitIO:
 
 
 class TestRoundTrip:
-    def test_spec_base_case_single_level1_leaf(self):
-        code = single_leaf_code()
+    def test_spec_base_case_level1_leaves(self):
+        code = level1_code()
         assert read_stream(write_stream(code)) == code
 
     def test_encoder_output_round_trips(self, natural_128):
@@ -149,9 +149,10 @@ class TestRoundTrip:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             code = random_code(rng, mode="mns" if seed % 2 else "no_search", technique2=seed % 4 < 2)
-            writer = _serialize(code)
-            assert writer.bit_count == stream_bit_count(code)
-            assert len(writer.getvalue()) == (writer.bit_count + 7) // 8
+            data, bit_count = _serialize(code)
+            assert bit_count == stream_bit_count(code)
+            assert len(data) == HEADER_BYTES + (bit_count - 8 * HEADER_BYTES + 7) // 8
+            assert data == write_stream(code)
 
 
 class TestTechnique2:
@@ -160,7 +161,7 @@ class TestTechnique2:
             rng = np.random.default_rng(100 + seed)
             code = random_code(rng, mode="mns", technique2=True, split_p=0.7)
             off = dataclasses.replace(code, technique2=False)
-            quartets = sum(1 for leaf in code.leaves if leaf.level == 4) // 4
+            quartets = int((code.leaves.level == 4).sum()) // 4
             assert stream_bit_count(off) - stream_bit_count(code) == 6 * quartets
 
     def test_quartet_stream_widths(self):
@@ -176,30 +177,30 @@ class TestTechnique2:
         assert level_id_bit_count(code, technique2=True) == 2 * 16
 
     def test_level_id_accounting_all_level1(self):
-        leaves = tuple(
+        leaves = [
             LeafRecord(BlockRect(x, y, 16), 1, Phase1Payload(0, 0))
             for y in range(0, 32, 16) for x in range(0, 32, 16)
-        )
-        code = QuadtreeCode(leaves, 32, 32, 32, 32, "no_search", False)
+        ]
+        code = QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "no_search", False)
         assert level_id_bit_count(code, False) == 8
         assert level_id_bit_count(code, True) == 8
 
     def test_level_id_accounting_rejects_partial_quartets(self):
         leaf4 = LeafRecord(BlockRect(0, 0, 2), 4, Phase1Payload(0, 0))
-        code = QuadtreeCode((leaf4,), 16, 16, 16, 16, "no_search", False)
+        code = QuadtreeCode(table_of([leaf4]), 16, 16, 16, 16, "no_search", False)
         with pytest.raises(ValueError, match="quartet"):
             level_id_bit_count(code, technique2=True)
 
 
 class TestReadErrors:
     def test_bad_magic(self):
-        blob = bytearray(write_stream(single_leaf_code()))
+        blob = bytearray(write_stream(level1_code()))
         blob[0:4] = b"JUNK"
         with pytest.raises(StreamFormatError, match="magic"):
             read_stream(bytes(blob))
 
     def test_unknown_flags(self):
-        blob = bytearray(write_stream(single_leaf_code()))
+        blob = bytearray(write_stream(level1_code()))
         blob[4] |= 0x80
         with pytest.raises(StreamFormatError, match="flag"):
             read_stream(bytes(blob))
@@ -209,12 +210,12 @@ class TestReadErrors:
             read_stream(MAGIC + b"\x00")
 
     def test_truncated_payload(self):
-        blob = write_stream(single_leaf_code())
+        blob = write_stream(level1_code())
         with pytest.raises(StreamFormatError, match="truncated"):
             read_stream(blob[:-1])
 
     def test_inconsistent_padded_dims(self):
-        blob = bytearray(write_stream(single_leaf_code()))
+        blob = bytearray(write_stream(level1_code()))
         blob[9:11] = (17).to_bytes(2, "big")  # padded_w not a multiple of 16
         with pytest.raises(StreamFormatError, match="padded"):
             read_stream(bytes(blob))
@@ -237,8 +238,7 @@ class TestReadErrors:
             read_stream(w.getvalue())
 
     def test_negative_zero_delta(self):
-        leaf = LeafRecord(BlockRect(0, 0, 16), 1, Phase2Payload(100, (0, 0, 0), (0, 0, 0, 0)))
-        code = QuadtreeCode((leaf,), 16, 16, 16, 16, "mns", False)
+        code = level1_code("mns", False, Phase2Payload(100, (0, 0, 0), (0, 0, 0, 0)))
         blob = bytearray(write_stream(code))
         # header is byte aligned; leaf bits: id(2) phase(1) o(8) then deltas.
         # the first delta's sign bit is bit 11 of the payload, i.e. bit 3 of
@@ -248,60 +248,100 @@ class TestReadErrors:
             read_stream(bytes(blob))
 
     def test_trailing_bytes(self):
-        blob = write_stream(single_leaf_code())
+        blob = write_stream(level1_code())
         with pytest.raises(StreamFormatError, match="trailing"):
             read_stream(blob + b"\x00")
 
     def test_nonzero_padding(self):
-        blob = bytearray(write_stream(single_leaf_code()))
-        blob[-1] |= 0x01  # flips a pad bit after the 14 leaf bits
+        blob = bytearray(write_stream(level1_code("no_search")))
+        blob[-1] |= 0x01  # flips a pad bit after the 52 leaf bits
         with pytest.raises(StreamFormatError, match="padding"):
             read_stream(bytes(blob))
 
 
 class TestWriteErrors:
     def test_baseline_records_do_not_serialize(self):
-        leaf = LeafRecord(BlockRect(0, 0, 16), 1, BaselinePayload(BlockRect(0, 0, 32), 10, 0))
-        code = QuadtreeCode((leaf,), 16, 16, 16, 16, "no_search", False)
+        code = level1_code("no_search", False, BaselinePayload(BlockRect(0, 0, 32), 10, 0))
         with pytest.raises(ValueError, match="baseline"):
             write_stream(code)
 
     def test_rejects_baseline_mode(self):
-        code = dataclasses.replace(single_leaf_code(), mode="full_search")
+        code = dataclasses.replace(level1_code(), mode="full_search")
         with pytest.raises(ValueError, match="serialize"):
             write_stream(code)
 
     def test_rejects_delta_overflow(self):
-        leaf = LeafRecord(BlockRect(0, 0, 16), 1, Phase2Payload(100, (16, 0, 0), (0, 0, 0, 0)))
-        code = QuadtreeCode((leaf,), 16, 16, 16, 16, "mns", True)
+        code = level1_code("mns", True, Phase2Payload(100, (16, 0, 0), (0, 0, 0, 0)))
         with pytest.raises(ValueError, match="delta"):
             write_stream(code)
 
     def test_rejects_phase2_in_no_search(self):
-        leaf = LeafRecord(BlockRect(0, 0, 16), 1, Phase2Payload(100, (0, 0, 0), (0, 0, 0, 0)))
-        code = QuadtreeCode((leaf,), 16, 16, 16, 16, "no_search", True)
+        code = level1_code("no_search", True, Phase2Payload(100, (0, 0, 0), (0, 0, 0, 0)))
         with pytest.raises(ValueError, match="phase-2"):
             write_stream(code)
 
     def test_rejects_bad_luminance(self):
-        leaf = LeafRecord(BlockRect(0, 0, 16), 1, Phase1Payload(256, 0))
-        code = QuadtreeCode((leaf,), 16, 16, 16, 16, "no_search", False)
+        code = level1_code("no_search", False, Phase1Payload(256, 0))
         with pytest.raises(ValueError, match="luminance"):
             write_stream(code)
 
     def test_rejects_mistiled_leaves(self):
         leaf = LeafRecord(BlockRect(8, 0, 16), 1, Phase1Payload(1, 1))
-        code = QuadtreeCode((leaf,), 16, 16, 16, 16, "no_search", False)
+        code = QuadtreeCode(table_of([leaf]), 16, 16, 16, 16, "no_search", False)
         with pytest.raises(ValueError, match="tile"):
             write_stream(code)
 
     def test_rejects_underfull_leaf_list(self):
-        code = QuadtreeCode((), 16, 16, 16, 16, "no_search", False)
+        code = QuadtreeCode(table_of([]), 16, 16, 16, 16, "no_search", False)
         with pytest.raises(ValueError, match="under-fills"):
             write_stream(code)
 
     def test_rejects_excess_leaves(self):
-        leaf = LeafRecord(BlockRect(0, 0, 16), 1, Phase1Payload(1, 1))
-        code = QuadtreeCode((leaf, leaf), 16, 16, 16, 16, "no_search", False)
+        code = level1_code("no_search", False)
+        code = dataclasses.replace(code, leaves=table_of(records(code.leaves) * 2))
         with pytest.raises(ValueError, match="excess"):
             write_stream(code)
+
+
+def level1_stream(w, h, phase2):
+    """An mns stream of w // 16 * h // 16 level-1 leaves written field by field, whatever the raster."""
+    writer = BitWriter()
+    for value, nbits in [(b, 8) for b in MAGIC] + [(FLAG_MNS, 8)] + [(v, 16) for v in (w, h, w, h)]:
+        writer.write(value, nbits)
+    for _ in range(w // 16 * (h // 16)):
+        writer.write(int(phase2), 3)  # level id 0, then the phase bit
+        writer.write(100, 8)
+        writer.write(0, 19 if phase2 else 3)  # zero deltas and contrast picks, or a contrast code
+    return writer.getvalue()
+
+
+class TestLevel1Fit:
+    """No 32x32 domain fits a raster with a 16-pixel side, so neither side takes a level-1 leaf there."""
+
+    @pytest.mark.parametrize("phase2", (False, True))
+    @pytest.mark.parametrize("size", ((16, 16), (32, 16), (16, 48)))
+    def test_writers_reject_a_level1_leaf(self, phase2, size):
+        w, h = size
+        payload = Phase2Payload(100, (0, 0, 0), (0, 0, 0, 0)) if phase2 else Phase1Payload(100, 0)
+        leaves = [LeafRecord(BlockRect(x, y, 16), 1, payload) for y in range(0, h, 16) for x in range(0, w, 16)]
+        code = QuadtreeCode(table_of(leaves), w, h, w, h, "mns", False)
+        with pytest.raises(ValueError, match="no 32x32 domain"):
+            write_stream(code)
+        with pytest.raises(ValueError, match="no 32x32 domain"):
+            oracle.write_stream(code)
+
+    @pytest.mark.parametrize("phase2", (False, True))
+    @pytest.mark.parametrize("size", ((16, 16), (32, 16), (16, 48)))
+    def test_readers_reject_a_level1_leaf(self, phase2, size):
+        blob = level1_stream(*size, phase2)
+        with pytest.raises(StreamFormatError, match="no 32x32 domain"):
+            read_stream(blob)
+        with pytest.raises(StreamFormatError, match="no 32x32 domain"):
+            oracle.read_stream(blob)
+
+    @pytest.mark.parametrize("phase2", (False, True))
+    def test_level1_leaves_of_a_32_pixel_raster_read_and_decode(self, phase2):
+        blob = level1_stream(32, 48, phase2)
+        code = read_stream(blob)
+        assert code.level_counts() == (6, 0, 0, 0) and write_stream(code) == blob
+        assert decode(code).pixels.shape == (48, 32)

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import bitstream_oracle as oracle
 from mnscodec.bitstream import HEADER_BYTES, MAGIC, StreamFormatError, read_stream, stream_bit_count, write_stream
-from mnscodec.encoder import EncoderConfig, LeafRecord, encode_quadtree
+from mnscodec.decoder import decode
+from mnscodec.encoder import EncoderConfig, encode_quadtree
 from mnscodec.image import BlockRect
 
+from records import LeafRecord, records, table_of
 from util import gradient_image, natural_image, noise_image, random_code, scene_image
 
 
@@ -114,9 +116,9 @@ def test_writer_rejects_what_the_oracle_rejects(field):
     for seed in range(8):
         code = random_code(np.random.default_rng(seed), "mns" if seed % 2 else "no_search", seed % 4 < 2)
         for i in sorted({0, len(code.leaves) // 2, len(code.leaves) - 1}):
-            leaves = list(code.leaves)
+            leaves = records(code.leaves)
             leaves[i] = moved(leaves[i], field)
-            bad = dataclasses.replace(code, leaves=leaves)
+            bad = dataclasses.replace(code, leaves=table_of(leaves))
             with pytest.raises(ValueError):
                 oracle.write_stream(bad)
             with pytest.raises(ValueError):
@@ -124,11 +126,13 @@ def test_writer_rejects_what_the_oracle_rejects(field):
 
 
 def assert_rejects_or_round_trips(blob):
+    """The reader raises StreamFormatError, or returns a code that writes back to the same bytes and decodes."""
     try:
         code = read_stream(blob)
     except StreamFormatError:
         return
     assert write_stream(code) == blob
+    assert decode(code).pixels.shape == (code.orig_h, code.orig_w)
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,3 +201,14 @@ def test_reader_peak_on_all_level4_stream():
     assert len(blob) == 5901
     read_stream(blob)  # warm
     assert traced_peak(read_stream, blob) < 1_500_000
+
+
+def test_random_codes_write_read_and_decode():
+    # a root of a raster with a 16-pixel side always splits, so every random code decodes
+    rng = np.random.default_rng(0)
+    narrow = 0
+    for _ in range(300):
+        code = read_stream(write_stream(random_code(rng)))
+        narrow += min(code.padded_w, code.padded_h) == 16
+        assert decode(code).pixels.shape == (code.orig_h, code.orig_w)
+    assert narrow > 0

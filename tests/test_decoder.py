@@ -9,10 +9,8 @@ import pytest
 from mnscodec import decoder
 from mnscodec.decoder import DecodeConfig, decode, decode_step
 from mnscodec.encoder import (
-    BaselinePayload,
     EncoderConfig,
-    LeafRecord,
-    Phase1Payload,
+    LeafTable,
     QuadtreeCode,
     encode_full_search,
     encode_local_search,
@@ -20,6 +18,7 @@ from mnscodec.encoder import (
 )
 from mnscodec.image import BlockRect, GrayImage
 
+from records import BaselinePayload, LeafRecord, Phase1Payload, table_of
 from test_decoder_oracle import IMAGES, _rasters
 from util import natural_image, random_code, scene_image
 
@@ -42,9 +41,9 @@ class TestDecodeStep:
     def test_leaf_order_does_not_matter(self, natural_128):
         code = encode_quadtree(natural_128, EncoderConfig(e1=5, e2=5, e3=5, mode="mns"))
         rng = random.Random(13)
-        shuffled_leaves = list(code.leaves)
-        rng.shuffle(shuffled_leaves)
-        shuffled = dataclasses.replace(code, leaves=tuple(shuffled_leaves))
+        order = list(range(len(code.leaves)))
+        rng.shuffle(order)
+        shuffled = dataclasses.replace(code, leaves=LeafTable(code.leaves.rows[order]))
         raster = np.random.default_rng(0).uniform(0, 255, (code.padded_h, code.padded_w))
         assert np.array_equal(decode_step(code, raster), decode_step(shuffled, raster))
 
@@ -123,7 +122,7 @@ class TestDecode:
 
 
 def _oracle_codes():
-    """The codes test_decoder_oracle checks: quadtree, search and random codes that fit their raster."""
+    """The codes test_decoder_oracle checks: quadtree, search and random codes."""
     for image in IMAGES.values():
         for mode in ("mns", "no_search"):
             for e in (2.0, 8.0, 20.0):
@@ -136,9 +135,7 @@ def _oracle_codes():
     for mode in ("mns", "no_search"):
         for technique2 in (True, False):
             for _ in range(10):
-                code = random_code(rng, mode=mode, technique2=technique2)
-                if min(code.padded_w, code.padded_h) >= 32:  # room for level-1 domains
-                    yield code
+                yield random_code(rng, mode=mode, technique2=technique2)
 
 
 def _misfit_codes():
@@ -150,8 +147,8 @@ def _misfit_codes():
     past_edge, empty = list(searched), list(searched)
     past_edge[5] = LeafRecord(searched[5].rect, 2, BaselinePayload(BlockRect(20, 0, 16), 90, 5))
     empty[5] = LeafRecord(BlockRect(8, 8, 0), 2, BaselinePayload(BlockRect(0, 0, 0), 90, 5))
-    return (QuadtreeCode(tuple(cocentered), 48, 16, 48, 16, "no_search", False),
-            *(QuadtreeCode(tuple(leaves), 32, 32, 32, 32, "local_search", False) for leaves in (past_edge, empty)))
+    return (QuadtreeCode(table_of(cocentered), 48, 16, 48, 16, "no_search", False),
+            *(QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "local_search", False) for leaves in (past_edge, empty)))
 
 
 class TestPlanOnce:

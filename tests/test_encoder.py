@@ -7,8 +7,8 @@ import pytest
 import mnscodec.encoder as enc
 from mnscodec.encoder import (
     CONTRAST_SETS,
+    PHASE1,
     EncoderConfig,
-    Phase1Payload,
     encode_full_search,
     encode_local_search,
     encode_quadtree,
@@ -18,6 +18,7 @@ from mnscodec.encoder import (
 from mnscodec.image import BlockRect, GrayImage, block_pixels, co_domain_rect, downsample_mean2, pad_to_multiple
 from mnscodec.transform import dequantize_contrast, rms_error
 
+from records import Phase1Payload, records
 from util import natural_image, noise_image
 
 
@@ -43,16 +44,22 @@ def quadrant_image(values, size=16):
     return GrayImage(arr)
 
 
+def one_block(phase, image, rect, level, config):
+    """A kernel call on a batch of one: whether it accepts the block, its payload row and its rms."""
+    accepted, payload, rms = phase(enc._band(image, 0, image.height), np.array([[rect.x, rect.y]]), level, config)
+    return bool(accepted[0]), payload[0].tolist(), float(rms[0])
+
+
 class TestPhase1:
     def test_constant_block_accepted_exactly(self, constant_64):
-        record, rms = try_phase1(constant_64, BlockRect(16, 16, 16), 1, EncoderConfig())
+        accepted, payload, rms = one_block(try_phase1, constant_64, BlockRect(16, 16, 16), 1, EncoderConfig())
         assert rms == 0.0
-        assert record.payload == Phase1Payload(o_byte=42, s_code=4)  # s fit of 0 lands in bin 4
+        assert accepted and payload == [42, 4]  # o_byte, then s_code: an s fit of 0 lands in bin 4
 
     def test_level4_always_accepts(self, noise_64):
         config = EncoderConfig(e1=0.001, e2=0.001, e3=0.001)
-        record, rms = try_phase1(noise_64, BlockRect(8, 8, 2), 4, config)
-        assert record is not None
+        accepted, _, rms = one_block(try_phase1, noise_64, BlockRect(8, 8, 2), 4, config)
+        assert accepted
         assert rms > 0.001
 
     def test_checkerboard_rejected_at_tight_threshold(self):
@@ -60,52 +67,49 @@ class TestPhase1:
         img = GrayImage(board.astype(np.uint8))
         config = EncoderConfig(e1=1.0, e2=1.0, e3=1.0)
         rect = BlockRect(16, 16, 16)
-        record, rms = try_phase1(img, rect, 1, config)
-        assert record is None
+        accepted, _, _ = one_block(try_phase1, img, rect, 1, config)
+        assert not accepted
         # no quantized parameter pair can cover it either
         assert quantized_grid_best_rms(img, rect) > 1.0
-
-    def test_wrong_size_for_level(self, constant_64):
-        with pytest.raises(ValueError, match="level 2"):
-            try_phase1(constant_64, BlockRect(0, 0, 16), 2, EncoderConfig())
 
 
 class TestPhase2:
     def test_constant_block(self, constant_64):
-        record, rms = try_phase2(constant_64, BlockRect(0, 0, 16), 1, EncoderConfig())
-        assert rms == 0.0
-        assert record.payload.deltas == (0, 0, 0)
-        assert record.payload.s_bits == (0, 0, 0, 0)  # equal-error ties pick bit 0
+        accepted, payload, rms = one_block(try_phase2, constant_64, BlockRect(0, 0, 16), 1, EncoderConfig())
+        assert accepted and rms == 0.0
+        assert payload[1:4] == [0, 0, 0]  # deltas
+        assert payload[4:] == [0, 0, 0, 0]  # s_bits: equal-error ties pick bit 0
 
     def test_mean_gate_rejects(self):
         img = quadrant_image((178, 100, 100, 100))  # TL is far above the block mean
         config = EncoderConfig(mean_tol=16.0)
-        record, rms = try_phase2(img, BlockRect(0, 0, 16), 1, config)
-        assert record is None and rms == math.inf
+        accepted, _, rms = one_block(try_phase2, img, BlockRect(0, 0, 16), 1, config)
+        assert not accepted and rms == math.inf
 
     def test_worked_quartet_means(self):
         img = quadrant_image((100, 104, 96, 100))
-        record, _ = try_phase2(img, BlockRect(0, 0, 16), 1, EncoderConfig())
-        assert record is not None
-        assert record.payload.o_byte == 100
-        assert record.payload.deltas == (0, 4, -4)
+        accepted, payload, _ = one_block(try_phase2, img, BlockRect(0, 0, 16), 1, EncoderConfig())
+        assert accepted
+        o_byte, deltas = payload[0], payload[1:4]
+        assert o_byte == 100
+        assert deltas == [0, 4, -4]
         # implied fourth mean folds back to the block mean
-        assert record.payload.o_byte - sum(record.payload.deltas) == 100
+        assert o_byte - sum(deltas) == 100
 
     def test_delta_width_rejects_at_level1(self):
         # gate passes (|16| <= 16) but a delta of 16 needs 5 magnitude bits
         img = quadrant_image((116, 100, 100, 84))
-        record, _ = try_phase2(img, BlockRect(0, 0, 16), 1, EncoderConfig(mean_tol=16.0))
-        assert record is None
+        accepted, _, _ = one_block(try_phase2, img, BlockRect(0, 0, 16), 1, EncoderConfig(mean_tol=16.0))
+        assert not accepted
 
     def test_implied_mean_out_of_range_rejects(self):
         img = quadrant_image((3, 3, 3, 0))
-        record, _ = try_phase2(img, BlockRect(0, 0, 16), 1, EncoderConfig())
-        assert record is None  # implied fourth mean would be -1
+        accepted, _, _ = one_block(try_phase2, img, BlockRect(0, 0, 16), 1, EncoderConfig())
+        assert not accepted  # implied fourth mean would be -1
 
     def test_level4_is_invalid(self, constant_64):
         with pytest.raises(ValueError, match="levels 1..3"):
-            try_phase2(constant_64, BlockRect(0, 0, 2), 4, EncoderConfig())
+            one_block(try_phase2, constant_64, BlockRect(0, 0, 2), 4, EncoderConfig())
 
 
 class TestQuadtree:
@@ -114,7 +118,7 @@ class TestQuadtree:
         code = encode_quadtree(img, EncoderConfig(mode="no_search"))
         assert len(code.leaves) == 1024
         assert code.level_counts() == (1024, 0, 0, 0)
-        assert all(isinstance(leaf.payload, Phase1Payload) for leaf in code.leaves)
+        assert (code.leaves.kind == PHASE1).all()
 
     def test_infinite_thresholds_accept_all_roots(self, noise_64):
         config = EncoderConfig(e1=math.inf, e2=math.inf, e3=math.inf, mode="no_search")
@@ -132,15 +136,14 @@ class TestQuadtree:
 
     def test_phase1_wins_over_phase2(self, constant_64):
         code = encode_quadtree(constant_64, EncoderConfig(mode="mns"))
-        assert all(isinstance(leaf.payload, Phase1Payload) for leaf in code.leaves)
+        assert (code.leaves.kind == PHASE1).all()
 
     def test_tiling_partition(self, natural_128):
         for mode in ("no_search", "mns"):
             code = encode_quadtree(natural_128, EncoderConfig(e1=5, e2=5, e3=5, mode=mode))
             seen = np.zeros((code.padded_h, code.padded_w), dtype=np.int32)
-            for leaf in code.leaves:
-                seen[leaf.rect.y : leaf.rect.y + leaf.rect.size,
-                     leaf.rect.x : leaf.rect.x + leaf.rect.size] += 1
+            for x, y, size in code.leaves.rows[:, 2:5].tolist():
+                seen[y : y + size, x : x + size] += 1
             assert seen.min() == 1 and seen.max() == 1
 
     def test_accepted_leaves_meet_threshold(self, natural_128):
@@ -148,7 +151,7 @@ class TestQuadtree:
         code = encode_quadtree(natural_128, config)
         padded = pad_to_multiple(natural_128, 16)
         checked = 0
-        for leaf in code.leaves:
+        for leaf in records(code.leaves):
             if leaf.level == 4:
                 continue
             tol = config.threshold(leaf.level)
@@ -233,7 +236,7 @@ class TestQuadtree:
 class TestFullSearch:
     def test_constant_image_ties_to_origin(self, constant_64):
         code, samples = encode_full_search(constant_64, 8, EncoderConfig(mode="full_search"))
-        assert all(leaf.payload.domain == BlockRect(0, 0, 16) for leaf in code.leaves)
+        assert (code.leaves.domain == [0, 0, 16]).all()
         assert len(samples) == 64
 
     def test_constructed_exact_match_wins(self):
@@ -245,7 +248,7 @@ class TestFullSearch:
         arr[0:8, 0:8] = (0.875 * (pattern - 128) + 128).astype(np.uint8)
         img = GrayImage(arr)
         code, _ = encode_full_search(img, 8, EncoderConfig(mode="full_search"))
-        leaf = code.leaves[0]
+        leaf = records(code.leaves)[0]
         assert leaf.rect == BlockRect(0, 0, 8)
         assert leaf.payload.domain == BlockRect(24, 8, 16)
         assert leaf.payload.s_code == 7
@@ -284,8 +287,8 @@ class TestLocalSearch:
         config = EncoderConfig(mode="local_search")
         local = encode_local_search(img, config)
         full, _ = encode_full_search(img, 8, EncoderConfig(mode="full_search", full_search_step=1))
-        by_rect = {leaf.rect: leaf for leaf in full.leaves}
-        for leaf in local.leaves:
+        by_rect = {leaf.rect: leaf for leaf in records(full.leaves)}
+        for leaf in records(local.leaves):
             ref = by_rect[leaf.rect]
             r = block_pixels(img, leaf.rect)
             local_rms = rms_error(r, downsample_mean2(img, leaf.payload.domain),
@@ -298,7 +301,7 @@ class TestLocalSearch:
         # every candidate ties at rms 0, so the (dy, dx) = (-4, -4) translate
         # of the co-centered domain wins by scan order
         code = encode_local_search(constant_64, EncoderConfig(mode="local_search"))
-        for leaf in code.leaves:
+        for leaf in records(code.leaves):
             base = co_domain_rect(leaf.rect, 64, 64)
             expected = BlockRect(min(max(base.x - 4, 0), 64 - 16), min(max(base.y - 4, 0), 64 - 16), 16)
             assert leaf.payload.domain == expected

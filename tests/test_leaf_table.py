@@ -1,4 +1,4 @@
-"""QuadtreeCode.leaves as a LeafTable: columns in, LeafRecords out, and the accounting on them."""
+"""QuadtreeCode.leaves as a LeafTable: its columns, its repr, and the accounting on them."""
 
 import dataclasses
 import math
@@ -14,12 +14,8 @@ from mnscodec.encoder import (
     PHASE1,
     PHASE2,
     SEARCH,
-    BaselinePayload,
     EncoderConfig,
-    LeafRecord,
     LeafTable,
-    Phase1Payload,
-    Phase2Payload,
     QuadtreeCode,
     encode_full_search,
     encode_local_search,
@@ -27,7 +23,8 @@ from mnscodec.encoder import (
 )
 from mnscodec.image import BlockRect
 
-from util import natural_image, random_code, scene_image
+from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
+from util import natural_image, noise_image, random_code, scene_image
 
 ODD_RECORDS = (
     LeafRecord(BlockRect(0, 0, 16), 1, Phase1Payload(130, 5)),
@@ -40,35 +37,47 @@ ODD_RECORDS = (
 
 
 def test_records_round_trip_through_columns():
-    table = LeafTable.of(ODD_RECORDS)
+    table = table_of(ODD_RECORDS)
     assert len(table) == len(ODD_RECORDS)
-    assert tuple(table) == ODD_RECORDS
-    assert [table[i] for i in range(-len(table), len(table))] == list(ODD_RECORDS) * 2
-    assert table[1:4] == ODD_RECORDS[1:4]
-    assert repr(table) == repr(ODD_RECORDS)
-    assert ODD_RECORDS[2] in table and table.index(ODD_RECORDS[3]) == 3
+    assert tuple(records(table)) == ODD_RECORDS
+    assert repr(table) == f"LeafTable({table.rows.tolist()})"
     assert table.kind.tolist() == [PHASE1, PHASE2, SEARCH, PHASE1, PHASE2]
     assert table.domain[2].tolist() == [4, 6, 16]
     with pytest.raises(ValueError):
         table.rows[0, 0] = 2  # read-only
 
 
-def test_code_converts_any_record_sequence_once():
-    code = QuadtreeCode(list(ODD_RECORDS), 32, 16, 30, 16, "mns", True)
-    assert isinstance(code.leaves, LeafTable)
-    assert code == QuadtreeCode(ODD_RECORDS, 32, 16, 30, 16, "mns", True)
-    assert code == QuadtreeCode(code.leaves, 32, 16, 30, 16, "mns", True)
-    assert hash(code) == hash(QuadtreeCode(ODD_RECORDS, 32, 16, 30, 16, "mns", True))
+def test_code_takes_only_a_leaf_table():
+    code = QuadtreeCode(table_of(ODD_RECORDS), 32, 16, 30, 16, "mns", True)
+    for leaves in (list(ODD_RECORDS), ODD_RECORDS, code.leaves.rows, None):
+        with pytest.raises(TypeError, match="LeafTable"):
+            QuadtreeCode(leaves, 32, 16, 30, 16, "mns", True)
+    assert code == QuadtreeCode(LeafTable(code.leaves.rows.copy()), 32, 16, 30, 16, "mns", True)
+    assert hash(code) == hash(QuadtreeCode(table_of(ODD_RECORDS), 32, 16, 30, 16, "mns", True))
     assert code != dataclasses.replace(code, technique2=False)
-    assert code != dataclasses.replace(code, leaves=ODD_RECORDS[:-1])
-    assert dataclasses.replace(code, leaves=ODD_RECORDS[::-1]).leaves[0] == ODD_RECORDS[-1]
-    assert len(QuadtreeCode((), 16, 16, 16, 16, "no_search", False).leaves) == 0
+    assert code != dataclasses.replace(code, leaves=table_of(ODD_RECORDS[:-1]))
+    assert records(dataclasses.replace(code, leaves=table_of(ODD_RECORDS[::-1])).leaves)[0] == ODD_RECORDS[-1]
+    assert len(QuadtreeCode(table_of(()), 16, 16, 16, 16, "no_search", False).leaves) == 0
+
+
+def test_repr_lists_every_field_of_a_large_table():
+    # the search_baseline digest in perfbench hashes repr(code.leaves), so a change to any field
+    # of any row, the last row of a 4,096-leaf table included, must change the repr
+    config = EncoderConfig(e1=1e-9, e2=1e-9, e3=1e-9, mode="no_search")
+    table = encode_quadtree(noise_image(128, 128, seed=5), config).leaves
+    assert len(table) == 4096
+    text = repr(table)
+    assert "..." not in text
+    for field in range(LeafTable.WIDTH):
+        rows = table.rows.copy()
+        rows[-1, field] += 1
+        assert repr(LeafTable(rows)) != text
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_accounting_matches_a_record_walk(seed):
     code = random_code(np.random.default_rng(seed), "mns" if seed % 2 else "no_search", seed % 3 == 0, split_p=0.7)
-    leaves = list(code.leaves)
+    leaves = records(code.leaves)
     assert code.level_counts() == tuple(sum(leaf.level == k for leaf in leaves) for k in (1, 2, 3, 4))
     assert code.phase2_count() == sum(isinstance(leaf.payload, Phase2Payload) for leaf in leaves)
     count4 = code.level_counts()[3]
@@ -79,12 +88,12 @@ def test_accounting_matches_a_record_walk(seed):
 def test_encoders_build_their_tables_from_columns():
     image = natural_image(48, 40, seed=3)
     code = encode_quadtree(image, EncoderConfig(e1=4, e2=4, e3=4))
-    assert QuadtreeCode(tuple(code.leaves), code.padded_w, code.padded_h, 48, 40, "mns", True) == code
+    assert QuadtreeCode(table_of(records(code.leaves)), code.padded_w, code.padded_h, 48, 40, "mns", True) == code
     scene = scene_image(32, 32, seed=2)
     for search in (encode_local_search(scene, EncoderConfig(mode="local_search")),
                    encode_full_search(scene, 8, EncoderConfig(mode="full_search"))[0]):
         assert (search.leaves.kind == SEARCH).all() and (search.leaves.domain[:, 2] == 16).all()
-        assert QuadtreeCode(tuple(search.leaves), 32, 32, 32, 32, search.mode, False) == search
+        assert QuadtreeCode(table_of(records(search.leaves)), 32, 32, 32, 32, search.mode, False) == search
 
 
 @pytest.mark.parametrize("level, size, s_bits", ((0, 16, (0, 0, 0, 0)), (4, 2, (0, 0, 0, 0)),
@@ -92,7 +101,7 @@ def test_encoders_build_their_tables_from_columns():
 def test_decoder_rejects_phase2_leaves_it_cannot_map(level, size, s_bits):
     leaf = LeafRecord(BlockRect(0, 0, size), level, Phase2Payload(100, (0, 0, 0), s_bits))
     with pytest.raises(ValueError, match="phase-2"):
-        decode(QuadtreeCode((leaf,), 16, 16, 16, 16, "mns", False))
+        decode(QuadtreeCode(table_of([leaf]), 16, 16, 16, 16, "mns", False))
 
 
 def test_rd_sweep_times_each_layer(monkeypatch):

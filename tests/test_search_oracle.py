@@ -9,18 +9,11 @@ repeated 2x2 groups, a few gray levels, diagonal stripes.
 import numpy as np
 import pytest
 
-from mnscodec.encoder import (
-    SIZE_LEVELS,
-    BaselinePayload,
-    EncoderConfig,
-    LeafRecord,
-    encode_full_search,
-    encode_local_search,
-    round_to_int,
-)
+from mnscodec.encoder import SIZE_LEVELS, EncoderConfig, encode_full_search, encode_local_search, round_to_int
 from mnscodec.image import BlockRect, GrayImage, block_pixels, co_domain_rect, downsample_mean2, pad_to_multiple
 from mnscodec.transform import dequantize_contrast, fit_affine, quantize_contrast, rms_error
 
+from records import BaselinePayload, LeafRecord, table_of
 from util import gradient_image, noise_image
 
 W, H = 28, 20  # neither side a multiple of 8, so local search and 8-pixel ranges pad
@@ -73,7 +66,7 @@ def test_local_search_matches_oracle(name):
                 for dx in range(-4, 5)
             ]
             expected.append(oracle_leaf(padded, rect, domains))
-    assert list(code.leaves) == expected
+    assert code.leaves == table_of(expected)
 
 
 @pytest.mark.parametrize("step", (1, 3))
@@ -90,7 +83,7 @@ def test_full_search_matches_oracle(name, range_size, step):
         for ry in range(0, h, range_size)
         for rx in range(0, w, range_size)
     ]
-    assert list(code.leaves) == expected
+    assert code.leaves == table_of(expected)
     half = range_size // 2
     assert samples == [
         (leaf.payload.domain.x + range_size - (leaf.rect.x + half), leaf.payload.domain.y + range_size - (leaf.rect.y + half))

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from mnscodec.encoder import LeafRecord, Phase1Payload, Phase2Payload, QuadtreeCode, delta_limit
+from mnscodec.encoder import QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect, GrayImage
+
+from records import LeafRecord, Phase1Payload, Phase2Payload, table_of
 
 
 def _octave(rng: np.random.Generator, width: int, height: int, cell: int) -> np.ndarray:
@@ -76,7 +78,12 @@ def random_code(
     split_p: float = 0.55,
     phase2_p: float = 0.4,
 ) -> QuadtreeCode:
-    """Random but structurally valid quadtree code for serialization tests."""
+    """Random but structurally valid quadtree code for serialization tests.
+
+    A root of a raster with a 16-pixel side always splits, since no level-1
+    domain fits there; its split draw is still made, so codes that never meet
+    that case keep their random sequence.
+    """
     roots_x = int(rng.integers(1, max_roots + 1))
     roots_y = int(rng.integers(1, max_roots + 1))
     padded_w, padded_h = 16 * roots_x, 16 * roots_y
@@ -85,7 +92,7 @@ def random_code(
     leaves: list[LeafRecord] = []
 
     def emit(rect: BlockRect, level: int) -> None:
-        if level < 4 and rng.random() < split_p:
+        if level < 4 and (rng.random() < split_p or (level == 1 and min(padded_w, padded_h) < 32)):
             for quad in rect.quadrants():
                 emit(quad, level + 1)
             return
@@ -103,4 +110,4 @@ def random_code(
     for y in range(0, padded_h, 16):
         for x in range(0, padded_w, 16):
             emit(BlockRect(x, y, 16), 1)
-    return QuadtreeCode(tuple(leaves), padded_w, padded_h, orig_w, orig_h, mode, technique2)
+    return QuadtreeCode(table_of(leaves), padded_w, padded_h, orig_w, orig_h, mode, technique2)
