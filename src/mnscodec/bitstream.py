@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode
+from .encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode, phase2_targets
 
 MAGIC = b"MNS1"
 HEADER_BYTES = 13
@@ -33,6 +33,7 @@ ROOT_CELLS = 64  # 2x2-pixel cells per 16x16 root
 FIELDS = 8  # per leaf: level id, phase bit, o byte, s code, three sign-and-magnitude deltas, the four s bits
 MAGNITUDE_BITS = np.array([0, DELTA_MAGNITUDE_BITS[1], DELTA_MAGNITUDE_BITS[2], DELTA_MAGNITUDE_BITS[3], 0])
 NO_LEVEL1 = "level-1 leaf in a raster with a 16-pixel side, where no 32x32 domain fits"
+NO_IMPLIED_MEAN = "phase-2 leaf whose implied fourth quadrant mean, o_byte minus the deltas, is not a byte"
 
 
 class StreamFormatError(ValueError):
@@ -98,7 +99,8 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
                       (p2 & (not mns), "phase-2 record in a no_search code"),
                       (p2 & (level == 4), "phase-2 record at level 4"),
                       (p2 & (np.abs(d) >= 1 << nbits).any(axis=1), "delta exceeds its level's width"),
-                      (p2 & ((bits < 0) | (bits > 1)).any(axis=1), "bad contrast selection bits")):
+                      (p2 & ((bits < 0) | (bits > 1)).any(axis=1), "bad contrast selection bits"),
+                      (p2 & (phase2_targets(o, d.T)[3] >> 8 != 0), NO_IMPLIED_MEAN)):
         if bad.any():
             raise ValueError(f"leaf {int(bad.argmax())} {t.rows[bad.argmax()].tolist()}: {what}")
     if cells.sum() != total:
@@ -226,6 +228,8 @@ def read_stream(data: bytes) -> QuadtreeCode:
     rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = level, PHASE2 * p2, x, y, 2 * ROOT_SIZE >> level
     rows[:, 5:7], rows[:, 7:10] = fields[:, 2:4], np.where(sign == 1, -mag, mag)
     rows[:, 10:14] = fields[:, 7:] >> (3, 2, 1, 0) & 1
+    if (phase2_targets(rows[:, 5], rows[:, 7:10].T)[3] >> 8).any():  # a phase-1 leaf's deltas are 0: its o byte
+        raise StreamFormatError(NO_IMPLIED_MEAN)
     return QuadtreeCode(LeafTable(rows), padded_w, padded_h, orig_w, orig_h, "mns" if mns else "no_search", technique2)
 
 

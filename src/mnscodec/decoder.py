@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import CONTRAST_SETS, PHASE2, QUADRANT_STEPS, SEARCH, QuadtreeCode, phase2_targets
-from .image import GrayImage, box_sums, co_domain_origins, downsample_mean2  # noqa: F401 (traced by perfbench)
+from .image import GrayImage, box_sums, co_domain_origins, domain_means, downsample_mean2  # noqa: F401 (perfbench)
 from .transform import apply_map, dequantize_contrast
 
 
@@ -83,9 +83,7 @@ def decode_step(code: QuadtreeCode | _Plan, current: np.ndarray) -> np.ndarray:
     sums = box_sums(cur)
     out = np.empty_like(cur)
     for k, y, x, dy, dx, s, o in plan.sides:
-        domains = sliding_window_view(sums, (2 * k - 1, 2 * k - 1))[dy, dx, ::2, ::2]
-        domains *= 0.25
-        sliding_window_view(out, (k, k), writeable=True)[y, x] = apply_map(domains, s, o)
+        sliding_window_view(out, (k, k), writeable=True)[y, x] = apply_map(domain_means(sums, dx, dy, k), s, o)
     return out
 
 

@@ -1,10 +1,14 @@
-"""Quadtree driver and the four encoding strategies.
+"""Quadtree driver and the four encoding strategies, which share one block-fit kernel, _fit.
 
 Modes:
-  no_search    - phase 1 only: each range fits its fixed co-centered domain.
+  no_search    - phase 1 only: each range fits its fixed co-centered domain, one _fit candidate.
   mns          - phase 1, then the sub-block-mean phase 2 before splitting.
-  full_search  - exhaustive domain pool on a fixed-size partition (baseline).
-  local_search - 81 candidates around the co-centered domain (baseline).
+  full_search  - one exhaustive domain pool on a fixed-size partition, shared by every range (baseline).
+  local_search - a pool per 8x8 range: 81 candidates around the co-centered domain (baseline).
+
+On integer pixels with power-of-two sides and contrasts in steps of 1/8, every term of _fit's
+expanded sum of squared residuals is exact in float64, so it is rms_error's sum of squares to the
+last bit, in any order. Phase 2's contrasts are not dyadic; _rms keeps rms_error's order there.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .image import BlockRect, GrayImage, block_pixels, box_sums, co_domain_origins, co_domain_rect, pad_to_multiple
+from .image import GrayImage, box_sums, co_domain_origins, domain_means, pad_to_multiple
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import CONTRAST_VALUES, quantize_contrast
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
@@ -167,14 +171,17 @@ def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
 
 
 def _ranges_and_domains(band: RowBand, xy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float pixels of the k x k ranges at origins xy, one row each, and the 2x2 means of
-    their co-centered domains: quarters of exact integer sums, so downsample_mean2's values."""
+    """Float pixels of the k x k ranges at origins xy and the 2x2 means of their co-centered domains, a row each."""
     x, y = xy.T
     dx, dy = co_domain_origins(x, y, k, band.width, band.height)
     r = sliding_window_view(band.pixels, (k, k))[y - band.lo, x].reshape(-1, k * k).astype(np.float64)
-    d = sliding_window_view(band.sums, (2 * k - 1, 2 * k - 1))[dy - band.lo, dx, ::2, ::2].reshape(-1, k * k)
-    d = d * 0.25  # to float64
-    return r, d
+    return r, domain_means(band.sums, dx, dy - band.lo, k).reshape(-1, k * k)
+
+
+def _centered(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Domains d, one per last-axis row, mean-removed in place, and each row's squared norm."""
+    d -= d.mean(axis=-1, keepdims=True)
+    return d, np.einsum("...k,...k->...", d, d)
 
 
 def _quadrants(xy: np.ndarray, size: int) -> np.ndarray:
@@ -192,11 +199,31 @@ def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _rms(r: np.ndarray, d0: np.ndarray, s, o, out=None) -> np.ndarray:
+def _fit(r: np.ndarray, d: np.ndarray, norms: np.ndarray):
+    """Each range's lowest-error candidate domain under its quantized least-squares contrast.
+
+    r holds (n, kk) range pixels, which it overwrites; d the mean-removed candidates' 2x2 means,
+    (n, c, kk), a pool per range, or (c, kk), one pool for all; norms their squared norms, (n, c)
+    or (c,). Returns each range's candidate index (ties to the first), s code, o byte (round_to_int
+    of the range mean, as a float) and sum of squared residuals, exact as the module docstring says.
+    """
+    o_byte = np.floor(r.mean(axis=1) + 0.5)  # round_to_int
+    # rows of d sum to exactly 0, so the cross term needs no mean-removed copy of r
+    cross = np.einsum("nck,nk->nc", d, r) if d.ndim == 3 else r @ d.T
+    s_code = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))  # a flat candidate: s = 0
+    s = np.take(CONTRAST_VALUES, s_code)
+    r -= o_byte[:, None]  # in place: the callers' ranges are scratch
+    sse = (s * norms - 2.0 * cross) * s  # |r - o - s d|^2 expanded; d's rows sum to 0
+    sse += np.einsum("ij,ij->i", r, r)[:, None]
+    best = sse.argmin(axis=1)
+    at = (np.arange(len(r)), best)
+    return best, s_code[at], o_byte, sse[at]
+
+
+def _rms(r: np.ndarray, d0: np.ndarray, s, o) -> np.ndarray:
     """rms_error of each last-axis row: the same operations in the same order, and a mean
-    over a contiguous last axis, which reduces each row as rms_error reduces one block.
-    The residuals go to `out` if given, which may be d0 itself."""
-    res = np.multiply(s, d0, out=out)
+    over a contiguous last axis, which reduces each row as rms_error reduces one block."""
+    res = s * d0
     res += o
     np.subtract(r, res, out=res)
     res *= res
@@ -213,13 +240,8 @@ def try_phase1(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     (o_byte, s_code), rms).
     """
     r, d = _ranges_and_domains(band, xy, LEVEL_SIZES[level])
-    d -= d.mean(axis=1, keepdims=True)
-    # fit_affine's least-squares s. On integer pixels every sum here is exact in float64, and
-    # the rows of d sum to exactly 0, so the cross term needs no mean-removed copy of r.
-    denom = np.einsum("ij,ij->i", d, d)
-    s_code = quantize_contrast(np.einsum("ij,ij->i", d, r) / np.where(denom > 0.0, denom, 1.0))  # flat d: s = 0
-    o_byte = np.floor(r.mean(axis=1) + 0.5)  # round_to_int
-    rms = _rms(r, d, np.take(CONTRAST_VALUES, s_code)[:, None], o_byte[:, None], out=d)
+    _, s_code, o_byte, sse = _fit(r, *_centered(d[:, None]))  # one candidate per block
+    rms = np.sqrt(sse / r.shape[1])
     accepted = np.full(len(xy), True) if level == 4 else rms <= config.threshold(level)
     return accepted, np.stack([o_byte.astype(np.intp), s_code], axis=1), rms
 
@@ -246,12 +268,11 @@ def try_phase2(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     quad_means = r.mean(axis=2)
     o_byte = np.floor(o_mean + 0.5)
     deltas = np.floor(quad_means[:, :3] - o_mean[:, None] + 0.5)
-    implied = o_byte - deltas.sum(axis=1)  # the implied fourth mean must stay a byte
+    targets = np.stack(phase2_targets(o_byte, deltas.T), axis=1)  # the implied BR mean must stay a byte
     accepted = ((np.abs(quad_means - o_mean[:, None]).max(axis=1) <= config.mean_tol)
-                & (np.abs(deltas).max(axis=1) <= delta_limit(level)) & (implied >= 0) & (implied <= 255))
-    targets = np.concatenate([o_byte[:, None] + deltas, implied[:, None]], axis=1)[:, :, None]
+                & (np.abs(deltas).max(axis=1) <= delta_limit(level)) & (targets[:, 3] >= 0) & (targets[:, 3] <= 255))
     d -= d.mean(axis=2, keepdims=True)
-    rms_lo, rms_hi = (_rms(r, d, s, targets) for s in CONTRAST_SETS[level])
+    rms_lo, rms_hi = (_rms(r, d, s, targets[:, :, None]) for s in CONTRAST_SETS[level])
     bits = rms_hi < rms_lo
     rms = np.where(bits, rms_hi, rms_lo)
     accepted &= (rms <= config.threshold(level)).all(axis=1)
@@ -278,9 +299,7 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
         raise ValueError("padded dimensions exceed the 16-bit header fields")
     padded = pad_to_multiple(image, ROOT_SIZE)
     w, h = padded.width, padded.height
-    min_dim = min(w, h)
-    rows: list[np.ndarray] = []
-    keys: list[np.ndarray] = []
+    rows, keys = [], []  # per kernel call: LeafTable rows and their Morton starts
     band_rows = max(1, 8 * WORK_PIXELS // (ROOT_SIZE * w)) * ROOT_SIZE
     for y0 in range(0, h, band_rows):
         band = _band(padded, y0, min(y0 + band_rows, h))
@@ -292,10 +311,10 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
             # phase 1 accepts every level-4 block, so phase 2 never runs at level 4
             for phase in (try_phase1, try_phase2) if config.mode == "mns" else (try_phase1,):
                 live = np.ones(len(xy), dtype=bool)
-                for i in range(0, len(xy) if 2 * size <= min_dim else 0, step):  # a 16-wide raster: no level 1
+                for i in range(0, len(xy) if 2 * size <= min(w, h) else 0, step):  # a 16-wide raster: no level 1
                     accepted, payload, _ = phase(band, xy[i : i + step], level, config)
                     rows.append(_rows(xy[i : i + step][accepted], level, payload[accepted]))
-                    keys.append(path[i : i + step][accepted] * 4 ** (len(LEVEL_SIZES) - level))  # Morton start
+                    keys.append(path[i : i + step][accepted] * 4 ** (len(LEVEL_SIZES) - level))
                     live[i : i + step] = ~accepted
                 xy, path = xy[live], path[live]
             xy, path = _quadrants(xy, size), (path[:, None] * 4 + np.arange(4)).ravel()
@@ -304,39 +323,26 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     return QuadtreeCode(LeafTable(table[order]), w, h, image.width, image.height, config.mode, config.technique2)
 
 
-def _domain_pool(sums2: np.ndarray, xs: np.ndarray, ys: np.ndarray, range_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-removed 2x downsamples of the double-size domains at origins (xs, ys),
-    one flattened row per origin, and each row's squared norm."""
-    steps = np.arange(0, 2 * range_size, 2)
-    pool = sums2[ys[:, None, None] + steps[:, None], xs[:, None, None] + steps].reshape(len(xs), -1)
-    pool -= pool.mean(axis=1, keepdims=True)
-    pool *= 0.25  # box sums to 2x2 means, in place; scaling by 1/4 is exact, so the order is free
-    return pool, np.einsum("ij,ij->i", pool, pool)
-
-
-def _pick_domain(pool: np.ndarray, norms: np.ndarray, r: np.ndarray) -> tuple[int, int, int]:
-    """Lowest-error (pool row, contrast code, o byte) for the flattened range pixels r,
-    each row scored with its quantized least-squares contrast; ties go to the first row."""
-    o_byte = round_to_int(float(r.mean()))
-    cross = pool @ (r - r.mean())
-    # a zero-norm row is all zeros, so its cross term and fitted s are 0 too
-    codes = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))
-    s_q = np.take(CONTRAST_VALUES, codes)
-    rr = r - float(o_byte)
-    # expanded sum of squared residuals; cross ignores the shift by o_byte as pool rows are mean-removed
-    sse = float(rr @ rr) - 2.0 * s_q * cross + s_q * s_q * norms
-    best = int(np.argmin(sse))
-    return best, int(codes[best]), o_byte
-
-
-def _search_table(picks: list[tuple], w: int, h: int, k: int) -> LeafTable:
-    """LeafTable of the k x k ranges of a w x h raster in raster order, from one
-    (domain x, domain y, s_code, o_byte) pick per range."""
-    dx, dy, s_code, o_byte = np.array(picks, dtype=np.int64).reshape(-1, 4).T
-    ry, rx = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)
-    rows = np.zeros((len(rx), LeafTable.WIDTH), dtype=np.int64)
-    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = SIZE_LEVELS[k], SEARCH, rx, ry, k
-    rows[:, 5], rows[:, 6], rows[:, 14], rows[:, 15], rows[:, 16] = o_byte, s_code, dx, dy, 2 * k
+def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTable:
+    """LeafTable of the k x k ranges of `image`, whose sides are multiples of k, in raster order:
+    each takes its lowest-error 2k x 2k candidate domain, ties to the first. xs and ys hold the
+    candidates' origins: (c,) for one pool shared by every range, or (n, c), a pool per range.
+    A call takes as many ranges as keep its per-range pools within WORK_PIXELS candidate pixels,
+    or a shared pool's (ranges, c) score matrix within WORK_PIXELS // 8 entries."""
+    h, w = image.pixels.shape
+    sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
+    ranges = sliding_window_view(image.pixels, (k, k))[::k, ::k].reshape(-1, k * k)  # in raster order
+    pool = _centered(domain_means(sums, xs, ys, k).reshape(c, -1)) if shared else None
+    step = max(1, WORK_PIXELS // 8 // c if shared else WORK_PIXELS // (c * k * k))
+    xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
+    rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 4], rows[:, 16] = SIZE_LEVELS[k], SEARCH, k, 2 * k
+    rows[:, 3], rows[:, 2] = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)
+    for i in range(0, len(ranges), step):
+        part = slice(i, i + step)
+        d, norms = pool if shared else _centered(domain_means(sums, xs[part], ys[part], k).reshape(-1, c, k * k))
+        best, rows[part, 6], rows[part, 5], _ = _fit(ranges[part].astype(np.float64), d, norms)
+        rows[part, 14:16] = np.stack([xs[part], ys[part]], axis=2)[np.arange(len(best)), best]
     return LeafTable(rows)
 
 
@@ -358,21 +364,11 @@ def encode_full_search(
     if image.width < dsize or image.height < dsize:
         raise ValueError(f"image too small for any {dsize}x{dsize} domain")
     padded = pad_to_multiple(image, range_size)
-    w, h = padded.width, padded.height
-    step = config.full_search_step
+    w, h, step = padded.width, padded.height, config.full_search_step
     ys, xs = np.mgrid[0 : h - dsize + 1 : step, 0 : w - dsize + 1 : step].reshape(2, -1)
-    pool, norms = _domain_pool(box_sums(padded), xs, ys, range_size)
-
-    picks = []
-    for ry in range(0, h, range_size):
-        for rx in range(0, w, range_size):
-            r = block_pixels(padded, BlockRect(rx, ry, range_size)).ravel()
-            best, s_code, o_byte = _pick_domain(pool, norms, r)
-            picks.append((xs[best], ys[best], s_code, o_byte))
-    table = _search_table(picks, w, h, range_size)
+    table = _search(padded, range_size, xs, ys)
     offsets = table.domain[:, :2] - table.rows[:, 2:4] + range_size - range_size // 2  # domain center - range center
-    code = QuadtreeCode(table, w, h, image.width, image.height, "full_search", False)
-    return code, list(zip(*offsets.T.tolist()))
+    return QuadtreeCode(table, w, h, image.width, image.height, "full_search", False), list(zip(*offsets.T.tolist()))
 
 
 def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
@@ -386,15 +382,8 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
         raise ValueError("local search needs at least a 16x16 image")
     padded = pad_to_multiple(image, 8)
     w, h = padded.width, padded.height
-    sums2 = box_sums(padded)
+    ry, rx = np.mgrid[0:h:8, 0:w:8].reshape(2, -1)
+    bx, by = co_domain_origins(rx, ry, 8, w, h)
     dys, dxs = np.indices((9, 9)).reshape(2, 81) - 4  # shifts in (dy, dx) scan order
-    picks = []
-    for ry in range(0, h, 8):
-        for rx in range(0, w, 8):
-            rect = BlockRect(rx, ry, 8)
-            base = co_domain_rect(rect, w, h)
-            xs, ys = np.clip(base.x + dxs, 0, w - 16), np.clip(base.y + dys, 0, h - 16)
-            pool, norms = _domain_pool(sums2, xs, ys, 8)
-            best, s_code, o_byte = _pick_domain(pool, norms, block_pixels(padded, rect).ravel())
-            picks.append((xs[best], ys[best], s_code, o_byte))
-    return QuadtreeCode(_search_table(picks, w, h, 8), w, h, image.width, image.height, "local_search", False)
+    xs, ys = np.clip(bx[:, None] + dxs, 0, w - 16), np.clip(by[:, None] + dys, 0, h - 16)
+    return QuadtreeCode(_search(padded, 8, xs, ys), w, h, image.width, image.height, "local_search", False)

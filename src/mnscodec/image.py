@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = 0x23  # '#'
@@ -183,6 +184,13 @@ def box_sums(image, dtype=np.float64) -> np.ndarray:
     sums += arr[1:, :-1]
     sums += arr[1:, 1:]
     return sums
+
+
+def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
+    """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k)
+    array: the stride-2 samples of each (2k-1)-window of the box_sums raster `sums`, quartered exactly."""
+    d = sliding_window_view(sums, (2 * k - 1, 2 * k - 1))[y, x, ::2, ::2]  # a fresh copy
+    return np.multiply(d, 0.25, out=d if d.dtype == np.float64 else None)
 
 
 def co_domain_rect(range_rect: BlockRect, img_w: int, img_h: int) -> BlockRect:

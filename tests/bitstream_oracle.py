@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 
-from mnscodec.bitstream import FLAG_MNS, FLAG_TECHNIQUE2, HEADER_BYTES, MAGIC, NO_LEVEL1, StreamFormatError
+from mnscodec.bitstream import FLAG_MNS, FLAG_TECHNIQUE2, HEADER_BYTES, MAGIC, NO_IMPLIED_MEAN, NO_LEVEL1, StreamFormatError
 from mnscodec.encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, ROOT_SIZE, QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect
 
@@ -85,6 +85,8 @@ def _validate_leaf(leaf: LeafRecord, mode: str) -> None:
         raise ValueError(f"delta exceeds level-{leaf.level} width: {payload.deltas}")
     if len(payload.s_bits) != 4 or any(b not in (0, 1) for b in payload.s_bits):
         raise ValueError(f"bad contrast selection bits {payload.s_bits}")
+    if not 0 <= payload.o_byte - sum(payload.deltas) <= 255:
+        raise ValueError(NO_IMPLIED_MEAN)
 
 
 def serialize(code: QuadtreeCode) -> BitWriter:
@@ -206,6 +208,8 @@ def read_stream(data: bytes) -> QuadtreeCode:
                     raise StreamFormatError("non-canonical negative-zero delta")
                 deltas.append(-mag if sign else mag)
             s_bits = (reader.read(1), reader.read(1), reader.read(1), reader.read(1))
+            if not 0 <= o_byte - sum(deltas) <= 255:
+                raise StreamFormatError(NO_IMPLIED_MEAN)
             payload = Phase2Payload(o_byte, (deltas[0], deltas[1], deltas[2]), s_bits)
         else:
             payload = Phase1Payload(o_byte, reader.read(3))

@@ -345,3 +345,45 @@ class TestLevel1Fit:
         code = read_stream(blob)
         assert code.level_counts() == (6, 0, 0, 0) and write_stream(code) == blob
         assert decode(code).pixels.shape == (48, 32)
+
+
+def phase2_first_stream(o_byte, deltas):
+    """level1_code's stream in mns mode without technique 2, its first leaf phase 2 with o_byte, deltas
+    and contrast picks (0, 1, 0, 1), written field by field, whatever its implied fourth mean."""
+    writer = BitWriter()
+    for value, nbits in [(b, 8) for b in MAGIC] + [(FLAG_MNS, 8)] + [(32, 16)] * 4:
+        writer.write(value, nbits)
+    writer.write(1, 3)  # level id 0, then phase bit 1
+    writer.write(o_byte, 8)
+    for delta in deltas:
+        writer.write(int(delta < 0), 1)
+        writer.write(abs(delta), 4)
+    writer.write(0b0101, 4)
+    for _ in range(3):
+        writer.write(0, 3)  # level id 0, then phase bit 0
+        writer.write(130, 8)
+        writer.write(5, 3)
+    return writer.getvalue()
+
+
+class TestImpliedMean:
+    """A phase-2 leaf codes its fourth quadrant mean as o_byte minus the deltas, which must be a byte."""
+
+    @pytest.mark.parametrize("o_byte, deltas", ((0, (15, 15, 15)), (44, (15, 15, 15)), (255, (-15, -15, -15))))
+    def test_writers_and_readers_reject_a_mean_off_the_byte_range(self, o_byte, deltas):
+        code = level1_code(technique2=False, first=Phase2Payload(o_byte, deltas, (0, 1, 0, 1)))
+        for write in (write_stream, oracle.write_stream):
+            with pytest.raises(ValueError, match="implied fourth quadrant mean"):
+                write(code)
+        blob = phase2_first_stream(o_byte, deltas)
+        for read in (read_stream, oracle.read_stream):
+            with pytest.raises(StreamFormatError, match="implied fourth quadrant mean"):
+                read(blob)
+
+    @pytest.mark.parametrize("o_byte, deltas", ((45, (15, 15, 15)), (210, (-15, -15, -15))))
+    def test_means_of_exactly_0_and_255_round_trip(self, o_byte, deltas):
+        code = level1_code(technique2=False, first=Phase2Payload(o_byte, deltas, (0, 1, 0, 1)))
+        blob = write_stream(code)
+        assert blob == oracle.write_stream(code) == phase2_first_stream(o_byte, deltas)
+        assert read_stream(blob) == oracle.read_stream(blob) == code
+        assert decode(code).pixels.shape == (32, 32)

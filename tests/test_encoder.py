@@ -19,7 +19,17 @@ from mnscodec.image import BlockRect, GrayImage, block_pixels, co_domain_rect, d
 from mnscodec.transform import dequantize_contrast, rms_error
 
 from records import Phase1Payload, records
-from util import natural_image, noise_image
+from util import natural_image, noise_image, scene_image
+
+
+def traced_peak(f, *args):
+    """Peak of tracemalloc-traced memory during f(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def quantized_grid_best_rms(image, rect):
@@ -219,14 +229,7 @@ class TestQuadtree:
         # a float64 copy of this raster alone is 8 MB; a band holds at most 8 * WORK_PIXELS
         # pixels (here 32 root rows) and a call WORK_PIXELS range pixels, so the peak is one
         # band's uint16 box sums, one call's float64 ranges and domains, and the returned leaves
-        img = natural_image(1024, 1024, seed=7)
-        tracemalloc.start()
-        try:
-            encode_quadtree(img, EncoderConfig())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        assert traced_peak(encode_quadtree, natural_image(1024, 1024, seed=7), EncoderConfig()) < 4_000_000
 
     def test_rejects_baseline_modes(self, constant_64):
         with pytest.raises(ValueError, match="no_search/mns"):
@@ -261,6 +264,19 @@ class TestFullSearch:
         with pytest.raises(ValueError, match="too small"):
             encode_full_search(img, 8, EncoderConfig(mode="full_search"))
 
+    @pytest.mark.parametrize("step", (1, 3))
+    @pytest.mark.parametrize("range_size", (4, 8))
+    def test_call_size_does_not_change_the_code(self, range_size, step, monkeypatch):
+        img, config = natural_image(64, 64), EncoderConfig(mode="full_search", full_search_step=step)
+        code, samples = encode_full_search(img, range_size, config)
+        monkeypatch.setattr(enc, "WORK_PIXELS", 1)  # one range per call
+        assert encode_full_search(img, range_size, config) == (code, samples)
+
+    def test_traced_peak_stays_small(self):
+        # the 2,401-domain pool of 8x8 means is 1.2 MB of float64; each call's score matrices stay small
+        peak = traced_peak(encode_full_search, natural_image(64, 64), 8, EncoderConfig(mode="full_search"))
+        assert peak < 2_000_000
+
     def test_offsets_are_center_differences(self, constant_64):
         _, samples = encode_full_search(constant_64, 8, EncoderConfig(mode="full_search"))
         # winning domain is always (0, 0, 16); range centers walk the grid
@@ -271,16 +287,27 @@ class TestFullSearch:
 class TestLocalSearch:
     def test_exactly_81_candidates_per_range(self, monkeypatch):
         img = noise_image(32, 32, seed=6)
-        rows = []
-        real = enc._pick_domain
+        calls = []
+        real = enc._fit
 
-        def counting(pool, norms, r):
-            rows.append(len(pool))
-            return real(pool, norms, r)
+        def counting(r, d, norms):
+            calls.append((len(r), d.shape[:2], norms.shape))
+            return real(r, d, norms)
 
-        monkeypatch.setattr(enc, "_pick_domain", counting)
+        monkeypatch.setattr(enc, "_fit", counting)
         encode_local_search(img, EncoderConfig(mode="local_search"))
-        assert rows == [81] * 16
+        assert calls and all(d_shape == norms_shape == (n, 81) for n, d_shape, norms_shape in calls)
+        assert sum(n for n, _, _ in calls) == 16  # every range of the 32x32 image, each scored once
+
+    def test_call_size_does_not_change_the_code(self, monkeypatch):
+        img, config = scene_image(128, 128), EncoderConfig(mode="local_search")
+        code = encode_local_search(img, config)
+        monkeypatch.setattr(enc, "WORK_PIXELS", 1)  # one range per call
+        assert encode_local_search(img, config) == code
+
+    def test_traced_peak_stays_small(self):
+        # a call gathers at most WORK_PIXELS candidate pixels: 12 ranges' 81 candidates, 0.5 MB of float64
+        assert traced_peak(encode_local_search, scene_image(128, 128), EncoderConfig(mode="local_search")) < 2_000_000
 
     def test_never_beats_full_search(self):
         img = noise_image(32, 32, seed=8)

@@ -13,6 +13,7 @@ from mnscodec.image import (
     box_sums,
     co_domain_origins,
     co_domain_rect,
+    domain_means,
     downsample_mean2,
     load_pgm,
     pad_to_multiple,
@@ -60,6 +61,36 @@ class TestPgm:
         rng = np.random.default_rng(seed)
         img = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
         assert load_pgm(save_pgm(img)) == img
+
+    # A header as load_pgm reads it: separators are whitespace or '#' comments up to a line end,
+    # and each field a maximal run of digits (possessive, so a field is never split in two).
+    SEPARATORS = rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*)*+"
+    HEADER = re.compile(rb"P5" + (SEPARATORS + rb"(\d++)") * 3 + rb"[ \t\n\r\x0b\x0c]")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_mutated_pgm_raises_only_format_errors(self, w, h, data):
+        # byte flips, truncations and insertions of header bytes: load_pgm either raises
+        # PgmFormatError, never another exception, or returns the payload bytes that follow
+        # the header, as an image of the size that header gives
+        blob = bytearray(save_pgm(GrayImage(np.frombuffer(data.draw(st.binary(min_size=w * h, max_size=w * h)),
+                                                          dtype=np.uint8).reshape(h, w))))
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind, pos = data.draw(st.sampled_from(("flip", "cut", "insert"))), data.draw(st.integers(0, len(blob)))
+            if kind == "flip" and pos < len(blob):
+                blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+            elif kind == "cut":
+                del blob[pos:]
+            elif kind == "insert":
+                blob.insert(pos, data.draw(st.sampled_from(b" #\n9P50")))
+        try:
+            img = load_pgm(bytes(blob))
+        except PgmFormatError:
+            return
+        header = self.HEADER.match(blob)
+        width, height, maxval = (int(field) for field in header.groups())
+        assert maxval == 255 and (img.width, img.height) == (width, height)
+        assert img.pixels.tobytes() == blob[header.end() : header.end() + width * height]
 
 
 class TestPad:
@@ -150,6 +181,17 @@ class TestBlockOps:
         sums = box_sums(GrayImage(pixels), np.uint16)
         assert sums.dtype == np.uint16 and sums[0, 0] == 1020
         assert np.array_equal(sums, box_sums(GrayImage(pixels)))
+
+    @pytest.mark.parametrize("dtype", (np.uint16, np.float64))
+    def test_domain_means_equal_downsample(self, dtype):
+        # the encoder gathers from uint16 sums of its pixels, the decoder from float64 sums of its raster
+        raster = np.random.default_rng(5).integers(0, 256, (24, 20), dtype=np.uint8)
+        sums = box_sums(raster, dtype)
+        x, y = np.array([[0, 3, 12], [4, 4, 0]]), np.array([[0, 8, 1], [16, 15, 0]])  # any index shape
+        means = domain_means(sums, x, y, 4)
+        assert means.shape == (2, 3, 4, 4) and means.dtype == np.float64
+        for i, j in np.ndindex(x.shape):
+            assert np.array_equal(means[i, j], downsample_mean2(raster, BlockRect(x[i, j], y[i, j], 8)))
 
 
 class TestCoDomain:

@@ -9,6 +9,7 @@ repeated 2x2 groups, a few gray levels, diagonal stripes.
 import numpy as np
 import pytest
 
+import mnscodec.encoder as encoder
 from mnscodec.encoder import SIZE_LEVELS, EncoderConfig, encode_full_search, encode_local_search, round_to_int
 from mnscodec.image import BlockRect, GrayImage, block_pixels, co_domain_rect, downsample_mean2, pad_to_multiple
 from mnscodec.transform import dequantize_contrast, fit_affine, quantize_contrast, rms_error
@@ -51,7 +52,7 @@ def oracle_leaf(padded, rect, domains):
 
 
 @pytest.mark.parametrize("name", IMAGES)
-def test_local_search_matches_oracle(name):
+def test_local_search_matches_oracle(name, monkeypatch):
     code = encode_local_search(IMAGES[name], EncoderConfig(mode="local_search"))
     padded = pad_to_multiple(IMAGES[name], 8)
     w, h = padded.width, padded.height
@@ -67,13 +68,16 @@ def test_local_search_matches_oracle(name):
             ]
             expected.append(oracle_leaf(padded, rect, domains))
     assert code.leaves == table_of(expected)
+    monkeypatch.setattr(encoder, "WORK_PIXELS", 1)  # one range per call
+    assert encode_local_search(IMAGES[name], EncoderConfig(mode="local_search")).leaves == table_of(expected)
 
 
 @pytest.mark.parametrize("step", (1, 3))
 @pytest.mark.parametrize("range_size", (4, 8))
 @pytest.mark.parametrize("name", IMAGES)
-def test_full_search_matches_oracle(name, range_size, step):
-    code, samples = encode_full_search(IMAGES[name], range_size, EncoderConfig(mode="full_search", full_search_step=step))
+def test_full_search_matches_oracle(name, range_size, step, monkeypatch):
+    config = EncoderConfig(mode="full_search", full_search_step=step)
+    code, samples = encode_full_search(IMAGES[name], range_size, config)
     padded = pad_to_multiple(IMAGES[name], range_size)
     w, h = padded.width, padded.height
     dsize = 2 * range_size
@@ -84,6 +88,9 @@ def test_full_search_matches_oracle(name, range_size, step):
         for rx in range(0, w, range_size)
     ]
     assert code.leaves == table_of(expected)
+    with monkeypatch.context() as m:
+        m.setattr(encoder, "WORK_PIXELS", 1)  # one range per call
+        assert encode_full_search(IMAGES[name], range_size, config)[0].leaves == table_of(expected)
     half = range_size // 2
     assert samples == [
         (leaf.payload.domain.x + range_size - (leaf.rect.x + half), leaf.payload.domain.y + range_size - (leaf.rect.y + half))

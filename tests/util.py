@@ -82,7 +82,9 @@ def random_code(
 
     A root of a raster with a 16-pixel side always splits, since no level-1
     domain fits there; its split draw is still made, so codes that never meet
-    that case keep their random sequence.
+    that case keep their random sequence. Likewise a phase-2 leaf whose
+    implied fourth mean, o_byte minus the deltas, is not a byte has its o_byte
+    moved to the nearest value that makes it one, after all its draws.
     """
     roots_x = int(rng.integers(1, max_roots + 1))
     roots_y = int(rng.integers(1, max_roots + 1))
@@ -98,11 +100,11 @@ def random_code(
             return
         if mode == "mns" and level <= 3 and rng.random() < phase2_p:
             lim = delta_limit(level)
-            payload = Phase2Payload(
-                int(rng.integers(0, 256)),
-                tuple(int(rng.integers(-lim, lim + 1)) for _ in range(3)),
-                tuple(int(rng.integers(0, 2)) for _ in range(4)),
-            )
+            o_byte = int(rng.integers(0, 256))
+            deltas = tuple(int(rng.integers(-lim, lim + 1)) for _ in range(3))
+            # the fix-up draws nothing: o moves just enough for the implied fourth mean to be a byte
+            o_byte = min(max(o_byte, sum(deltas)), 255 + sum(deltas))
+            payload = Phase2Payload(o_byte, deltas, tuple(int(rng.integers(0, 2)) for _ in range(4)))
         else:
             payload = Phase1Payload(int(rng.integers(0, 256)), int(rng.integers(0, 8)))
         leaves.append(LeafRecord(rect, level, payload))
