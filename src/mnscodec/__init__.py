@@ -9,6 +9,15 @@ A code is a QuadtreeCode: header fields plus a LeafTable, the leaves as
 int64 columns, a row per leaf. There are no per-leaf record classes any
 more. try_phase1/try_phase2 take a RowBand and an (n, 2) array of block
 origins.
+
+API break: the scalar helpers that only test oracles used are gone. mnscodec
+no longer exports block_mean or co_domain_rect, and image.block_pixels,
+BlockRect.quadrants and encoder.round_to_int are removed. DecodeConfig has
+no initial_value field: decode always starts from a flat raster of
+decoder.START_VALUE (128). decode_step takes only the plan decode builds
+(decoder._plan(code)), not a bare code. EncoderConfig.mode accepts only
+no_search and mns. quantize_contrast and dequantize_contrast return numpy
+scalars for scalar input.
 """
 
 from .bench import OffsetHistogram, RdPoint, histogram_csv, offset_histogram, rd_csv, rd_sweep
@@ -38,8 +47,6 @@ from .image import (
     BlockRect,
     GrayImage,
     PgmFormatError,
-    block_mean,
-    co_domain_rect,
     downsample_mean2,
     load_pgm,
     pad_to_multiple,

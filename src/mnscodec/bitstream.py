@@ -17,6 +17,7 @@ quartet siblings are the level-4 leaves whose start is not a multiple of 4.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ FLAG_MNS = 0x01
 FLAG_TECHNIQUE2 = 0x02
 ROOT_CELLS = 64  # 2x2-pixel cells per 16x16 root
 FIELDS = 8  # per leaf: level id, phase bit, o byte, s code, three sign-and-magnitude deltas, the four s bits
-MAGNITUDE_BITS = np.array([0, DELTA_MAGNITUDE_BITS[1], DELTA_MAGNITUDE_BITS[2], DELTA_MAGNITUDE_BITS[3], 0])
+MAGNITUDE_BITS = np.array([DELTA_MAGNITUDE_BITS.get(level, 0) for level in range(5)])  # by level; 0 where none
 NO_LEVEL1 = "level-1 leaf in a raster with a 16-pixel side, where no 32x32 domain fits"
 NO_IMPLIED_MEAN = "phase-2 leaf whose implied fourth quadrant mean, o_byte minus the deltas, is not a byte"
 
@@ -40,20 +41,26 @@ class StreamFormatError(ValueError):
     """Byte stream that does not parse as a valid .mns container."""
 
 
+def _field_widths(level, phase2, mns: bool, id_elided=False) -> np.ndarray:
+    """The (..., FIELDS) bit widths, in stream order, of leaves at `level` with the given phase,
+    any of them arrays of one shape; a field a leaf lacks is 0 wide."""
+    level, phase2 = np.asarray(level), np.asarray(phase2)
+    widths = np.zeros((*level.shape, FIELDS), dtype=np.uint8)
+    widths[..., 0], widths[..., 1], widths[..., 2] = np.where(id_elided, 0, 2), mns & (level <= 3), 8
+    widths[..., 3], widths[..., 7] = np.where(phase2, 0, 3), 4 * phase2
+    widths[..., 4:7] = (phase2 * (1 + MAGNITUDE_BITS[level]))[..., None]
+    return widths
+
+
 def payload_bit_width(level: int, phase2: bool) -> int:
     """Payload bits only: 8+3 for phase 1, mean + three signed deltas + four
     selection bits for phase 2."""
-    if phase2:
-        return 8 + 3 * (1 + DELTA_MAGNITUDE_BITS[level]) + 4
-    return 11
+    return int(_field_widths(level, phase2, False)[2:].sum())
 
 
 def leaf_bit_width(level: int, phase2: bool, mode: str, id_elided: bool = False) -> int:
     """Total serialized width of one leaf under the fixed width table."""
-    bits = 0 if id_elided else 2
-    if mode == "mns" and level <= 3:
-        bits += 1
-    return bits + payload_bit_width(level, phase2)
+    return int(_field_widths(level, phase2, mode == "mns", id_elided).sum())
 
 
 def _layout(level: np.ndarray, phase2: np.ndarray, roots_x: int, mns: bool, technique2: bool):
@@ -66,11 +73,8 @@ def _layout(level: np.ndarray, phase2: np.ndarray, roots_x: int, mns: bool, tech
     for shift in (4, 2, 0):  # the TL/TR/BL/BR digits of levels 2, 3 and 4, whose sides are 8, 4 and 2
         digit, side = (m >> shift) & 3, 2 << shift // 2
         x, y = x + (digit & 1) * side, y + (digit >> 1) * side
-    widths = np.zeros((len(level), FIELDS), dtype=np.uint8)  # a field a leaf lacks is 0 wide
-    widths[:, 0] = np.where(technique2 & (level == 4) & (start % 4 != 0), 0, 2)  # quartet siblings share an id
-    widths[:, 1], widths[:, 2], widths[:, 3] = mns & (level <= 3), 8, np.where(phase2, 0, 3)
-    widths[:, 4:7], widths[:, 7] = (phase2 * (1 + MAGNITUDE_BITS[level]))[:, None], 4 * phase2
-    return start, cells, x, y, widths
+    elided = technique2 & (level == 4) & (start % 4 != 0)  # quartet siblings share an id
+    return start, cells, x, y, _field_widths(level, phase2, mns, elided)
 
 
 def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
@@ -145,20 +149,24 @@ def write_stream(code: QuadtreeCode) -> bytes:
     return _serialize(code).data
 
 
+@functools.cache  # four entries; each read would otherwise pay ~40 µs of small numpy calls
+def _kind_steps(mns: bool, technique2: bool) -> tuple[tuple, tuple, tuple]:
+    """Per leaf kind, 2 * level id + phase bit: the kinds its level id adds, their bits and their cells."""
+    kind = np.arange(8)
+    level, siblings = kind // 2 + 1, 3 * (technique2 & (kind >= 6))  # siblings: the id-less rest of a level-4 quartet
+    bits = _field_widths(level, (kind % 2 == 1) & (level < 4), mns).sum(axis=1, dtype=np.int64)
+    bits += siblings * payload_bit_width(4, False)
+    spans = (1 + siblings) * ROOT_CELLS >> 2 * (level - 1)
+    return tuple((k,) * (1 + n) for k, n in enumerate(siblings.tolist())), tuple(bits.tolist()), tuple(spans.tolist())
+
+
 def _scan(data: bytes, mns: bool, technique2: bool, total: int) -> tuple[list[int], int]:
     """The reader's one sequential pass: each leaf's kind, 2 * level id + phase bit, read from
     those bits alone, which fix the leaf's width, until the leaves cover `total` cells; also
     the bit position after the last leaf. A level id must start its leaf at a multiple of the
     leaf's area; under technique 2 a level-4 id brings three id-less siblings."""
-    mode = "mns" if mns else "no_search"
     keep = [7 if mns else 6] * 3 + [6]  # of the three bits that start a leaf: its level id, and its phase bit if any
-    runs, steps, spans = [], [], []  # per kind: the kinds its level id adds, their bits and their cells
-    for kind in range(8):
-        level = kind // 2 + 1
-        siblings = 3 if technique2 and level == 4 else 0  # the id-less rest of a level-4 quartet
-        runs.append((kind,) * (1 + siblings))
-        steps.append(leaf_bit_width(level, kind % 2 == 1 and level < 4, mode) + siblings * payload_bit_width(4, False))
-        spans.append((1 + siblings) * ROOT_CELLS >> 2 * (level - 1))
+    runs, steps, spans = _kind_steps(mns, technique2)
     pos, end, start, kinds = HEADER_BITS, 8 * len(data), 0, []
     while start < total:
         if pos + 11 > end:  # no leaf is narrower

@@ -97,7 +97,7 @@ def _cmd_bench_rd(args) -> int:
 
 def _cmd_analyze_offsets(args) -> int:
     image = _read_pgm_file(args.in_path)
-    config = EncoderConfig(mode="full_search", full_search_step=args.stride)
+    config = EncoderConfig(full_search_step=args.stride)
     _, samples = encode_full_search(image, args.range_size, config)
     _write_atomic(args.csv, histogram_csv(offset_histogram(samples)).encode())
     print(f"wrote offset histogram of {len(samples)} ranges to {args.csv}")

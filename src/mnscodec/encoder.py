@@ -24,7 +24,7 @@ from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import CONTRAST_VALUES, quantize_contrast
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
 
-MODES = ("no_search", "mns", "local_search", "full_search")
+MODES = ("no_search", "mns")  # the quadtree modes; the search baselines take only full_search_step
 
 ROOT_SIZE = 16
 MAX_SIDE = 0xFFFF  # largest padded side: the .mns header stores each dimension as a u16
@@ -48,11 +48,6 @@ def delta_limit(level: int) -> int:
 def phase2_targets(o_byte: int, deltas: tuple[int, int, int]) -> tuple[int, int, int, int]:
     """Reconstructed TL, TR, BL, BR quadrant means; the BR mean is implied by the block mean."""
     return (o_byte + deltas[0], o_byte + deltas[1], o_byte + deltas[2], o_byte - sum(deltas))
-
-
-def round_to_int(value: float) -> int:
-    """Deterministic rounding; halves go toward +infinity."""
-    return int(math.floor(value + 0.5))
 
 
 @dataclass(frozen=True)
@@ -184,9 +179,9 @@ def _centered(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, np.einsum("...k,...k->...", d, d)
 
 
-def _quadrants(xy: np.ndarray, size: int) -> np.ndarray:
-    """Origins of each block's four quadrants, TL, TR, BL, BR per block, as BlockRect.quadrants."""
-    return (xy[:, None, :] + QUADRANT_STEPS * (size // 2)).reshape(-1, 2)
+def _quadrants(xy: np.ndarray, size) -> np.ndarray:
+    """Origins of the four quadrants, TL, TR, BL, BR, of each block at origins xy; size is one side or one per block."""
+    return (xy[:, None, :] + QUADRANT_STEPS * np.reshape(size // 2, (-1, 1, 1))).reshape(-1, 2)
 
 
 def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
@@ -204,10 +199,10 @@ def _fit(r: np.ndarray, d: np.ndarray, norms: np.ndarray):
 
     r holds (n, kk) range pixels, which it overwrites; d the mean-removed candidates' 2x2 means,
     (n, c, kk), a pool per range, or (c, kk), one pool for all; norms their squared norms, (n, c)
-    or (c,). Returns each range's candidate index (ties to the first), s code, o byte (round_to_int
-    of the range mean, as a float) and sum of squared residuals, exact as the module docstring says.
+    or (c,). Returns each range's candidate index (ties to the first), s code, o byte (the range mean
+    rounded half up, as a float) and sum of squared residuals, exact as the module docstring says.
     """
-    o_byte = np.floor(r.mean(axis=1) + 0.5)  # round_to_int
+    o_byte = np.floor(r.mean(axis=1) + 0.5)  # halves round up
     # rows of d sum to exactly 0, so the cross term needs no mean-removed copy of r
     cross = np.einsum("nck,nk->nc", d, r) if d.ndim == 3 else r @ d.T
     s_code = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))  # a flat candidate: s = 0
@@ -293,8 +288,6 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     blocks become LeafTable rows keyed by their Morton start (root index, then
     a quadrant digit per level); one sort puts them in DFS order.
     """
-    if config.mode not in ("no_search", "mns"):
-        raise ValueError(f"encode_quadtree handles no_search/mns, not {config.mode!r}")
     if -(-max(image.width, image.height) // ROOT_SIZE) * ROOT_SIZE > MAX_SIDE:
         raise ValueError("padded dimensions exceed the 16-bit header fields")
     padded = pad_to_multiple(image, ROOT_SIZE)

@@ -23,16 +23,6 @@ class BlockRect:
     y: int
     size: int
 
-    def quadrants(self) -> tuple["BlockRect", "BlockRect", "BlockRect", "BlockRect"]:
-        """Four half-size sub-blocks in TL, TR, BL, BR order."""
-        h = self.size // 2
-        return (
-            BlockRect(self.x, self.y, h),
-            BlockRect(self.x + h, self.y, h),
-            BlockRect(self.x, self.y + h, h),
-            BlockRect(self.x + h, self.y + h, h),
-        )
-
 
 class GrayImage:
     """8-bit single-channel raster, immutable after construction."""
@@ -144,20 +134,6 @@ def _check_rect(arr: np.ndarray, rect: BlockRect) -> None:
         raise ValueError(f"{rect} out of bounds for {w}x{h} raster")
 
 
-def block_pixels(image, rect: BlockRect) -> np.ndarray:
-    """The rect's pixels as a float64 block."""
-    arr = _raster(image)
-    _check_rect(arr, rect)
-    return arr[rect.y : rect.y + rect.size, rect.x : rect.x + rect.size].astype(np.float64)
-
-
-def block_mean(image, rect: BlockRect) -> float:
-    """Arithmetic mean of the rect's pixels, kept in real arithmetic."""
-    arr = _raster(image)
-    _check_rect(arr, rect)
-    return float(arr[rect.y : rect.y + rect.size, rect.x : rect.x + rect.size].mean())
-
-
 def downsample_mean2(image, rect: BlockRect) -> np.ndarray:
     """Mean-filter the rect by 2x2 groups, halving its side length.
 
@@ -193,27 +169,12 @@ def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
     return np.multiply(d, 0.25, out=d if d.dtype == np.float64 else None)
 
 
-def co_domain_rect(range_rect: BlockRect, img_w: int, img_h: int) -> BlockRect:
-    """Double-size block sharing the range's center, shifted to stay in bounds.
-
-    Clamping translates per axis by the minimum amount; the 2x size is never
-    changed.
-    """
-    if range_rect.size % 2:
-        raise ValueError("range size must be even")
-    d = range_rect.size * 2
-    if d > img_w or d > img_h:
-        raise ValueError(f"no {d}x{d} domain fits a {img_w}x{img_h} image")
-    x = min(max(range_rect.x - range_rect.size // 2, 0), img_w - d)
-    y = min(max(range_rect.y - range_rect.size // 2, 0), img_h - d)
-    return BlockRect(x, y, d)
-
-
 def co_domain_origins(x, y, k, img_w: int, img_h: int) -> tuple[np.ndarray, np.ndarray]:
-    """co_domain_rect for arrays: domain origins (x, y) of the k x k ranges at x, y; k may be one side."""
+    """Origins (x, y) of the 2k x 2k domains centered on the k x k ranges at x, y, each shifted per axis
+    by the least amount that keeps it in bounds; k may be one side."""
     if np.any(k % 2):
         raise ValueError("range size must be even")
     if np.any(2 * k > min(img_w, img_h)):
         raise ValueError(f"no {2 * np.max(k)}x{2 * np.max(k)} domain fits a {img_w}x{img_h} image")
-    # co_domain_rect's clamp; np.clip would cost the encoder's many small calls a few µs each
+    # np.clip would cost the encoder's many small calls a few µs each
     return np.minimum(np.maximum(x - k // 2, 0), img_w - 2 * k), np.minimum(np.maximum(y - k // 2, 0), img_h - 2 * k)

@@ -43,24 +43,22 @@ def fit_affine(block_r, block_d) -> AffineParams:
     return AffineParams(float(d0 @ (r - o)) / denom, o)
 
 
-def quantize_contrast(s: float | np.ndarray) -> int | np.ndarray:
-    """Snap s, a float or an array, clamped into [-1, 1], onto the 3-bit contrast grid.
+def quantize_contrast(s: float | np.ndarray) -> np.ndarray:
+    """Snap s, a float or an array, clamped into [-1, 1], onto the 3-bit contrast grid; a float
+    gives a numpy integer scalar.
 
     Bins are half-open with boundaries going to the upper bin; the last bin
     is closed so s = 1 maps to code 7.
     """
-    # one formula for both; a float takes Python's min/max/floor, which cost ~4x less per call than numpy's
-    lo, hi, floor = (np.fmax, np.fmin, np.floor) if isinstance(s, np.ndarray) else (max, min, math.floor)
-    codes = hi(floor((hi(1.0, lo(-1.0, s)) + 1.0) * 4.0), CONTRAST_CODES - 1)
-    return codes.astype(np.intp) if isinstance(codes, np.ndarray) else int(codes)
+    return np.fmin(np.floor((np.fmin(1.0, np.fmax(-1.0, s)) + 1.0) * 4.0), CONTRAST_CODES - 1).astype(np.intp)
 
 
-def dequantize_contrast(code: int | np.ndarray) -> float | np.ndarray:
-    """Center of contrast bin `code`, an int or an int array: -0.875 + 0.25 * code."""
+def dequantize_contrast(code: int | np.ndarray) -> np.ndarray:
+    """Center of contrast bin `code`, an int or an int array: -0.875 + 0.25 * code; an int gives a numpy scalar."""
     codes = np.asarray(code)
     if codes.size and not (0 <= codes.min() and codes.max() < CONTRAST_CODES):
         raise ValueError(f"contrast code {code} outside [0, {CONTRAST_CODES - 1}]")
-    return np.take(CONTRAST_VALUES, codes) if isinstance(code, np.ndarray) else CONTRAST_VALUES[code]
+    return np.take(CONTRAST_VALUES, codes)
 
 
 def apply_map(block_d, s, o) -> np.ndarray:

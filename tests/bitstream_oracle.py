@@ -16,6 +16,7 @@ from mnscodec.encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, ROOT_SIZE, Quadtree
 from mnscodec.image import BlockRect
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
+from scalar_oracle import quadrants
 
 
 class BitWriter:
@@ -147,7 +148,7 @@ def serialize(code: QuadtreeCode) -> BitWriter:
             return
         if next_level < level or level >= 4:
             raise ValueError(f"leaf level {next_level} cannot tile a level-{level} node")
-        quads = rect.quadrants()
+        quads = quadrants(rect)
         if level == 3:  # a split level-3 node always yields a level-4 quartet
             write_leaf(quads[0], 4, write_id=True)
             for quad in quads[1:]:
@@ -225,7 +226,7 @@ def read_stream(data: bytes) -> QuadtreeCode:
         if depth == level:
             read_leaf(rect, level)
             return
-        quads = rect.quadrants()
+        quads = quadrants(rect)
         if level == 3:  # depth 4: a full level-4 quartet follows
             read_leaf(quads[0], 4)
             for quad in quads[1:]:

@@ -17,13 +17,14 @@ from mnscodec.bitstream import (
     stream_bit_count,
     write_stream,
 )
-from mnscodec.decoder import decode, decode_step
-from mnscodec.encoder import PHASE2, EncoderConfig, QuadtreeCode, encode_full_search, encode_quadtree, round_to_int
+from mnscodec.decoder import _plan, decode, decode_step
+from mnscodec.encoder import PHASE2, EncoderConfig, QuadtreeCode, encode_full_search, encode_quadtree
 from mnscodec.image import BlockRect
 from mnscodec.metrics import psnr
 from mnscodec.transform import fit_affine, rms_error
 
 from records import LeafRecord, Phase1Payload, table_of
+from scalar_oracle import quadrants, round_to_int
 from test_transform import grid_min_rms
 from util import random_code
 
@@ -47,7 +48,7 @@ def code_with_level4_leaves(count4):
         if level == 4:
             leaves.append(LeafRecord(rect, 4, Phase1Payload(0, 0)))
             return
-        for quad in rect.quadrants():
+        for quad in quadrants(rect):
             full_split(quad, level + 1)
 
     for i in range(full_roots):
@@ -55,12 +56,12 @@ def code_with_level4_leaves(count4):
     if rem_quartets:
         budget = rem_quartets
         root = BlockRect(16 * full_roots, 0, 16)
-        for l2 in root.quadrants():
+        for l2 in quadrants(root):
             if budget >= 4:
                 full_split(l2, 2)
                 budget -= 4
             elif budget > 0:
-                for l3 in l2.quadrants():
+                for l3 in quadrants(l2):
                     if budget > 0:
                         full_split(l3, 3)
                         budget -= 1
@@ -163,7 +164,7 @@ def test_c05_round_trip_1000_random_codes():
 def test_c06_full_search_locality(scene_crop_64):
     from mnscodec.bench import offset_histogram
 
-    config = EncoderConfig(mode="full_search", full_search_step=1)
+    config = EncoderConfig(full_search_step=1)
     _, samples = encode_full_search(scene_crop_64, 8, config)
     hist = offset_histogram(samples)
     mx, my = hist.mode_x(), hist.mode_y()
@@ -218,12 +219,13 @@ def test_c08_decoder_convergence(natural_128, noise_64, gradient_64, constant_64
     for name, image in corpus.items():
         for mode in ("no_search", "mns"):
             code = encode_quadtree(image, EncoderConfig(mode=mode))
+            plan = _plan(code)
             finals = []
             for start in (0.0, 255.0):
                 current = np.full((code.padded_h, code.padded_w), start)
                 deltas = []
                 for _ in range(10):
-                    nxt = decode_step(code, current)
+                    nxt = decode_step(plan, current)
                     deltas.append(float(np.max(np.abs(nxt - current))))
                     current = nxt
                 finals.append(current)

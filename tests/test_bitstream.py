@@ -25,6 +25,7 @@ from mnscodec.image import BlockRect
 import bitstream_oracle as oracle
 from bitstream_oracle import BitReader, BitWriter
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
+from scalar_oracle import quadrants
 from util import random_code
 
 
@@ -38,9 +39,9 @@ def level1_code(mode="mns", technique2=True, first=Phase1Payload(130, 5)):
 def quartet_code(mode="no_search", technique2=True):
     """One root split fully so it ends in sixteen level-4 quartets."""
     leaves = []
-    for rect2 in BlockRect(0, 0, 16).quadrants():
-        for rect3 in rect2.quadrants():
-            for rect4 in rect3.quadrants():
+    for rect2 in quadrants(BlockRect(0, 0, 16)):
+        for rect3 in quadrants(rect2):
+            for rect4 in quadrants(rect3):
                 leaves.append(LeafRecord(rect4, 4, Phase1Payload(10, 1)))
     return QuadtreeCode(table_of(leaves), 16, 16, 16, 16, mode, technique2)
 

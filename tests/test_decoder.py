@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mnscodec import decoder
-from mnscodec.decoder import DecodeConfig, decode, decode_step
+from mnscodec.decoder import START_VALUE, DecodeConfig, _plan, decode, decode_step
 from mnscodec.encoder import (
     EncoderConfig,
     LeafTable,
@@ -28,14 +28,15 @@ class TestDecodeStep:
         code = encode_quadtree(constant_64, EncoderConfig(mode="mns"))
         for start in (0.0, 77.0, 255.0):
             raster = np.full((code.padded_h, code.padded_w), start)
-            out = decode_step(code, raster)
+            out = decode_step(_plan(code), raster)
             assert np.array_equal(out, np.full_like(raster, 42.0))
 
     def test_second_step_is_fixed_for_constant_code(self, constant_64):
         code = encode_quadtree(constant_64, EncoderConfig(mode="no_search"))
         raster = np.full((code.padded_h, code.padded_w), 128.0)
-        first = decode_step(code, raster)
-        second = decode_step(code, first)
+        plan = _plan(code)
+        first = decode_step(plan, raster)
+        second = decode_step(plan, first)
         assert np.array_equal(first, second)
 
     def test_leaf_order_does_not_matter(self, natural_128):
@@ -45,19 +46,19 @@ class TestDecodeStep:
         rng.shuffle(order)
         shuffled = dataclasses.replace(code, leaves=LeafTable(code.leaves.rows[order]))
         raster = np.random.default_rng(0).uniform(0, 255, (code.padded_h, code.padded_w))
-        assert np.array_equal(decode_step(code, raster), decode_step(shuffled, raster))
+        assert np.array_equal(decode_step(_plan(code), raster), decode_step(_plan(shuffled), raster))
 
     def test_rejects_wrong_raster_shape(self, constant_64):
         code = encode_quadtree(constant_64, EncoderConfig())
         with pytest.raises(ValueError, match="shape"):
-            decode_step(code, np.zeros((8, 8)))
+            decode_step(_plan(code), np.zeros((8, 8)))
 
     def test_successive_deltas_shrink(self, natural_128):
         code = encode_quadtree(natural_128, EncoderConfig(mode="mns"))
-        cur = np.full((code.padded_h, code.padded_w), 128.0)
+        plan, cur = _plan(code), np.full((code.padded_h, code.padded_w), 128.0)
         deltas = []
         for _ in range(10):
-            nxt = decode_step(code, cur)
+            nxt = decode_step(plan, cur)
             deltas.append(float(np.max(np.abs(nxt - cur))))
             cur = nxt
         for earlier, later in zip(deltas[1:], deltas[2:]):
@@ -71,13 +72,17 @@ class TestDecode:
         assert out == constant_64
 
     def test_initial_condition_washout(self, natural_128, noise_64, gradient_64):
+        # decode always starts from START_VALUE; ten sweeps from flat 0 and flat 255, rounded as
+        # decode rounds, land within one gray level of each other
         for img in (natural_128, noise_64, gradient_64):
             for mode in ("no_search", "mns"):
-                code = encode_quadtree(img, EncoderConfig(mode=mode))
-                lo = decode(code, DecodeConfig(max_iters=10, stop_delta=0.0, initial_value=0.0))
-                hi = decode(code, DecodeConfig(max_iters=10, stop_delta=0.0, initial_value=255.0))
-                diff = np.abs(lo.pixels.astype(int) - hi.pixels.astype(int))
-                assert diff.max() <= 1
+                plan, rounded = _plan(encode_quadtree(img, EncoderConfig(mode=mode))), []
+                for start in (0.0, 255.0):
+                    current = np.full(plan.shape, start)
+                    for _ in range(10):
+                        current = decode_step(plan, current)
+                    rounded.append(np.clip(np.floor(current + 0.5), 0.0, 255.0))
+                assert np.abs(rounded[0] - rounded[1]).max() <= 1
 
     def test_crop_to_original_dimensions(self):
         rng = np.random.default_rng(17)
@@ -100,8 +105,8 @@ class TestDecode:
 
     def test_decodes_baseline_codes(self, noise_64):
         # search baselines carry explicit domains; the decoder follows them
-        full, _ = encode_full_search(noise_64, 8, EncoderConfig(mode="full_search"))
-        local = encode_local_search(noise_64, EncoderConfig(mode="local_search"))
+        full, _ = encode_full_search(noise_64, 8, EncoderConfig())
+        local = encode_local_search(noise_64, EncoderConfig())
         for code in (full, local):
             out = decode(code)
             assert (out.width, out.height) == (64, 64)
@@ -110,12 +115,12 @@ class TestDecode:
         with pytest.raises(ValueError, match="max_iters"):
             DecodeConfig(max_iters=0)
 
-    @pytest.mark.parametrize("field, value", (
-        ("stop_delta", math.nan),
-        ("initial_value", math.nan),
-        ("initial_value", math.inf),
-        ("initial_value", -math.inf),
-    ))
+    def test_start_value_is_not_a_setting(self):
+        assert [field.name for field in dataclasses.fields(DecodeConfig)] == ["max_iters", "stop_delta"]
+        with pytest.raises(TypeError):
+            DecodeConfig(initial_value=0.0)
+
+    @pytest.mark.parametrize("field, value", (("stop_delta", math.nan),))
     def test_rejects_nan_and_infinite_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             DecodeConfig(**{field: value})
@@ -128,9 +133,9 @@ def _oracle_codes():
             for e in (2.0, 8.0, 20.0):
                 yield encode_quadtree(image, EncoderConfig(e1=e, e2=e, e3=e, mode=mode))
     search_image = scene_image(48, 40, seed=4)
-    yield encode_local_search(search_image, EncoderConfig(mode="local_search"))
+    yield encode_local_search(search_image, EncoderConfig())
     for range_size in (4, 8):
-        yield encode_full_search(search_image, range_size, EncoderConfig(mode="full_search", full_search_step=3))[0]
+        yield encode_full_search(search_image, range_size, EncoderConfig(full_search_step=3))[0]
     rng = np.random.default_rng(21)
     for mode in ("mns", "no_search"):
         for technique2 in (True, False):
@@ -176,17 +181,18 @@ class TestPlanOnce:
         monkeypatch.setattr(decoder, "decode_step", traced)
         decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
         assert len(calls) == 9
-        assert np.all(calls[0][0] == 128.0)
+        assert START_VALUE == 128.0 and np.all(calls[0][0] == START_VALUE)
         for (_, _, previous), (current, _, _) in zip(calls, calls[1:]):
             assert current is previous
         for current, before, _ in calls:
             assert np.array_equal(current, before)
 
     def test_planned_sweep_matches_a_sweep_of_the_code(self):
+        # decode reuses one plan for every sweep: no sweep may change it
         for n, code in enumerate(_oracle_codes()):
             plan = decoder._plan(code)
             for raster in _rasters(code, n):
-                assert decode_step(plan, raster).tobytes() == decode_step(code, raster).tobytes()
+                assert decode_step(plan, raster).tobytes() == decode_step(decoder._plan(code), raster).tobytes()
 
     @pytest.mark.parametrize("code", _misfit_codes())
     def test_misfit_code_raises_before_any_sweep(self, code, monkeypatch):

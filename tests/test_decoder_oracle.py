@@ -8,7 +8,7 @@ then downsample_mean2, then apply_map. Rasters are random and reach outside
 import numpy as np
 import pytest
 
-from mnscodec.decoder import decode, decode_step
+from mnscodec.decoder import _plan, decode, decode_step
 from mnscodec.encoder import (
     CONTRAST_SETS,
     EncoderConfig,
@@ -18,10 +18,11 @@ from mnscodec.encoder import (
     encode_quadtree,
     phase2_targets,
 )
-from mnscodec.image import BlockRect, co_domain_rect, downsample_mean2
-from mnscodec.transform import apply_map, dequantize_contrast
+from mnscodec.image import BlockRect, downsample_mean2
+from mnscodec.transform import apply_map
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
+from scalar_oracle import co_domain_rect, dequantize_contrast, quadrants
 from util import gradient_image, natural_image, noise_image, random_code, scene_image
 
 
@@ -40,7 +41,7 @@ def oracle_step(code, current):
             paint(leaf.rect, co_domain_rect(leaf.rect, w, h), dequantize_contrast(p.s_code), float(p.o_byte))
         elif isinstance(p, Phase2Payload):
             pair = CONTRAST_SETS[leaf.level]
-            for quad, target, bit in zip(leaf.rect.quadrants(), phase2_targets(p.o_byte, p.deltas), p.s_bits):
+            for quad, target, bit in zip(quadrants(leaf.rect), phase2_targets(p.o_byte, p.deltas), p.s_bits):
                 paint(quad, co_domain_rect(quad, w, h), pair[bit], float(target))
         else:
             paint(leaf.rect, p.domain, dequantize_contrast(p.s_code), float(p.o_byte))
@@ -54,10 +55,11 @@ def _rasters(code, seed):
 
 
 def _assert_matches(code, seed=0):
+    plan = _plan(code)
     for raster in _rasters(code, seed):
         expected = oracle_step(code, raster)
         assert not np.isnan(expected).any()
-        assert np.array_equal(decode_step(code, raster), expected)
+        assert np.array_equal(decode_step(plan, raster), expected)
 
 
 IMAGES = {
@@ -86,9 +88,9 @@ def test_random_codes_match_oracle(mode, technique2):
 
 def test_search_codes_match_oracle():
     img = scene_image(48, 40, seed=4)
-    codes = [encode_local_search(img, EncoderConfig(mode="local_search"))]
+    codes = [encode_local_search(img, EncoderConfig())]
     for range_size in (4, 8):
-        codes.append(encode_full_search(img, range_size, EncoderConfig(mode="full_search", full_search_step=3))[0])
+        codes.append(encode_full_search(img, range_size, EncoderConfig(full_search_step=3))[0])
     for code in codes:
         _assert_matches(code)
 
@@ -100,7 +102,7 @@ def test_misfit_cocentered_domain_raises_value_error(w, h):
               for y in range(0, h, 16) for x in range(0, w, 16)]
     code = QuadtreeCode(table_of(leaves), w, h, w, h, "no_search", False)
     with pytest.raises(ValueError):
-        decode_step(code, np.zeros((h, w)))
+        decode_step(_plan(code), np.zeros((h, w)))
     with pytest.raises(ValueError):
         decode(code)
 
@@ -118,6 +120,6 @@ def test_misfit_search_domain_raises_value_error(domain):
     leaves[5] = LeafRecord(leaves[5].rect, 2, BaselinePayload(domain, 90, 5))
     code = QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "local_search", False)
     with pytest.raises(ValueError):
-        decode_step(code, np.zeros((32, 32)))
+        decode_step(_plan(code), np.zeros((32, 32)))
     with pytest.raises(ValueError):
         decode(code)

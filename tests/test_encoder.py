@@ -15,10 +15,11 @@ from mnscodec.encoder import (
     try_phase1,
     try_phase2,
 )
-from mnscodec.image import BlockRect, GrayImage, block_pixels, co_domain_rect, downsample_mean2, pad_to_multiple
-from mnscodec.transform import dequantize_contrast, rms_error
+from mnscodec.image import BlockRect, GrayImage, downsample_mean2, pad_to_multiple
+from mnscodec.transform import rms_error
 
 from records import Phase1Payload, records
+from scalar_oracle import block_pixels, co_domain_rect, dequantize_contrast, quadrants
 from util import natural_image, noise_image, scene_image
 
 
@@ -175,7 +176,7 @@ class TestQuadtree:
                 targets = (p.o_byte + p.deltas[0], p.o_byte + p.deltas[1], p.o_byte + p.deltas[2],
                            p.o_byte - sum(p.deltas))
                 pair = CONTRAST_SETS[leaf.level]
-                for quad, target, bit in zip(leaf.rect.quadrants(), targets, p.s_bits):
+                for quad, target, bit in zip(quadrants(leaf.rect), targets, p.s_bits):
                     d = downsample_mean2(padded, co_domain_rect(quad, padded.width, padded.height))
                     r = block_pixels(padded, quad)
                     assert rms_error(r, d, pair[bit], float(target)) <= tol + 1e-9
@@ -232,13 +233,14 @@ class TestQuadtree:
         assert traced_peak(encode_quadtree, natural_image(1024, 1024, seed=7), EncoderConfig()) < 4_000_000
 
     def test_rejects_baseline_modes(self, constant_64):
-        with pytest.raises(ValueError, match="no_search/mns"):
+        # a baseline mode is no EncoderConfig mode, so it cannot reach encode_quadtree
+        with pytest.raises(ValueError, match="unknown mode"):
             encode_quadtree(constant_64, EncoderConfig(mode="full_search"))
 
 
 class TestFullSearch:
     def test_constant_image_ties_to_origin(self, constant_64):
-        code, samples = encode_full_search(constant_64, 8, EncoderConfig(mode="full_search"))
+        code, samples = encode_full_search(constant_64, 8, EncoderConfig())
         assert (code.leaves.domain == [0, 0, 16]).all()
         assert len(samples) == 64
 
@@ -250,7 +252,7 @@ class TestFullSearch:
         arr[8:24, 24:40] = np.kron(pattern, np.ones((2, 2), dtype=int)).astype(np.uint8)
         arr[0:8, 0:8] = (0.875 * (pattern - 128) + 128).astype(np.uint8)
         img = GrayImage(arr)
-        code, _ = encode_full_search(img, 8, EncoderConfig(mode="full_search"))
+        code, _ = encode_full_search(img, 8, EncoderConfig())
         leaf = records(code.leaves)[0]
         assert leaf.rect == BlockRect(0, 0, 8)
         assert leaf.payload.domain == BlockRect(24, 8, 16)
@@ -262,23 +264,23 @@ class TestFullSearch:
     def test_rejects_too_small_image(self):
         img = GrayImage(np.zeros((12, 12), dtype=np.uint8))
         with pytest.raises(ValueError, match="too small"):
-            encode_full_search(img, 8, EncoderConfig(mode="full_search"))
+            encode_full_search(img, 8, EncoderConfig())
 
     @pytest.mark.parametrize("step", (1, 3))
     @pytest.mark.parametrize("range_size", (4, 8))
     def test_call_size_does_not_change_the_code(self, range_size, step, monkeypatch):
-        img, config = natural_image(64, 64), EncoderConfig(mode="full_search", full_search_step=step)
+        img, config = natural_image(64, 64), EncoderConfig(full_search_step=step)
         code, samples = encode_full_search(img, range_size, config)
         monkeypatch.setattr(enc, "WORK_PIXELS", 1)  # one range per call
         assert encode_full_search(img, range_size, config) == (code, samples)
 
     def test_traced_peak_stays_small(self):
         # the 2,401-domain pool of 8x8 means is 1.2 MB of float64; each call's score matrices stay small
-        peak = traced_peak(encode_full_search, natural_image(64, 64), 8, EncoderConfig(mode="full_search"))
+        peak = traced_peak(encode_full_search, natural_image(64, 64), 8, EncoderConfig())
         assert peak < 2_000_000
 
     def test_offsets_are_center_differences(self, constant_64):
-        _, samples = encode_full_search(constant_64, 8, EncoderConfig(mode="full_search"))
+        _, samples = encode_full_search(constant_64, 8, EncoderConfig())
         # winning domain is always (0, 0, 16); range centers walk the grid
         expected = [(8 - (rx + 4), 8 - (ry + 4)) for ry in range(0, 64, 8) for rx in range(0, 64, 8)]
         assert samples == expected
@@ -295,25 +297,25 @@ class TestLocalSearch:
             return real(r, d, norms)
 
         monkeypatch.setattr(enc, "_fit", counting)
-        encode_local_search(img, EncoderConfig(mode="local_search"))
+        encode_local_search(img, EncoderConfig())
         assert calls and all(d_shape == norms_shape == (n, 81) for n, d_shape, norms_shape in calls)
         assert sum(n for n, _, _ in calls) == 16  # every range of the 32x32 image, each scored once
 
     def test_call_size_does_not_change_the_code(self, monkeypatch):
-        img, config = scene_image(128, 128), EncoderConfig(mode="local_search")
+        img, config = scene_image(128, 128), EncoderConfig()
         code = encode_local_search(img, config)
         monkeypatch.setattr(enc, "WORK_PIXELS", 1)  # one range per call
         assert encode_local_search(img, config) == code
 
     def test_traced_peak_stays_small(self):
         # a call gathers at most WORK_PIXELS candidate pixels: 12 ranges' 81 candidates, 0.5 MB of float64
-        assert traced_peak(encode_local_search, scene_image(128, 128), EncoderConfig(mode="local_search")) < 2_000_000
+        assert traced_peak(encode_local_search, scene_image(128, 128), EncoderConfig()) < 2_000_000
 
     def test_never_beats_full_search(self):
         img = noise_image(32, 32, seed=8)
-        config = EncoderConfig(mode="local_search")
+        config = EncoderConfig()
         local = encode_local_search(img, config)
-        full, _ = encode_full_search(img, 8, EncoderConfig(mode="full_search", full_search_step=1))
+        full, _ = encode_full_search(img, 8, EncoderConfig(full_search_step=1))
         by_rect = {leaf.rect: leaf for leaf in records(full.leaves)}
         for leaf in records(local.leaves):
             ref = by_rect[leaf.rect]
@@ -327,7 +329,7 @@ class TestLocalSearch:
     def test_constant_image_keeps_first_candidate(self, constant_64):
         # every candidate ties at rms 0, so the (dy, dx) = (-4, -4) translate
         # of the co-centered domain wins by scan order
-        code = encode_local_search(constant_64, EncoderConfig(mode="local_search"))
+        code = encode_local_search(constant_64, EncoderConfig())
         for leaf in records(code.leaves):
             base = co_domain_rect(leaf.rect, 64, 64)
             expected = BlockRect(min(max(base.x - 4, 0), 64 - 16), min(max(base.y - 4, 0), 64 - 16), 16)
@@ -342,6 +344,11 @@ class TestConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             EncoderConfig(mode="turbo")
+
+    def test_rejects_local_search_mode(self):
+        # the search baselines read no mode (TestQuadtree::test_rejects_baseline_modes tries full_search)
+        with pytest.raises(ValueError, match="unknown mode"):
+            EncoderConfig(mode="local_search")
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError, match="thresholds"):

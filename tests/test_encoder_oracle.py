@@ -1,9 +1,9 @@
 """encode_quadtree against the scalar per-block recursion it replaced, code for code.
 
 The oracle fits one block at a time (co_domain_rect, downsample_mean2,
-fit_affine, quantize_contrast, rms_error) and recurses depth first, so it
-fixes the leaf order, the tie rules and the reduction order of every RMS that
-the level-at-a-time encoder must reproduce.
+fit_affine, the scalar quantize_contrast of scalar_oracle, rms_error) and
+recurses depth first, so it fixes the leaf order, the tie rules and the
+reduction order of every RMS that the level-at-a-time encoder must reproduce.
 """
 
 import math
@@ -25,23 +25,14 @@ from mnscodec.encoder import (
     delta_limit,
     encode_quadtree,
     phase2_targets,
-    round_to_int,
     try_phase1,
     try_phase2,
 )
-from mnscodec.image import (
-    BlockRect,
-    GrayImage,
-    block_mean,
-    block_pixels,
-    box_sums,
-    co_domain_rect,
-    downsample_mean2,
-    pad_to_multiple,
-)
-from mnscodec.transform import dequantize_contrast, fit_affine, quantize_contrast, rms_error
+from mnscodec.image import BlockRect, GrayImage, box_sums, downsample_mean2, pad_to_multiple
+from mnscodec.transform import fit_affine, rms_error
 
 from records import LeafRecord, Phase1Payload, Phase2Payload, records, table_of
+from scalar_oracle import block_mean, block_pixels, co_domain_rect, dequantize_contrast, quadrants, quantize_contrast, round_to_int
 from util import gradient_image, natural_image, noise_image, scene_image
 
 
@@ -61,7 +52,7 @@ def oracle_phase1(image, rect, level, config):
 def oracle_phase2(image, rect, level, config):
     rejected = (None, math.inf)
     o_mean = block_mean(image, rect)
-    quads = rect.quadrants()
+    quads = quadrants(rect)
     quad_means = [block_mean(image, q) for q in quads]
     if max(abs(m - o_mean) for m in quad_means) > config.mean_tol:
         return rejected
@@ -101,7 +92,7 @@ def oracle_encode(image, config):
         if record is not None:
             leaves.append(record)
             return
-        for quad in rect.quadrants():
+        for quad in quadrants(rect):
             visit(quad, level + 1)
 
     for y in range(0, padded.height, ROOT_SIZE):

@@ -90,8 +90,8 @@ def test_encoders_build_their_tables_from_columns():
     code = encode_quadtree(image, EncoderConfig(e1=4, e2=4, e3=4))
     assert QuadtreeCode(table_of(records(code.leaves)), code.padded_w, code.padded_h, 48, 40, "mns", True) == code
     scene = scene_image(32, 32, seed=2)
-    for search in (encode_local_search(scene, EncoderConfig(mode="local_search")),
-                   encode_full_search(scene, 8, EncoderConfig(mode="full_search"))[0]):
+    for search in (encode_local_search(scene, EncoderConfig()),
+                   encode_full_search(scene, 8, EncoderConfig())[0]):
         assert (search.leaves.kind == SEARCH).all() and (search.leaves.domain[:, 2] == 16).all()
         assert QuadtreeCode(table_of(records(search.leaves)), 32, 32, 32, 32, search.mode, False) == search
 

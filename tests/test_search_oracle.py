@@ -1,8 +1,8 @@
 """Both search baselines against a scalar oracle, leaf for leaf.
 
-The oracle scores every candidate domain with fit_affine -> quantize_contrast
--> rms_error and keeps the first strict minimum, so it fixes the tie order
-as well as the winner. The images are full of exact ties: flat areas,
+The oracle scores every candidate domain with fit_affine -> the scalar
+quantize_contrast of scalar_oracle -> rms_error and keeps the first strict
+minimum, so it fixes the tie order as well as the winner. The images are full of exact ties: flat areas,
 repeated 2x2 groups, a few gray levels, diagonal stripes.
 """
 
@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import mnscodec.encoder as encoder
-from mnscodec.encoder import SIZE_LEVELS, EncoderConfig, encode_full_search, encode_local_search, round_to_int
-from mnscodec.image import BlockRect, GrayImage, block_pixels, co_domain_rect, downsample_mean2, pad_to_multiple
-from mnscodec.transform import dequantize_contrast, fit_affine, quantize_contrast, rms_error
+from mnscodec.encoder import SIZE_LEVELS, EncoderConfig, encode_full_search, encode_local_search
+from mnscodec.image import BlockRect, GrayImage, downsample_mean2, pad_to_multiple
+from mnscodec.transform import fit_affine, rms_error
 
 from records import BaselinePayload, LeafRecord, table_of
+from scalar_oracle import block_pixels, co_domain_rect, dequantize_contrast, quantize_contrast, round_to_int
 from util import gradient_image, noise_image
 
 W, H = 28, 20  # neither side a multiple of 8, so local search and 8-pixel ranges pad
@@ -53,7 +54,7 @@ def oracle_leaf(padded, rect, domains):
 
 @pytest.mark.parametrize("name", IMAGES)
 def test_local_search_matches_oracle(name, monkeypatch):
-    code = encode_local_search(IMAGES[name], EncoderConfig(mode="local_search"))
+    code = encode_local_search(IMAGES[name], EncoderConfig())
     padded = pad_to_multiple(IMAGES[name], 8)
     w, h = padded.width, padded.height
     expected = []
@@ -69,14 +70,14 @@ def test_local_search_matches_oracle(name, monkeypatch):
             expected.append(oracle_leaf(padded, rect, domains))
     assert code.leaves == table_of(expected)
     monkeypatch.setattr(encoder, "WORK_PIXELS", 1)  # one range per call
-    assert encode_local_search(IMAGES[name], EncoderConfig(mode="local_search")).leaves == table_of(expected)
+    assert encode_local_search(IMAGES[name], EncoderConfig()).leaves == table_of(expected)
 
 
 @pytest.mark.parametrize("step", (1, 3))
 @pytest.mark.parametrize("range_size", (4, 8))
 @pytest.mark.parametrize("name", IMAGES)
 def test_full_search_matches_oracle(name, range_size, step, monkeypatch):
-    config = EncoderConfig(mode="full_search", full_search_step=step)
+    config = EncoderConfig(full_search_step=step)
     code, samples = encode_full_search(IMAGES[name], range_size, config)
     padded = pad_to_multiple(IMAGES[name], range_size)
     w, h = padded.width, padded.height

@@ -8,6 +8,7 @@ from mnscodec.encoder import QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect, GrayImage
 
 from records import LeafRecord, Phase1Payload, Phase2Payload, table_of
+from scalar_oracle import quadrants
 
 
 def _octave(rng: np.random.Generator, width: int, height: int, cell: int) -> np.ndarray:
@@ -95,7 +96,7 @@ def random_code(
 
     def emit(rect: BlockRect, level: int) -> None:
         if level < 4 and (rng.random() < split_p or (level == 1 and min(padded_w, padded_h) < 32)):
-            for quad in rect.quadrants():
+            for quad in quadrants(rect):
                 emit(quad, level + 1)
             return
         if mode == "mns" and level <= 3 and rng.random() < phase2_p:
