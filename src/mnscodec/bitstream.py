@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode, phase2_targets
+from .encoder import DELTA_MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode
+from .encoder import phase2_targets
 
 MAGIC = b"MNS1"
 HEADER_BYTES = 13
@@ -34,6 +35,7 @@ ROOT_CELLS = 64  # 2x2-pixel cells per 16x16 root
 FIELDS = 8  # per leaf: level id, phase bit, o byte, s code, three sign-and-magnitude deltas, the four s bits
 MAGNITUDE_BITS = np.array([DELTA_MAGNITUDE_BITS.get(level, 0) for level in range(5)])  # by level; 0 where none
 NO_LEVEL1 = "level-1 leaf in a raster with a 16-pixel side, where no 32x32 domain fits"
+TOO_MANY_PIXELS = f"padded raster of more than MAX_PIXELS ({MAX_PIXELS}) pixels"
 NO_IMPLIED_MEAN = "phase-2 leaf whose implied fourth quadrant mean, o_byte minus the deltas, is not a byte"
 
 
@@ -87,6 +89,8 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("original dimensions must fit inside the padded raster")
     if code.padded_w > MAX_SIDE or code.padded_h > MAX_SIDE:
         raise ValueError("dimensions exceed the 16-bit header fields")
+    if code.padded_w * code.padded_h > MAX_PIXELS:
+        raise ValueError(TOO_MANY_PIXELS)
     t = code.leaves
     level, p2, o, s_code, d, bits = t.level, t.kind == PHASE2, t.o_byte, t.s_code, t.deltas, t.s_bits
     if ((level < 1) | (level > 4)).any():
@@ -191,7 +195,7 @@ def read_stream(data: bytes) -> QuadtreeCode:
     One sequential pass reads only the level ids and phase bits, which fix every field's
     width and offset; every payload field is then gathered by bit offset at once, and each
     leaf's (x, y) is its Morton start de-interleaved. Memory grows with the stream's length,
-    not with the dimensions its header claims.
+    not with the dimensions its header claims, which may not exceed MAX_PIXELS.
     """
     if len(data) < HEADER_BYTES:
         raise StreamFormatError("truncated header")
@@ -206,6 +210,8 @@ def read_stream(data: bytes) -> QuadtreeCode:
         raise StreamFormatError("zero image dimension in header")
     if padded_w % ROOT_SIZE or padded_h % ROOT_SIZE or padded_w < orig_w or padded_h < orig_h:
         raise StreamFormatError("padded dimensions inconsistent with original dimensions")
+    if padded_w * padded_h > MAX_PIXELS:
+        raise StreamFormatError(TOO_MANY_PIXELS)
 
     total = ROOT_CELLS * (padded_w // ROOT_SIZE) * (padded_h // ROOT_SIZE)
     kinds, pos = _scan(data, mns, technique2, total)

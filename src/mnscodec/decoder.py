@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .encoder import CONTRAST_SETS, PHASE2, SEARCH, QuadtreeCode, _quadrants, phase2_targets
-from .image import GrayImage, box_sums, co_domain_origins, domain_means, downsample_mean2  # noqa: F401 (perfbench)
+from .encoder import CONTRAST_SETS, MAX_PIXELS, PHASE2, SEARCH, QuadtreeCode, _quadrants, phase2_targets
+from .image import GrayImage, co_domain_origins, parity_sums
+from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
 START_VALUE = 128.0  # every pixel of the raster the first sweep reads
@@ -36,10 +36,14 @@ class DecodeConfig:
 
 
 class _Plan(NamedTuple):
-    """What every sweep of one code paints: per block side, a tuple (k, y, x, dy, dx, s, o) of the
-    side, the (n,) origins of the blocks and of their domains, and s and o as (n, 1, 1)."""
+    """What every sweep of one code paints: per block side, a tuple (k, y, x, s, o, gathers) of the
+    side, the (n,) origins of the blocks, s and o as (n, 1, 1), and how to gather their domains'
+    2x2 sums, as runs of blocks in order. A run is (parity, oy, ox): parity (dy % 2, dx % 2) for a run
+    taken from that parity's half-size sums, at the halved domain origins (dy // 2, dx // 2), or None
+    for one taken from the raster itself, at the domain origins (dy, dx)."""
 
     shape: tuple[int, int]  # padded (h, w)
+    parities: list[tuple[int, int]]  # the parities that get half-size sums
     sides: list[tuple]
 
 
@@ -64,37 +68,74 @@ def _plan(code: QuadtreeCode) -> _Plan:
     if misfit.any():
         raise ValueError(f"a {k[misfit][0]}x{k[misfit][0]} block or its domain does not fit the {w}x{h} raster")
     s, o = s[:, None, None], o.astype(np.float64)[:, None, None]
-    masks = {side: k == side for side in dict.fromkeys(k.tolist())}
-    return _Plan((h, w), [(side, y[m], x[m], dy[m], dx[m], s[m], o[m]) for side, m in masks.items()])
+    # a parity whose blocks cover under 1/16 of the raster gets no half-size sums: gathering their
+    # domains from the raster itself (run 4) costs less than building them
+    parity = 2 * (dy % 2) + dx % 2
+    run = np.where(np.bincount(parity, weights=k * k, minlength=4)[parity] * 16 >= h * w, parity, 4)
+    order = np.lexsort((run, k))
+    k, run, y, x, dy, dx, s, o = (a[order] for a in (k, run, y, x, dy, dx, s, o))
+    sides = []
+    for side in dict.fromkeys(k.tolist()):
+        m, gathers = k == side, []
+        for g in dict.fromkeys(run[m].tolist()):
+            r = m & (run == g)
+            gathers.append((None, dy[r], dx[r]) if g == 4 else (divmod(g, 2), dy[r] // 2, dx[r] // 2))
+        sides.append((side, y[m], x[m], s[m], o[m], gathers))
+    return _Plan((h, w), [divmod(g, 2) for g in range(4) if (run == g).any()], sides)
 
 
-def decode_step(plan: _Plan, current: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep of the padded-size raster `current` into a fresh raster: per block side, one
-    gather takes the domains' 2x2 means from windows on the box sums of `current`, one apply_map call
-    maps them, and one scatter writes the blocks through windows on the fresh raster. `plan` is
-    _plan(code), as decode builds it."""
-    cur = np.asarray(current, dtype=np.float64)
+def _windows(a: np.ndarray, k: int) -> np.ndarray:
+    """Every k x k window of the C-contiguous 2-D array `a`, as a view indexed by the window's origin;
+    it skips sliding_window_view's checks, which cost more than a small gather."""
+    h, w = a.shape
+    return np.ndarray((h - k + 1, w - k + 1, k, k), a.dtype, a, 0, a.strides * 2)
+
+
+def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One Jacobi sweep of the padded-size raster `current` into `out`, a C-contiguous float64 raster
+    of the same shape that shares no memory with `current`, or into a fresh raster if `out` is None;
+    returns the raster written. `current` is never written. `plan` is _plan(code), as decode builds it.
+
+    Each domain-origin parity the plan names gets one half-size raster of the 2x2 sums of `current`
+    (image.parity_sums). Per block side, the gather takes the domains' sums as plain windows of those
+    rasters, or, for parities with too few blocks to earn one, sums the domains' windows on `current`
+    alike. It quarters them into 2x2 means, one apply_map call maps them in place, and one scatter
+    writes the blocks through windows on `out`."""
+    cur = np.ascontiguousarray(current, dtype=np.float64)
     if cur.shape != plan.shape:
         raise ValueError(f"raster shape {cur.shape} does not match padded {plan.shape[0]}x{plan.shape[1]}")
-    sums = box_sums(cur)
-    out = np.empty_like(cur)
-    for k, y, x, dy, dx, s, o in plan.sides:
-        sliding_window_view(out, (k, k), writeable=True)[y, x] = apply_map(domain_means(sums, dx, dy, k), s, o)
+    out = np.empty(plan.shape) if out is None else out
+    if (out.shape, out.dtype) != (plan.shape, np.float64) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 raster of shape {plan.shape}")
+    if np.may_share_memory(cur, out):
+        raise ValueError("out must not overlap the raster the sweep reads")
+    sums = {parity: parity_sums(cur, *parity) for parity in plan.parities}
+    for k, y, x, s, o, gathers in plan.sides:
+        d = [parity_sums(_windows(cur, 2 * k)[oy, ox], 0, 0) if parity is None else _windows(sums[parity], k)[oy, ox]
+             for parity, oy, ox in gathers]
+        d = d[0] if len(d) == 1 else np.concatenate(d)  # a fresh array, so it is quartered and mapped in place
+        d *= 0.25
+        _windows(out, k)[y, x] = apply_map(d, s, o, d)
     return out
 
 
 def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
-    """Iterate decode_step from a flat raster of START_VALUE, then round once and crop."""
+    """Iterate decode_step from a flat raster of START_VALUE, then round once and crop.
+
+    The sweeps alternate between two float64 rasters, and one more buffer takes each sweep's change
+    and then the rounding, so the last sweep's input and output are left as they were. A code of
+    more than MAX_PIXELS padded pixels raises ValueError before anything is allocated."""
     cfg = config if config is not None else DecodeConfig()
+    if code.padded_w * code.padded_h > MAX_PIXELS:
+        raise ValueError(f"a {code.padded_w}x{code.padded_h} raster exceeds the {MAX_PIXELS}-pixel limit")
     plan = _plan(code)
-    current = np.full(plan.shape, START_VALUE, dtype=np.float64)
+    current = np.full(plan.shape, START_VALUE)
+    nxt, diff = np.empty_like(current), np.empty_like(current)
     for _ in range(cfg.max_iters):
-        nxt = decode_step(plan, current)
-        diff = nxt - current
-        delta = float(np.abs(diff, out=diff).max())
-        del diff  # not held through the next sweep, which would add a raster to the peak
-        current = nxt
+        decode_step(plan, current, nxt)
+        delta = float(np.abs(np.subtract(nxt, current, out=diff), out=diff).max())
+        current, nxt = nxt, current
         if delta < cfg.stop_delta:
             break
-    rounded = np.clip(np.floor(current + 0.5), 0.0, 255.0).astype(np.uint8)
-    return GrayImage(rounded[: code.orig_h, : code.orig_w])
+    rounded = np.floor(np.add(current, 0.5, out=diff), out=diff)[: code.orig_h, : code.orig_w]
+    return GrayImage(np.clip(rounded, 0.0, 255.0, out=rounded).astype(np.uint8))

@@ -162,6 +162,19 @@ def box_sums(image, dtype=np.float64) -> np.ndarray:
     return sums
 
 
+def parity_sums(raster: np.ndarray, py: int, px: int) -> np.ndarray:
+    """The half-size raster of the 2x2 sums on rows py, py + 2, ... and columns px, px + 2, ... (py and
+    px 0 or 1) of each raster in the last two axes: (i, j) is box_sums(raster)[py + 2i, px + 2j], added
+    in the same order, so equal bit for bit. The sums of a 2k x 2k domain at an origin (dx, dy) of this
+    parity are its k x k window at (dx // 2, dy // 2)."""
+    h, w = raster.shape[-2:]
+    q = raster[..., py : py + (h - py) // 2 * 2, px : px + (w - px) // 2 * 2]
+    sums = q[..., 0::2, 0::2] + q[..., 0::2, 1::2]
+    sums += q[..., 1::2, 0::2]
+    sums += q[..., 1::2, 1::2]
+    return sums
+
+
 def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
     """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k)
     array: the stride-2 samples of each (2k-1)-window of the box_sums raster `sums`, quartered exactly."""

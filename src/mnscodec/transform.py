@@ -48,9 +48,10 @@ def quantize_contrast(s: float | np.ndarray) -> np.ndarray:
     gives a numpy integer scalar.
 
     Bins are half-open with boundaries going to the upper bin; the last bin
-    is closed so s = 1 maps to code 7.
+    is closed so s = 1 maps to code 7. The code is floor(4s) + 4, exact in
+    floats: (s + 1) * 4 would round a value just below an inner edge onto it.
     """
-    return np.fmin(np.floor((np.fmin(1.0, np.fmax(-1.0, s)) + 1.0) * 4.0), CONTRAST_CODES - 1).astype(np.intp)
+    return np.fmin(np.floor(np.fmin(1.0, np.fmax(-1.0, s)) * 4.0) + 4.0, CONTRAST_CODES - 1).astype(np.intp)
 
 
 def dequantize_contrast(code: int | np.ndarray) -> np.ndarray:
@@ -61,10 +62,11 @@ def dequantize_contrast(code: int | np.ndarray) -> np.ndarray:
     return np.take(CONTRAST_VALUES, codes)
 
 
-def apply_map(block_d, s, o) -> np.ndarray:
-    """s * (D - mean(D)) + o clamped into [0, 255]: D a k x k block, or an (n, k, k) stack with (n, 1, 1) s, o."""
+def apply_map(block_d, s, o, out: np.ndarray | None = None) -> np.ndarray:
+    """s * (D - mean(D)) + o clamped into [0, 255]: D a k x k block, or an (n, k, k) stack with (n, 1, 1) s, o.
+    Written into `out`, which may be D itself, or into a fresh array if `out` is None."""
     d = np.asarray(block_d, dtype=np.float64)
-    out = d - d.mean(axis=(-2, -1), keepdims=True)  # a fresh array, so the rest runs in place
+    out = np.subtract(d, d.mean(axis=(-2, -1), keepdims=True), out=out)  # the rest runs in place
     out *= s
     out += o
     return np.clip(out, 0.0, 255.0, out=out)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import struct
 
 from mnscodec.bitstream import FLAG_MNS, FLAG_TECHNIQUE2, HEADER_BYTES, MAGIC, NO_IMPLIED_MEAN, NO_LEVEL1, StreamFormatError
-from mnscodec.encoder import DELTA_MAGNITUDE_BITS, MAX_SIDE, ROOT_SIZE, QuadtreeCode, delta_limit
+from mnscodec.bitstream import TOO_MANY_PIXELS
+from mnscodec.encoder import DELTA_MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, ROOT_SIZE, QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
@@ -100,6 +101,8 @@ def serialize(code: QuadtreeCode) -> BitWriter:
         raise ValueError("original dimensions must fit inside the padded raster")
     if code.padded_w > MAX_SIDE or code.padded_h > MAX_SIDE:
         raise ValueError("dimensions exceed the 16-bit header fields")
+    if code.padded_w * code.padded_h > MAX_PIXELS:
+        raise ValueError(TOO_MANY_PIXELS)
 
     writer = BitWriter()
     for byte in MAGIC:
@@ -187,6 +190,8 @@ def read_stream(data: bytes) -> QuadtreeCode:
         raise StreamFormatError("zero image dimension in header")
     if padded_w % ROOT_SIZE or padded_h % ROOT_SIZE or padded_w < orig_w or padded_h < orig_h:
         raise StreamFormatError("padded dimensions inconsistent with original dimensions")
+    if padded_w * padded_h > MAX_PIXELS:
+        raise StreamFormatError(TOO_MANY_PIXELS)
 
     reader = BitReader(data, HEADER_BYTES)
     leaves: list[LeafRecord] = []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bitstream_oracle as oracle
 from mnscodec.bitstream import HEADER_BYTES, MAGIC, StreamFormatError, read_stream, stream_bit_count, write_stream
 from mnscodec.decoder import decode
-from mnscodec.encoder import EncoderConfig, encode_quadtree
+from mnscodec.encoder import MAX_PIXELS, EncoderConfig, LeafTable, QuadtreeCode, encode_quadtree
 from mnscodec.image import BlockRect
 
 from records import LeafRecord, records, table_of
@@ -178,14 +178,31 @@ def traced_peak(fn, *args):
 
 
 def test_huge_header_with_short_body_fails_fast_and_small():
-    # zero bits parse as level-1 phase-1 leaves, 57 of them before the body runs out
-    blob = MAGIC + bytes([0x03]) + struct.pack(">4H", 65520, 65520, 65520, 65520) + bytes(100)
+    # the largest header under the pixel limit; zero bits parse as level-1 phase-1 leaves, 57 of
+    # them before the body runs out
+    blob = MAGIC + bytes([0x03]) + struct.pack(">4H", 8192, 8192, 8192, 8192) + bytes(100)
 
     def read():
         with pytest.raises(StreamFormatError, match="truncated"):
             read_stream(blob)
 
     assert traced_peak(read) < 1_000_000
+
+
+@pytest.mark.parametrize("w, h", ((8192, 8208), (8208, 8192), (65520, 65520)))
+def test_headers_over_the_pixel_limit_raise_before_the_body_is_read(w, h):
+    blob = MAGIC + bytes([0x03]) + struct.pack(">4H", w, h, w, h) + bytes(100)
+    assert w * h > MAX_PIXELS == 8192 * 8192
+    for read in (read_stream, oracle.read_stream):
+        with pytest.raises(StreamFormatError, match="MAX_PIXELS"):
+            read(blob)
+
+
+def test_writers_reject_a_code_over_the_pixel_limit():
+    code = QuadtreeCode(LeafTable(np.zeros((0, LeafTable.WIDTH))), 8192, 8208, 8192, 8208, "mns", True)
+    for write in (write_stream, oracle.write_stream):
+        with pytest.raises(ValueError, match="MAX_PIXELS"):
+            write(code)
 
 
 def test_writer_peak_on_all_level4_code():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from mnscodec import decoder
 from mnscodec.decoder import START_VALUE, DecodeConfig, _plan, decode, decode_step
 from mnscodec.encoder import (
+    MAX_PIXELS,
     EncoderConfig,
     LeafTable,
     QuadtreeCode,
@@ -20,7 +22,7 @@ from mnscodec.image import BlockRect, GrayImage
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, table_of
 from test_decoder_oracle import IMAGES, _rasters
-from util import natural_image, random_code, scene_image
+from util import natural_image, noise_image, random_code, scene_image
 
 
 class TestDecodeStep:
@@ -52,6 +54,16 @@ class TestDecodeStep:
         code = encode_quadtree(constant_64, EncoderConfig())
         with pytest.raises(ValueError, match="shape"):
             decode_step(_plan(code), np.zeros((8, 8)))
+
+    def test_rejects_an_out_raster_it_cannot_write(self, constant_64):
+        code = encode_quadtree(constant_64, EncoderConfig())
+        plan, raster = _plan(code), np.zeros((code.padded_h, code.padded_w))
+        for out in (np.zeros((8, 8)), np.zeros(raster.shape, np.float32), np.zeros(raster.shape).T):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                decode_step(plan, raster, out)
+        with pytest.raises(ValueError, match="overlap"):
+            decode_step(plan, raster, raster)
+        assert np.all(raster == 0.0)
 
     def test_successive_deltas_shrink(self, natural_128):
         code = encode_quadtree(natural_128, EncoderConfig(mode="mns"))
@@ -120,6 +132,17 @@ class TestDecode:
         with pytest.raises(TypeError):
             DecodeConfig(initial_value=0.0)
 
+    def test_rejects_a_code_over_the_pixel_limit_before_any_sweep(self, monkeypatch):
+        # 8192 x 8208 pixels, one root row over MAX_PIXELS; no leaves are needed to reach the check
+        calls = []
+        monkeypatch.setattr(decoder, "_plan", lambda *args: calls.append(args))
+        monkeypatch.setattr(decoder, "decode_step", lambda *args: calls.append(args))
+        code = QuadtreeCode(LeafTable(np.zeros((0, LeafTable.WIDTH))), 8192, 8208, 8192, 8208, "mns", True)
+        assert MAX_PIXELS == 8192 * 8192 < code.padded_w * code.padded_h
+        with pytest.raises(ValueError, match="pixel limit"):
+            decode(code)
+        assert calls == []
+
     @pytest.mark.parametrize("field, value", (("stop_delta", math.nan),))
     def test_rejects_nan_and_infinite_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -162,37 +185,46 @@ class TestPlanOnce:
         planned, sweeps = [], []
         plan, step = decoder._plan, decoder.decode_step
         monkeypatch.setattr(decoder, "_plan", lambda c: planned.append(c) or plan(c))
-        monkeypatch.setattr(decoder, "decode_step", lambda p, r: sweeps.append(p) or step(p, r))
+        monkeypatch.setattr(decoder, "decode_step", lambda p, *args: sweeps.append(p) or step(p, *args))
         decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
         assert len(sweeps) == 9
         assert planned == [code]
 
     def test_each_sweep_reads_the_previous_raster_and_leaves_it_unchanged(self, natural_128, monkeypatch):
+        # decode reuses its rasters, so each sweep is checked right after it returns
         code = encode_quadtree(natural_128, EncoderConfig(mode="mns"))
-        calls = []  # (raster passed, its copy before the sweep, the sweep's result)
+        calls = []  # (raster read, raster written, a copy of each right after the sweep)
         step = decoder.decode_step
 
-        def traced(plan, current):
+        def traced(plan, current, *out):
             before = current.copy()
-            out = step(plan, current)
-            calls.append((current, before, out))
-            return out
+            result = step(plan, current, *out)
+            assert np.array_equal(current, before)  # the sweep did not write its input
+            if calls:  # it read the previous sweep's output, as that sweep left it
+                assert current is calls[-1][1] and np.array_equal(current, calls[-1][3])
+            calls.append((current, result, before, result.copy()))
+            return result
 
         monkeypatch.setattr(decoder, "decode_step", traced)
         decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
         assert len(calls) == 9
-        assert START_VALUE == 128.0 and np.all(calls[0][0] == START_VALUE)
-        for (_, _, previous), (current, _, _) in zip(calls, calls[1:]):
-            assert current is previous
-        for current, before, _ in calls:
-            assert np.array_equal(current, before)
+        assert START_VALUE == 128.0 and np.all(calls[0][2] == START_VALUE)
+        # two rasters in turn: each sweep writes the raster the sweep before it read
+        assert len({id(raster) for current, result, *_ in calls for raster in (current, result)}) == 2
+        assert all(result is previous for (previous, *_), (_, result, *_) in zip(calls, calls[1:]))
+        # rounding leaves the last sweep's input and output as they were, for callers that keep both
+        current, result, before, after = calls[-1]
+        assert np.array_equal(current, before) and np.array_equal(result, after)
 
     def test_planned_sweep_matches_a_sweep_of_the_code(self):
-        # decode reuses one plan for every sweep: no sweep may change it
+        # decode reuses one plan for every sweep: no sweep may change it; nor does sweeping into a
+        # reused raster, whatever it held, change a pixel
         for n, code in enumerate(_oracle_codes()):
-            plan = decoder._plan(code)
+            plan, out = decoder._plan(code), np.full((code.padded_h, code.padded_w), np.nan)
             for raster in _rasters(code, n):
-                assert decode_step(plan, raster).tobytes() == decode_step(decoder._plan(code), raster).tobytes()
+                fresh = decode_step(plan, raster).tobytes()
+                assert fresh == decode_step(decoder._plan(code), raster).tobytes()
+                assert decode_step(plan, raster, out) is out and out.tobytes() == fresh
 
     @pytest.mark.parametrize("code", _misfit_codes())
     def test_misfit_code_raises_before_any_sweep(self, code, monkeypatch):
@@ -214,3 +246,26 @@ def test_decode_peak_memory_stays_under_five_rasters():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 512 * 512 * 8
+
+
+# the sha256 of each code's decoded pixels, pinned when sweeps took full box sums, so a sweep
+# rewrite that moves one pixel fails here
+PINNED_DECODES = {
+    "natural512_mns": (lambda: encode_quadtree(natural_image(512, 512), EncoderConfig(mode="mns")),
+                       "05e4157d2414ec17a3285b37523b57df97617a29726ed4095324c78f4a90f51f"),
+    "scene256_no_search": (lambda: encode_quadtree(scene_image(256, 256), EncoderConfig(mode="no_search")),
+                           "0d7e72dd2c66273d7c0f1de0f3f5530f084daee4a24f157bdd9d0fb45cc99db6"),
+    "noise128_mns": (lambda: encode_quadtree(noise_image(128, 128), EncoderConfig(mode="mns")),
+                     "f1117561a9da023d80ce2ba2d08681b1e033efcda5f356827d25099684e0818b"),
+    "scene96x80_local_search": (lambda: encode_local_search(scene_image(96, 80, seed=4), EncoderConfig()),
+                                "ac4321f21e54337d1184946fe2b6446cad5f5d9983d31d17e7c0d5e46448684f"),
+    "scene64_full_search_8_step3": (
+        lambda: encode_full_search(scene_image(64, 64, seed=5), 8, EncoderConfig(full_search_step=3))[0],
+        "c139baf20b581df19f6d78ebf6cbbef42a0034d654113372c49765cd1a84281c"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DECODES)
+def test_decoded_pixels_match_pinned_digests(name):
+    encode, digest = PINNED_DECODES[name]
+    assert hashlib.sha256(decode(encode()).pixels.tobytes()).hexdigest() == digest

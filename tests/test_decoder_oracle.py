@@ -82,8 +82,12 @@ def test_quadtree_codes_match_oracle(name, mode):
 @pytest.mark.parametrize("mode", ("mns", "no_search"))
 def test_random_codes_match_oracle(mode, technique2):
     rng = np.random.default_rng(21)
+    direct = 0  # codes with a parity of too few blocks for half-size sums, gathered from the raster
     for checked in range(25):
-        _assert_matches(random_code(rng, mode=mode, technique2=technique2), seed=checked)
+        code = random_code(rng, mode=mode, technique2=technique2)
+        direct += any(parity is None for *_, gathers in _plan(code).sides for parity, _, _ in gathers)
+        _assert_matches(code, seed=checked)
+    assert direct > 0
 
 
 def test_search_codes_match_oracle():
@@ -91,6 +95,8 @@ def test_search_codes_match_oracle():
     codes = [encode_local_search(img, EncoderConfig())]
     for range_size in (4, 8):
         codes.append(encode_full_search(img, range_size, EncoderConfig(full_search_step=3))[0])
+    # between them the codes gather from half-size sums of every (dy % 2, dx % 2)
+    assert set().union(*(_plan(code).parities for code in codes)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     for code in codes:
         _assert_matches(code)
 

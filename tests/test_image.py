@@ -15,6 +15,7 @@ from mnscodec.image import (
     downsample_mean2,
     load_pgm,
     pad_to_multiple,
+    parity_sums,
     save_pgm,
 )
 
@@ -192,6 +193,20 @@ class TestBlockOps:
         assert means.shape == (2, 3, 4, 4) and means.dtype == np.float64
         for i, j in np.ndindex(x.shape):
             assert np.array_equal(means[i, j], downsample_mean2(raster, BlockRect(x[i, j], y[i, j], 8)))
+
+    @pytest.mark.parametrize("shape", ((24, 20), (23, 19), (2, 3)))
+    def test_parity_sums_are_box_sums_at_one_parity(self, shape):
+        # the decoder gathers its domains from these, so they must equal box_sums bit for bit
+        raster = np.random.default_rng(6).uniform(-100.0, 400.0, shape)
+        for py in (0, 1):
+            for px in (0, 1):
+                half = parity_sums(raster, py, px)
+                assert half.shape == ((shape[0] - py) // 2, (shape[1] - px) // 2)
+                assert half.tobytes() == box_sums(raster)[py::2, px::2][: half.shape[0], : half.shape[1]].tobytes()
+                # a stack of rasters, as the decoder passes the domains it gathers, gives each raster's sums
+                flipped = raster[::-1]
+                expected = np.stack([half, parity_sums(flipped, py, px)])
+                assert parity_sums(np.stack([raster, flipped]), py, px).tobytes() == expected.tobytes()
 
 
 class TestCoDomain:

@@ -36,7 +36,6 @@ def test_quantizers_agree_on_quotients(cross, norm):
     assert quantize_contrast(s) == kernel_quantize(s)
 
 
-@pytest.mark.xfail(strict=True, reason="(s + 1) * 4 rounds a value within an ulp below an edge up onto the edge")
 def test_quantizers_agree_just_below_the_edges():
     s = np.nextafter(EDGES, -np.inf)
     assert [quantize_contrast(x) for x in s.tolist()] == kernel_quantize(s).tolist()

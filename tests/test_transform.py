@@ -97,7 +97,8 @@ class TestContrastQuantizer:
     def test_array_codes_match_clamp_then_floor(self):
         edges = np.arange(-12, 13) / 8  # bin edges and centers, in and outside [-1, 1]
         s = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [-np.inf, np.inf]])
-        expected = [min(math.floor((min(1.0, max(-1.0, x)) + 1.0) * 4.0), 7) for x in s.tolist()]
+        # floor(4s) + 4 is exact; floor((s + 1) * 4) would put the values just below an inner edge one bin up
+        expected = [min(math.floor(min(1.0, max(-1.0, x)) * 4.0) + 4, 7) for x in s.tolist()]
         codes = quantize_contrast(s)
         assert codes.dtype.kind == "i" and codes.tolist() == expected
         assert [quantize_contrast(x) for x in s.tolist()] == expected
@@ -156,6 +157,9 @@ class TestApplyMap:
         # and each block as the plain formula gives it, with the whole-block mean
         assert np.array_equal(out, [np.clip(si * (b - b.mean()) + oi, 0.0, 255.0) for b, si, oi in zip(stack, s, o)])
         assert np.array_equal(stack, before)  # the input is never written
+        # written in place, the same bytes come out
+        assert apply_map(stack, s[:, None, None], o[:, None, None], stack) is stack
+        assert stack.tobytes() == out.tobytes()
 
 
 class TestRmsError:
