@@ -29,7 +29,7 @@ MODES = ("no_search", "mns")  # the quadtree modes; the search baselines take on
 ROOT_SIZE = 16
 MAX_SIDE = 0xFFFF  # largest padded side: the .mns header stores each dimension as a u16
 MAX_PIXELS = 1 << 26  # largest padded raster the stream reader and writer and the decoder take: decode's three
-# float64 rasters then need 1.5 GB, where the header alone would admit 65520 x 65520 and 3 x 34 GB
+# float32 rasters then need 768 MB, where the header alone would admit 65520 x 65520 and 3 x 17 GB
 LEVEL_SIZES = {1: 16, 2: 8, 3: 4, 4: 2}
 SIZE_LEVELS = {size: level for level, size in LEVEL_SIZES.items()}
 WORK_PIXELS = 1 << 16  # range pixels per kernel call; a band holds up to 8x as many pixels (one root row at least)

@@ -64,8 +64,10 @@ def dequantize_contrast(code: int | np.ndarray) -> np.ndarray:
 
 def apply_map(block_d, s, o, out: np.ndarray | None = None) -> np.ndarray:
     """s * (D - mean(D)) + o clamped into [0, 255]: D a k x k block, or an (n, k, k) stack with (n, 1, 1) s, o.
-    Written into `out`, which may be D itself, or into a fresh array if `out` is None."""
-    d = np.asarray(block_d, dtype=np.float64)
+    Written into `out`, which may be D itself, or into a fresh array if `out` is None. A float32 D maps in
+    float32, as the decoder's sweeps take it; any other D maps in float64."""
+    d = np.asarray(block_d)
+    d = d if d.dtype == np.float32 else d.astype(np.float64, copy=False)
     out = np.subtract(d, d.mean(axis=(-2, -1), keepdims=True), out=out)  # the rest runs in place
     out *= s
     out += o

@@ -33,6 +33,21 @@ def block_mean(image, rect: BlockRect) -> float:
     return float(arr[rect.y : rect.y + rect.size, rect.x : rect.x + rect.size].mean())
 
 
+def mean2_float32(image, rect: BlockRect) -> np.ndarray:
+    """The rect's 2x2 means in float32, as a decode sweep takes them: each group's pixels cast to
+    float32 and added top-left + top-right, then bottom-left, then bottom-right, as
+    image.parity_sums adds them, then quartered."""
+    arr = _raster(image)
+    _check_rect(arr, rect)
+    if rect.size % 2:
+        raise ValueError(f"rect size {rect.size} must be even")
+    a = arr[rect.y : rect.y + rect.size, rect.x : rect.x + rect.size].astype(np.float32)
+    sums = a[0::2, 0::2] + a[0::2, 1::2]
+    sums += a[1::2, 0::2]
+    sums += a[1::2, 1::2]
+    return sums * np.float32(0.25)
+
+
 def quadrants(rect: BlockRect) -> tuple[BlockRect, BlockRect, BlockRect, BlockRect]:
     """Four half-size sub-blocks in TL, TR, BL, BR order."""
     h = rect.size // 2

@@ -1,8 +1,10 @@
 """decode_step against a scalar per-block painter, bit for bit.
 
 The oracle paints one block at a time: co_domain_rect or the stored domain,
-then downsample_mean2, then apply_map. Rasters are random and reach outside
-0..255, as early sweeps from an arbitrary start may.
+then the domain's 2x2 means, then apply_map. It paints in float32, as
+decode_step does, or in float64 as a reference for what float32 costs.
+Rasters are random and reach outside 0..255, as early sweeps from an
+arbitrary start may.
 """
 
 import numpy as np
@@ -22,17 +24,19 @@ from mnscodec.image import BlockRect, downsample_mean2
 from mnscodec.transform import apply_map
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
-from scalar_oracle import co_domain_rect, dequantize_contrast, quadrants
+from scalar_oracle import co_domain_rect, dequantize_contrast, mean2_float32, quadrants
 from util import gradient_image, natural_image, noise_image, random_code, scene_image
 
 
-def oracle_step(code, current):
-    """One sweep painted one block at a time; pixels that no block covers stay NaN."""
+def oracle_step(code, current, dtype=np.float32):
+    """One sweep painted one block at a time in `dtype`, float32 or float64; pixels that no block
+    covers stay NaN."""
     w, h = code.padded_w, code.padded_h
-    out = np.full((h, w), np.nan)
+    out = np.full((h, w), np.nan, dtype)
+    mean2 = mean2_float32 if dtype == np.float32 else downsample_mean2
 
     def paint(rect, domain, s, o):
-        d = downsample_mean2(current, domain)
+        d = mean2(current, domain)
         out[rect.y : rect.y + rect.size, rect.x : rect.x + rect.size] = apply_map(d, s, o)
 
     for leaf in records(code.leaves):
@@ -49,9 +53,11 @@ def oracle_step(code, current):
 
 
 def _rasters(code, seed):
+    """Three float32 rasters of the code's padded shape, the second reaching outside 0..255."""
     rng = np.random.default_rng(seed)
     shape = (code.padded_h, code.padded_w)
-    return [rng.uniform(0.0, 255.0, shape), rng.uniform(-200.0, 500.0, shape), rng.integers(0, 256, shape) * 1.0]
+    rasters = [rng.uniform(0.0, 255.0, shape), rng.uniform(-200.0, 500.0, shape), rng.integers(0, 256, shape) * 1.0]
+    return [raster.astype(np.float32) for raster in rasters]
 
 
 def _assert_matches(code, seed=0):

@@ -161,6 +161,17 @@ class TestApplyMap:
         assert apply_map(stack, s[:, None, None], o[:, None, None], stack) is stack
         assert stack.tobytes() == out.tobytes()
 
+    def test_float32_stack_maps_in_float32_and_other_blocks_in_float64(self):
+        rng = np.random.default_rng(3)
+        stack = rng.uniform(-300.0, 600.0, (10, 4, 4)).astype(np.float32)
+        s = rng.choice(CONTRAST_VALUES, 10).astype(np.float32)[:, None, None]
+        o = rng.integers(0, 256, 10).astype(np.float32)[:, None, None]
+        out = apply_map(stack, s, o)
+        assert out.dtype == np.float32
+        assert apply_map(stack, s, o, stack) is stack and stack.tobytes() == out.tobytes()
+        for block in (np.arange(16).reshape(4, 4), np.arange(16.0).reshape(4, 4)):
+            assert apply_map(block, 0.5, 100.0).dtype == np.float64
+
 
 class TestRmsError:
     def test_perfect_match(self):
