@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoder import CONTRAST_SETS, MAX_PIXELS, PHASE2, SEARCH, QuadtreeCode, _quadrants, phase2_targets
-from .image import GrayImage, co_domain_origins, parity_sums
+from .image import GrayImage, co_domain_origins, parity_sums, windows
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
@@ -39,7 +39,7 @@ class DecodeConfig:
 
 class _Plan(NamedTuple):
     """What every sweep of one code paints: per block side, a tuple (k, y, x, s, o, gathers) of the
-    side, the (n,) origins of the blocks, s and o as (n, 1, 1), and how to gather their domains'
+    side, the (n,) origins of the blocks, s / 4 and o as (n, 1, 1), and how to gather their domains'
     2x2 sums, as runs of blocks in order. A run is (parity, oy, ox): parity (dy % 2, dx % 2) for a run
     taken from that parity's half-size sums, at the halved domain origins (dy // 2, dx // 2), or None
     for one taken from the raster itself, at the domain origins (dy, dx)."""
@@ -69,7 +69,8 @@ def _plan(code: QuadtreeCode) -> _Plan:
     misfit |= (dk != 2 * k) | (k < 1)
     if misfit.any():
         raise ValueError(f"a {k[misfit][0]}x{k[misfit][0]} block or its domain does not fit the {w}x{h} raster")
-    s, o = s.astype(np.float32)[:, None, None], o.astype(np.float32)[:, None, None]
+    # s is quartered, which commutes with every rounding in apply_map, so sweeps map 2x2 sums as means
+    s, o = (s * 0.25).astype(np.float32)[:, None, None], o.astype(np.float32)[:, None, None]
     # a parity whose blocks cover under 1/16 of the raster gets no half-size sums: gathering their
     # domains from the raster itself (run 4) costs less than building them
     parity = 2 * (dy % 2) + dx % 2
@@ -86,13 +87,6 @@ def _plan(code: QuadtreeCode) -> _Plan:
     return _Plan((h, w), [divmod(g, 2) for g in range(4) if (run == g).any()], sides)
 
 
-def _windows(a: np.ndarray, k: int) -> np.ndarray:
-    """Every k x k window of the C-contiguous 2-D array `a`, as a view indexed by the window's origin;
-    it skips sliding_window_view's checks, which cost more than a small gather."""
-    h, w = a.shape
-    return np.ndarray((h - k + 1, w - k + 1, k, k), a.dtype, a, 0, a.strides * 2)
-
-
 def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One Jacobi sweep of the padded-size raster `current`, read as float32, into `out`, a C-contiguous
     float32 raster of the same shape that shares no memory with `current`, or into a fresh raster if
@@ -102,8 +96,8 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray | None = None)
     Each domain-origin parity the plan names gets one half-size raster of the 2x2 sums of `current`
     (image.parity_sums). Per block side, the gather takes the domains' sums as plain windows of those
     rasters, or, for parities with too few blocks to earn one, sums the domains' windows on `current`
-    alike. It quarters them into 2x2 means, one apply_map call maps them in place, and one scatter
-    writes the blocks through windows on `out`."""
+    alike. One apply_map call maps those sums in place, with the plan's contrasts quartered so that the
+    sums act as 2x2 means, and one scatter writes the blocks through windows on `out`."""
     cur = np.ascontiguousarray(current, dtype=np.float32)
     if cur.shape != plan.shape:
         raise ValueError(f"raster shape {cur.shape} does not match padded {plan.shape[0]}x{plan.shape[1]}")
@@ -114,11 +108,10 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray | None = None)
         raise ValueError("out must not overlap the raster the sweep reads")
     sums = {parity: parity_sums(cur, *parity) for parity in plan.parities}
     for k, y, x, s, o, gathers in plan.sides:
-        d = [parity_sums(_windows(cur, 2 * k)[oy, ox], 0, 0) if parity is None else _windows(sums[parity], k)[oy, ox]
+        d = [parity_sums(windows(cur, 2 * k)[oy, ox], 0, 0) if parity is None else windows(sums[parity], k)[oy, ox]
              for parity, oy, ox in gathers]
-        d = d[0] if len(d) == 1 else np.concatenate(d)  # a fresh array, so it is quartered and mapped in place
-        d *= 0.25
-        _windows(out, k)[y, x] = apply_map(d, s, o, d)
+        d = d[0] if len(d) == 1 else np.concatenate(d)  # a fresh array, so it is mapped in place
+        windows(out, k)[y, x] = apply_map(d, s, o, d)
     return out
 
 

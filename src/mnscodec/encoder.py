@@ -8,7 +8,10 @@ Modes:
 
 On integer pixels with power-of-two sides and contrasts in steps of 1/8, every term of _fit's
 expanded sum of squared residuals is exact in float64, so it is rms_error's sum of squares to the
-last bit, in any order. Phase 2's contrasts are not dyadic; _rms keeps rms_error's order there.
+last bit, in any order. So are phase 1's plain sums: a 16x16 block's domain sum times its range sum
+is at most 255 * 256 squared, about 4.3e9, in steps of 1/4, far inside float64's 2^53, so cross
+terms and norms taken from sums equal those of mean-removed copies. Phase 2's contrasts are not
+dyadic; _rms keeps rms_error's order there.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .image import GrayImage, box_sums, co_domain_origins, domain_means, pad_to_multiple
+from .image import GrayImage, box_sums, co_domain_origins, domain_means, pad_to_multiple, windows
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import CONTRAST_VALUES, quantize_contrast
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
@@ -167,18 +169,29 @@ def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
     return RowBand(pixels, box_sums(pixels, np.uint16), lo, image.width, image.height)
 
 
-def _ranges_and_domains(band: RowBand, xy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float pixels of the k x k ranges at origins xy and the 2x2 means of their co-centered domains, a row each."""
-    x, y = xy.T
-    dx, dy = co_domain_origins(x, y, k, band.width, band.height)
-    r = sliding_window_view(band.pixels, (k, k))[y - band.lo, x].reshape(-1, k * k).astype(np.float64)
-    return r, domain_means(band.sums, dx, dy - band.lo, k).reshape(-1, k * k)
+def _ranges(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
+    """Pixels of the k x k ranges at origins xy, a uint8 row each."""
+    return windows(band.pixels, k)[xy[:, 1] - band.lo, xy[:, 0]].reshape(-1, k * k)
+
+
+def _domains(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
+    """2x2 means of the co-centered domains of the k x k ranges at origins xy, a row each."""
+    dx, dy = co_domain_origins(xy[:, 0], xy[:, 1], k, band.width, band.height)
+    return domain_means(band.sums, dx, dy - band.lo, k).reshape(-1, k * k)
 
 
 def _centered(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Domains d, one per last-axis row, mean-removed in place, and each row's squared norm."""
     d -= d.mean(axis=-1, keepdims=True)
     return d, np.einsum("...k,...k->...", d, d)
+
+
+def _sum_terms(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_fit's cross terms and norms of domains d, one per last-axis row, against ranges r that broadcast
+    with them, from plain sums of r and d: sum(d r) - sum(d) sum(r) / kk and sum(d^2) - sum(d)^2 / kk."""
+    kk, sd = r.shape[-1], d.sum(axis=-1)
+    cross = np.einsum("...k,...k->...", d, r) - sd * r.sum(axis=-1) / kk
+    return cross, np.einsum("...k,...k->...", d, d) - sd * sd / kk
 
 
 def _quadrants(xy: np.ndarray, size) -> np.ndarray:
@@ -196,22 +209,20 @@ def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _fit(r: np.ndarray, d: np.ndarray, norms: np.ndarray):
+def _fit(r: np.ndarray, cross: np.ndarray, norms: np.ndarray):
     """Each range's lowest-error candidate domain under its quantized least-squares contrast.
 
-    r holds (n, kk) range pixels, which it overwrites; d the mean-removed candidates' 2x2 means,
-    (n, c, kk), a pool per range, or (c, kk), one pool for all; norms their squared norms, (n, c)
-    or (c,). Returns each range's candidate index (ties to the first), s code, o byte (the range mean
-    rounded half up, as a float) and sum of squared residuals, exact as the module docstring says.
+    r holds (n, kk) range pixels; cross each candidate's sum(d0 r), (n, c), and norms its sum(d0^2),
+    (n, c) or (c,), where d0 is the candidate's 2x2 means with their mean removed. None is written.
+    Returns each range's candidate index (ties to the first), s code, o byte (the range mean rounded
+    half up, as a float) and sum of squared residuals, exact as the module docstring says.
     """
-    o_byte = np.floor(r.mean(axis=1) + 0.5)  # halves round up
-    # rows of d sum to exactly 0, so the cross term needs no mean-removed copy of r
-    cross = np.einsum("nck,nk->nc", d, r) if d.ndim == 3 else r @ d.T
+    kk, total = r.shape[1], r.sum(axis=1)
+    o_byte = np.floor(total / kk + 0.5)  # halves round up
     s_code = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))  # a flat candidate: s = 0
     s = np.take(CONTRAST_VALUES, s_code)
-    r -= o_byte[:, None]  # in place: the callers' ranges are scratch
-    sse = (s * norms - 2.0 * cross) * s  # |r - o - s d|^2 expanded; d's rows sum to 0
-    sse += np.einsum("ij,ij->i", r, r)[:, None]
+    sse = (s * norms - 2.0 * cross) * s  # |r - o - s d0|^2 expanded; d0's rows sum to 0
+    sse += (np.einsum("ij,ij->i", r, r) - (2.0 * total - kk * o_byte) * o_byte)[:, None]  # sum((r - o)^2)
     best = sse.argmin(axis=1)
     at = (np.arange(len(r)), best)
     return best, s_code[at], o_byte, sse[at]
@@ -231,13 +242,14 @@ def try_phase1(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     """Fit each block's co-centered domain and test the level threshold.
 
     xy holds the (n, 2) (x, y) origins of level-sized blocks inside the band.
-    The acceptance RMS is re-evaluated with the quantized contrast code and
-    rounded mean, so the decision matches what the decoder reconstructs.
-    Level 4 accepts unconditionally. Returns (accepted mask, (n, 2) rows of
-    (o_byte, s_code), rms).
+    Cross terms and norms come from plain sums of each range and domain
+    (_sum_terms), with no mean-removed copy of either. The acceptance RMS is
+    re-evaluated with the quantized contrast code and rounded mean, so the
+    decision matches what the decoder reconstructs. Level 4 accepts
+    unconditionally. Returns (accepted mask, (n, 2) rows of (o_byte, s_code), rms).
     """
-    r, d = _ranges_and_domains(band, xy, LEVEL_SIZES[level])
-    _, s_code, o_byte, sse = _fit(r, *_centered(d[:, None]))  # one candidate per block
+    r, d = _ranges(band, xy, LEVEL_SIZES[level]).astype(np.float64), _domains(band, xy, LEVEL_SIZES[level])
+    _, s_code, o_byte, sse = _fit(r, *_sum_terms(r[:, None], d[:, None]))  # one candidate per block
     rms = np.sqrt(sse / r.shape[1])
     accepted = np.full(len(xy), True) if level == 4 else rms <= config.threshold(level)
     return accepted, np.stack([o_byte.astype(np.intp), s_code], axis=1), rms
@@ -251,30 +263,32 @@ def try_phase2(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     implied fourth mean stays a byte. Each quadrant keeps its luminance fixed
     to the reconstructed quadrant mean and only chooses between the two set
     values, ties going to the lower; all four quadrants must meet the level
-    threshold. xy is as for try_phase1. Returns (accepted mask, (n, 8) rows
-    of (o_byte, three deltas, four s_bits), worst quadrant rms or inf on
-    rejection).
+    threshold. The three gates run first, on the quadrant pixels alone; only
+    the blocks that pass them gather domains and measure RMS. xy is as for
+    try_phase1. Returns (accepted mask, (n, 8) rows of (o_byte, three deltas,
+    four s_bits, 0 where a gate fails), worst quadrant rms or inf on rejection).
     """
     if level not in CONTRAST_SETS:
         raise ValueError("phase 2 exists only at levels 1..3")
-    n = len(xy)
-    r, d = _ranges_and_domains(band, _quadrants(xy, LEVEL_SIZES[level]), LEVEL_SIZES[level] // 2)
-    r, d = r.reshape(n, 4, -1), d.reshape(n, 4, -1)
-    # block and quadrant means are exact in float64 on integer pixels
-    o_mean = r.reshape(n, -1).mean(axis=1)
-    quad_means = r.mean(axis=2)
-    o_byte = np.floor(o_mean + 0.5)
-    deltas = np.floor(quad_means[:, :3] - o_mean[:, None] + 0.5)
+    n, k = len(xy), LEVEL_SIZES[level] // 2
+    # each block's pixels, gathered whole, as TL, TR, BL, BR quadrant rows
+    q = _ranges(band, xy, 2 * k).reshape(n, 2, k, 2, k).swapaxes(2, 3).reshape(n, 4, k * k)
+    quad_means = q.sum(axis=2, dtype=np.int32) / (k * k)  # exact, and so is their mean, the block mean
+    o_mean = quad_means.mean(axis=1)
+    offsets = quad_means - o_mean[:, None]
+    o_byte, deltas = np.floor(o_mean + 0.5), np.floor(offsets[:, :3] + 0.5)
     targets = np.stack(phase2_targets(o_byte, deltas.T), axis=1)  # the implied BR mean must stay a byte
-    accepted = ((np.abs(quad_means - o_mean[:, None]).max(axis=1) <= config.mean_tol)
-                & (np.abs(deltas).max(axis=1) <= delta_limit(level)) & (targets[:, 3] >= 0) & (targets[:, 3] <= 255))
+    gates = (np.abs(offsets).max(axis=1) <= config.mean_tol) & (np.abs(deltas).max(axis=1) <= delta_limit(level))
+    ok = np.flatnonzero(gates & (targets[:, 3] >= 0) & (targets[:, 3] <= 255))
+    r, d = q[ok].astype(np.float64), _domains(band, _quadrants(xy[ok], 2 * k), k).reshape(len(ok), 4, k * k)
     d -= d.mean(axis=2, keepdims=True)
-    rms_lo, rms_hi = (_rms(r, d, s, targets[:, :, None]) for s in CONTRAST_SETS[level])
-    bits = rms_hi < rms_lo
-    rms = np.where(bits, rms_hi, rms_lo)
-    accepted &= (rms <= config.threshold(level)).all(axis=1)
+    rms_lo, rms_hi = (_rms(r, d, s, targets[ok, :, None]) for s in CONTRAST_SETS[level])
+    bits, worst = np.zeros((n, 4)), np.full(n, np.inf)
+    bits[ok] = rms_hi < rms_lo
+    worst[ok] = np.minimum(rms_lo, rms_hi).max(axis=1)
+    accepted = worst <= config.threshold(level)
     payload = np.concatenate([o_byte[:, None], deltas, bits], axis=1).astype(np.intp)
-    return accepted, payload, np.where(accepted, rms.max(axis=1), np.inf)
+    return accepted, payload, np.where(accepted, worst, np.inf)
 
 
 def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
@@ -326,7 +340,7 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     or a shared pool's (ranges, c) score matrix within WORK_PIXELS // 8 entries."""
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
-    ranges = sliding_window_view(image.pixels, (k, k))[::k, ::k].reshape(-1, k * k)  # in raster order
+    ranges = windows(image.pixels, k)[::k, ::k].reshape(-1, k * k)  # in raster order
     pool = _centered(domain_means(sums, xs, ys, k).reshape(c, -1)) if shared else None
     step = max(1, WORK_PIXELS // 8 // c if shared else WORK_PIXELS // (c * k * k))
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
@@ -336,7 +350,9 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     for i in range(0, len(ranges), step):
         part = slice(i, i + step)
         d, norms = pool if shared else _centered(domain_means(sums, xs[part], ys[part], k).reshape(-1, c, k * k))
-        best, rows[part, 6], rows[part, 5], _ = _fit(ranges[part].astype(np.float64), d, norms)
+        r = ranges[part].astype(np.float64)
+        cross = r @ d.T if shared else np.einsum("nck,nk->nc", d, r)  # d's rows sum to 0: no mean-removed r
+        best, rows[part, 6], rows[part, 5], _ = _fit(r, cross, norms)
         rows[part, 14:16] = np.stack([xs[part], ys[part]], axis=2)[np.arange(len(best)), best]
     return LeafTable(rows)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = 0x23  # '#'
@@ -28,7 +27,7 @@ class GrayImage:
     """8-bit single-channel raster, immutable after construction."""
 
     def __init__(self, pixels) -> None:
-        arr = np.array(pixels)
+        arr = np.array(pixels, order="C")  # so any run of rows is one block of memory, as windows needs
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D pixel array, got shape {arr.shape}")
         if arr.size == 0:
@@ -175,10 +174,17 @@ def parity_sums(raster: np.ndarray, py: int, px: int) -> np.ndarray:
     return sums
 
 
+def windows(a: np.ndarray, k: int) -> np.ndarray:
+    """Every k x k window of the C-contiguous 2-D array `a`, as a view indexed by the window's origin;
+    it skips sliding_window_view's checks, which cost more than a small gather."""
+    h, w = a.shape
+    return np.ndarray((h - k + 1, w - k + 1, k, k), a.dtype, a, 0, a.strides * 2)
+
+
 def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
     """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k)
     array: the stride-2 samples of each (2k-1)-window of the box_sums raster `sums`, quartered exactly."""
-    d = sliding_window_view(sums, (2 * k - 1, 2 * k - 1))[y, x, ::2, ::2]  # a fresh copy
+    d = windows(sums, 2 * k - 1)[y, x, ::2, ::2]  # a fresh copy
     return np.multiply(d, 0.25, out=d if d.dtype == np.float64 else None)
 
 

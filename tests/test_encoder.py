@@ -19,7 +19,7 @@ from mnscodec.image import BlockRect, GrayImage, downsample_mean2, pad_to_multip
 from mnscodec.transform import rms_error
 
 from records import Phase1Payload, records
-from scalar_oracle import block_pixels, co_domain_rect, dequantize_contrast, quadrants
+from scalar_oracle import block_mean, block_pixels, co_domain_rect, dequantize_contrast, quadrants, round_to_int
 from util import natural_image, noise_image, scene_image
 
 
@@ -53,6 +53,22 @@ def quadrant_image(values, size=16):
     arr[h:, :h] = values[2]
     arr[h:, h:] = values[3]
     return GrayImage(arr)
+
+
+def passes_phase2_gates(image, rect, level, config):
+    """Whether phase 2's mean gate, delta width and implied-mean gates admit the block, from scalar means."""
+    o_mean = block_mean(image, rect)
+    means = [block_mean(image, quad) for quad in quadrants(rect)]
+    deltas = [round_to_int(m - o_mean) for m in means[:3]]
+    return (max(abs(m - o_mean) for m in means) <= config.mean_tol and max(map(abs, deltas)) <= enc.delta_limit(level)
+            and 0 <= round_to_int(o_mean) - sum(deltas) <= 255)
+
+
+def gathered_domains(monkeypatch):
+    """A list that collects the number of domains each encoder call of domain_means gathers."""
+    counts, real = [], enc.domain_means
+    monkeypatch.setattr(enc, "domain_means", lambda sums, x, y, k: counts.append(np.size(x)) or real(sums, x, y, k))
+    return counts
 
 
 def one_block(phase, image, rect, level, config):
@@ -117,6 +133,32 @@ class TestPhase2:
         img = quadrant_image((3, 3, 3, 0))
         accepted, _, _ = one_block(try_phase2, img, BlockRect(0, 0, 16), 1, EncoderConfig())
         assert not accepted  # implied fourth mean would be -1
+
+    @pytest.mark.parametrize("values, payload", [
+        ((42, 42, 42, 42), [42, 0, 0, 0, 0, 0, 0, 0]),  # constant
+        ((100, 104, 96, 100), [100, 0, 4, -4, 0, 0, 0, 0]),  # the worked quartet
+        ((178, 100, 100, 100), None),  # mean gate
+        ((116, 100, 100, 84), None),  # delta width
+        ((3, 3, 3, 0), None),  # implied mean
+    ])
+    def test_gathers_domains_only_when_the_gates_pass(self, values, payload, monkeypatch):
+        gathered = gathered_domains(monkeypatch)
+        accepted, got, rms = one_block(try_phase2, quadrant_image(values), BlockRect(0, 0, 16), 1, EncoderConfig())
+        assert sum(gathered) == (4 if payload else 0)  # one domain per quadrant of a gated-in block
+        assert accepted == (payload is not None)
+        assert (got == payload) if payload else (rms == math.inf)
+
+    @pytest.mark.parametrize("level", (1, 2, 3))
+    @pytest.mark.parametrize("mean_tol", (0.0, 8.0, 40.0))
+    def test_gathers_domains_for_gated_blocks_of_a_batch(self, level, mean_tol, monkeypatch):
+        image, config = natural_image(96, 64, seed=3), EncoderConfig(mean_tol=mean_tol)
+        size = enc.LEVEL_SIZES[level]
+        rects = [BlockRect(x, y, size) for y in range(0, 64, size) for x in range(0, 96, size)]
+        gated = [passes_phase2_gates(image, rect, level, config) for rect in rects]
+        gathered = gathered_domains(monkeypatch)
+        accepted, _, rms = try_phase2(enc._band(image, 0, 64), np.array([(r.x, r.y) for r in rects]), level, config)
+        assert sum(gathered) == 4 * sum(gated)
+        assert not (accepted & ~np.array(gated)).any() and (rms[~accepted] == math.inf).all()
 
     def test_level4_is_invalid(self, constant_64):
         with pytest.raises(ValueError, match="levels 1..3"):
@@ -229,8 +271,17 @@ class TestQuadtree:
     def test_traced_peak_stays_below_a_whole_image_copy(self):
         # a float64 copy of this raster alone is 8 MB; a band holds at most 8 * WORK_PIXELS
         # pixels (here 32 root rows) and a call WORK_PIXELS range pixels, so the peak is one
-        # band's uint16 box sums, one call's float64 ranges and domains, and the returned leaves
-        assert traced_peak(encode_quadtree, natural_image(1024, 1024, seed=7), EncoderConfig()) < 4_000_000
+        # band's uint16 box sums, one call's float64 ranges and domains, and the returned leaves (3.21 MB)
+        assert traced_peak(encode_quadtree, natural_image(1024, 1024, seed=7), EncoderConfig()) < 3_500_000
+
+    def test_transposed_pixels_encode_as_their_copy(self, monkeypatch):
+        # GrayImage keeps its pixels in C order, so a band of rows is one block of memory for the
+        # window views even when the image came from a column-major (transposed) array
+        monkeypatch.setattr(enc, "WORK_PIXELS", 1)  # one root row per band
+        pixels = natural_image(64, 48, seed=2).pixels.T
+        assert GrayImage(pixels).pixels.flags.c_contiguous
+        expected = encode_quadtree(GrayImage(np.ascontiguousarray(pixels)), EncoderConfig())
+        assert encode_quadtree(GrayImage(pixels), EncoderConfig()) == expected
 
     def test_rejects_baseline_modes(self, constant_64):
         # a baseline mode is no EncoderConfig mode, so it cannot reach encode_quadtree
@@ -292,13 +343,13 @@ class TestLocalSearch:
         calls = []
         real = enc._fit
 
-        def counting(r, d, norms):
-            calls.append((len(r), d.shape[:2], norms.shape))
-            return real(r, d, norms)
+        def counting(r, cross, norms):
+            calls.append((len(r), cross.shape, norms.shape))
+            return real(r, cross, norms)
 
         monkeypatch.setattr(enc, "_fit", counting)
         encode_local_search(img, EncoderConfig())
-        assert calls and all(d_shape == norms_shape == (n, 81) for n, d_shape, norms_shape in calls)
+        assert calls and all(cross_shape == norms_shape == (n, 81) for n, cross_shape, norms_shape in calls)
         assert sum(n for n, _, _ in calls) == 16  # every range of the 32x32 image, each scored once
 
     def test_call_size_does_not_change_the_code(self, monkeypatch):

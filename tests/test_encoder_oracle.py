@@ -182,6 +182,58 @@ def test_random_images_match_scalar_oracle(w, h, seed, kind, e, tol, mode):
     assert encode_quadtree(image, config) == oracle_encode(image, config)
 
 
+def oracle_fit(r, pool):
+    """_fit for one range against its candidate domains, from the scalar pieces: per candidate the
+    scalar quantizer's code of fit_affine's s, the range mean rounded half up, and the explicit sum of
+    squared residuals; the first candidate of least error wins."""
+    o_byte = round_to_int(float(r.mean()))
+    scored = []
+    for d in pool:
+        s_code = quantize_contrast(fit_affine(r, d).s)
+        res = r - dequantize_contrast(s_code) * (d - d.mean()) - o_byte
+        scored.append((float(np.sum(res * res)), s_code))
+    best = min(range(len(pool)), key=lambda i: scored[i][0])
+    return best, scored[best][1], float(o_byte), scored[best][0]
+
+
+@given(st.sampled_from((2, 4, 8, 16)), st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from(("noise", "mapped", "steps")))
+@settings(max_examples=150, deadline=None)
+def test_fit_matches_scalar_oracle(k, n, c, seed, kind):
+    # domains are 2x2 means, quarters of sums of four bytes; some are flat (norm 0, so s = 0) and
+    # some ranges are all 0 or all 255; "mapped" ranges follow their first candidate, so s codes
+    # spread, and "steps" takes few values, so candidates tie
+    rng = np.random.default_rng(seed)
+    d = rng.integers(0, 1021, (n, c, k * k)) / 4.0
+    if kind == "steps":
+        d = rng.integers(0, 3, (n, c, k * k)) * 100.0
+    d[rng.random((n, c)) < 0.25] = rng.integers(0, 1021) / 4.0
+    r = rng.integers(0, 256, (n, k * k)).astype(np.float64)
+    if kind == "mapped":
+        s = rng.uniform(-1.2, 1.2, (n, 1))
+        r = np.clip(np.rint(s * (d[:, 0] - d[:, 0].mean(axis=1, keepdims=True)) + rng.uniform(0, 255, (n, 1))
+                            + rng.normal(0.0, 3.0, r.shape)), 0, 255)
+    elif kind == "steps":
+        r = rng.integers(0, 3, r.shape) * 100.0
+    r[rng.random(n) < 0.2], r[rng.random(n) < 0.2] = 0.0, 255.0
+    pool = d[0]  # also shared by every range, as full search shares its pool
+    d0, norms0 = encoder._centered(d.copy())
+    p0, pool_norms0 = encoder._centered(pool.copy())
+    inputs = {  # phase 1's plain sums and the searches' centered pools, per range and shared
+        "sums": encoder._sum_terms(r[:, None], d),
+        "centered": (np.einsum("nck,nk->nc", d0, r), norms0),
+        "shared sums": encoder._sum_terms(r[:, None], pool),
+        "shared centered": (r @ p0.T, pool_norms0),
+    }
+    for name, (cross, norms) in inputs.items():
+        pools = [pool] * n if name.startswith("shared") else list(d)
+        expected = [oracle_fit(r[i], pools[i]) for i in range(n)]
+        kept = r.copy(), cross.copy(), norms.copy()
+        got = encoder._fit(r, cross, norms)
+        assert all(np.array_equal(a, b) for a, b in zip((r, cross, norms), kept)), name  # nothing written
+        assert [tuple(column[i].item() for column in got) for i in range(n)] == expected, name
+
+
 def kernel_alone(kernel, image, rect, level, config):
     """A kernel call on `rect` alone, in the oracle's terms: (record, or None on rejection, and rms)."""
     xy = np.array([(rect.x, rect.y)])
