@@ -6,18 +6,14 @@ an iterative contractive decoder, exhaustive/local search baselines, and a
 rate-distortion benchmark harness.
 
 A code is a QuadtreeCode: header fields plus a LeafTable, the leaves as
-int64 columns, a row per leaf. There are no per-leaf record classes any
-more. try_phase1/try_phase2 take a RowBand and an (n, 2) array of block
-origins.
+int64 columns, a row per leaf. encode_quadtree(image, EncoderConfig) makes
+one; write_stream and read_stream turn it into .mns bytes and back;
+decode(code, DecodeConfig) rebuilds the GrayImage. try_phase1/try_phase2
+take a RowBand and an (n, 2) array of block origins. decode_step(plan,
+raster, out) runs one sweep of the plan decoder._plan(code) builds.
 
-API break: the scalar helpers that only test oracles used are gone. mnscodec
-no longer exports block_mean or co_domain_rect, and image.block_pixels,
-BlockRect.quadrants and encoder.round_to_int are removed. DecodeConfig has
-no initial_value field: decode always starts from a flat raster of
-decoder.START_VALUE (128). decode_step takes only the plan decode builds
-(decoder._plan(code)), not a bare code. EncoderConfig.mode accepts only
-no_search and mns. quantize_contrast and dequantize_contrast return numpy
-scalars for scalar input.
+API break: decode_step's out is required; it no longer sweeps into a fresh
+raster when out is omitted.
 """
 
 from .bench import OffsetHistogram, RdPoint, histogram_csv, offset_histogram, rd_csv, rd_sweep

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoder import DELTA_MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode
-from .encoder import phase2_targets
+from .encoder import MODES, phase2_targets
 
 MAGIC = b"MNS1"
 HEADER_BYTES = 13
@@ -81,7 +81,7 @@ def _layout(level: np.ndarray, phase2: np.ndarray, roots_x: int, mns: bool, tech
 
 def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     """Check that `code` serializes; then its leaves' (n, FIELDS) field values and bit widths."""
-    if code.mode not in ("no_search", "mns"):
+    if code.mode not in MODES:
         raise ValueError(f"only no_search/mns codes serialize, not {code.mode!r}")
     if code.padded_w % ROOT_SIZE or code.padded_h % ROOT_SIZE:
         raise ValueError("padded dimensions must be multiples of 16")
@@ -223,7 +223,7 @@ def read_stream(data: bytes) -> QuadtreeCode:
     level, p2 = kind // 2 + 1, kind % 2 == 1
     if min(padded_w, padded_h) < 2 * ROOT_SIZE and (level == 1).any():
         raise StreamFormatError(NO_LEVEL1)
-    start, _, x, y, widths = _layout(level, p2, padded_w // ROOT_SIZE, mns, technique2)
+    *_, x, y, widths = _layout(level, p2, padded_w // ROOT_SIZE, mns, technique2)
     widths = widths.ravel()
     # a field lies in the 16-bit window from its first byte; past one int64 offset, it is gathered narrow
     offset = np.cumsum(widths, dtype=np.int64)

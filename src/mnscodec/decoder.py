@@ -38,15 +38,16 @@ class DecodeConfig:
 
 
 class _Plan(NamedTuple):
-    """What every sweep of one code paints: per block side, a tuple (k, y, x, s, o, gathers) of the
-    side, the (n,) origins of the blocks, s / 4 and o as (n, 1, 1), and how to gather their domains'
-    2x2 sums, as runs of blocks in order. A run is (parity, oy, ox): parity (dy % 2, dx % 2) for a run
-    taken from that parity's half-size sums, at the halved domain origins (dy // 2, dx // 2), or None
-    for one taken from the raster itself, at the domain origins (dy, dx)."""
+    """What every sweep of one code paints, as runs of blocks that share a side and a domain source.
+    A run is (k, source, y, x, oy, ox, s, o): the side, the source, the (n,) block origins, the (n,)
+    origins to gather the domains' 2x2 sums at, and s / 4 and o as (n, 1, 1). The source is a parity
+    (dy % 2, dx % 2), for a run gathered from that parity's half-size sums at the halved domain origins
+    (dy // 2, dx // 2), or None, for one gathered from the raster itself at the domain origins (dy, dx).
+    Runs are sorted by side, then by source."""
 
     shape: tuple[int, int]  # padded (h, w)
     parities: list[tuple[int, int]]  # the parities that get half-size sums
-    sides: list[tuple]
+    runs: list[tuple]
 
 
 def _plan(code: QuadtreeCode) -> _Plan:
@@ -77,40 +78,33 @@ def _plan(code: QuadtreeCode) -> _Plan:
     run = np.where(np.bincount(parity, weights=k * k, minlength=4)[parity] * 16 >= h * w, parity, 4)
     order = np.lexsort((run, k))
     k, run, y, x, dy, dx, s, o = (a[order] for a in (k, run, y, x, dy, dx, s, o))
-    sides = []
-    for side in dict.fromkeys(k.tolist()):
-        m, gathers = k == side, []
-        for g in dict.fromkeys(run[m].tolist()):
-            r = m & (run == g)
-            gathers.append((None, dy[r], dx[r]) if g == 4 else (divmod(g, 2), dy[r] // 2, dx[r] // 2))
-        sides.append((side, y[m], x[m], s[m], o[m], gathers))
-    return _Plan((h, w), [divmod(g, 2) for g in range(4) if (run == g).any()], sides)
+    halve = np.where(run < 4, 2, 1)
+    cuts = np.flatnonzero((np.diff(k) != 0) | (np.diff(run) != 0)) + 1
+    runs = [(int(side[0]), None if g[0] == 4 else divmod(int(g[0]), 2), *rest)
+            for side, g, *rest in zip(*(np.split(a, cuts) for a in (k, run, y, x, dy // halve, dx // halve, s, o)))]
+    return _Plan((h, w), [divmod(g, 2) for g in range(4) if (run == g).any()], runs)
 
 
-def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One Jacobi sweep of the padded-size raster `current`, read as float32, into `out`, a C-contiguous
-    float32 raster of the same shape that shares no memory with `current`, or into a fresh raster if
-    `out` is None; returns the raster written. `current` is never written. `plan` is _plan(code), as
-    decode builds it.
+    float32 raster of the same shape that shares no memory with `current`; returns `out`. `current` is
+    never written. `plan` is _plan(code), as decode builds it.
 
     Each domain-origin parity the plan names gets one half-size raster of the 2x2 sums of `current`
-    (image.parity_sums). Per block side, the gather takes the domains' sums as plain windows of those
-    rasters, or, for parities with too few blocks to earn one, sums the domains' windows on `current`
-    alike. One apply_map call maps those sums in place, with the plan's contrasts quartered so that the
-    sums act as 2x2 means, and one scatter writes the blocks through windows on `out`."""
+    (image.parity_sums). Per run, the gather takes the domains' sums as plain windows of its parity's
+    raster, or, for a run with no parity, sums the domains' windows on `current` alike; either way a
+    fresh array, which one apply_map call maps in place, with the plan's contrasts quartered so that
+    the sums act as 2x2 means, and one scatter writes the blocks through windows on `out`."""
     cur = np.ascontiguousarray(current, dtype=np.float32)
     if cur.shape != plan.shape:
         raise ValueError(f"raster shape {cur.shape} does not match padded {plan.shape[0]}x{plan.shape[1]}")
-    out = np.empty(plan.shape, np.float32) if out is None else out
     if (out.shape, out.dtype) != (plan.shape, np.float32) or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float32 raster of shape {plan.shape}")
     if np.may_share_memory(cur, out):
         raise ValueError("out must not overlap the raster the sweep reads")
     sums = {parity: parity_sums(cur, *parity) for parity in plan.parities}
-    for k, y, x, s, o, gathers in plan.sides:
-        d = [parity_sums(windows(cur, 2 * k)[oy, ox], 0, 0) if parity is None else windows(sums[parity], k)[oy, ox]
-             for parity, oy, ox in gathers]
-        d = d[0] if len(d) == 1 else np.concatenate(d)  # a fresh array, so it is mapped in place
+    for k, source, y, x, oy, ox, s, o in plan.runs:
+        d = parity_sums(windows(cur, 2 * k)[oy, ox], 0, 0) if source is None else windows(sums[source], k)[oy, ox]
         windows(out, k)[y, x] = apply_map(d, s, o, d)
     return out
 

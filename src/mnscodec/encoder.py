@@ -8,10 +8,10 @@ Modes:
 
 On integer pixels with power-of-two sides and contrasts in steps of 1/8, every term of _fit's
 expanded sum of squared residuals is exact in float64, so it is rms_error's sum of squares to the
-last bit, in any order. So are phase 1's plain sums: a 16x16 block's domain sum times its range sum
-is at most 255 * 256 squared, about 4.3e9, in steps of 1/4, far inside float64's 2^53, so cross
-terms and norms taken from sums equal those of mean-removed copies. Phase 2's contrasts are not
-dyadic; _rms keeps rms_error's order there.
+last bit, in any order. So are the moments _fit removes the means from: a 16x16 block's domain sum
+times its range sum is at most 255 * 256 squared, about 4.3e9, in steps of 1/4, far inside
+float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies.
+Phase 2's contrasts are not dyadic; _rms keeps rms_error's order there.
 """
 
 from __future__ import annotations
@@ -180,18 +180,10 @@ def _domains(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
     return domain_means(band.sums, dx, dy - band.lo, k).reshape(-1, k * k)
 
 
-def _centered(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Domains d, one per last-axis row, mean-removed in place, and each row's squared norm."""
-    d -= d.mean(axis=-1, keepdims=True)
-    return d, np.einsum("...k,...k->...", d, d)
-
-
-def _sum_terms(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_fit's cross terms and norms of domains d, one per last-axis row, against ranges r that broadcast
-    with them, from plain sums of r and d: sum(d r) - sum(d) sum(r) / kk and sum(d^2) - sum(d)^2 / kk."""
-    kk, sd = r.shape[-1], d.sum(axis=-1)
-    cross = np.einsum("...k,...k->...", d, r) - sd * r.sum(axis=-1) / kk
-    return cross, np.einsum("...k,...k->...", d, d) - sd * sd / kk
+def _moments(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_fit's raw moments of the (n, c, kk) candidate domains d against the (n, kk) ranges r:
+    sum(d r), sum(d^2) and sum(d), each (n, c)."""
+    return np.einsum("nck,nk->nc", d, r), np.einsum("nck,nck->nc", d, d), d.sum(axis=2)
 
 
 def _quadrants(xy: np.ndarray, size) -> np.ndarray:
@@ -209,16 +201,19 @@ def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _fit(r: np.ndarray, cross: np.ndarray, norms: np.ndarray):
+def _fit(r: np.ndarray, dr: np.ndarray, dd: np.ndarray, sd: np.ndarray):
     """Each range's lowest-error candidate domain under its quantized least-squares contrast.
 
-    r holds (n, kk) range pixels; cross each candidate's sum(d0 r), (n, c), and norms its sum(d0^2),
-    (n, c) or (c,), where d0 is the candidate's 2x2 means with their mean removed. None is written.
+    r holds (n, kk) range pixels; dr each candidate's sum(d r), (n, c), and dd and sd its sum(d^2)
+    and sum(d), (n, c) or (c,), where d is the candidate's 2x2 means. The cross terms and norms of
+    the mean-removed candidates are formed here, from these and each range's sum. None is written.
     Returns each range's candidate index (ties to the first), s code, o byte (the range mean rounded
     half up, as a float) and sum of squared residuals, exact as the module docstring says.
     """
     kk, total = r.shape[1], r.sum(axis=1)
     o_byte = np.floor(total / kk + 0.5)  # halves round up
+    cross = dr - sd * (total / kk)[:, None]  # sum(d0 r), d0 = d - mean(d)
+    norms = dd - sd * sd / kk  # sum(d0^2)
     s_code = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))  # a flat candidate: s = 0
     s = np.take(CONTRAST_VALUES, s_code)
     sse = (s * norms - 2.0 * cross) * s  # |r - o - s d0|^2 expanded; d0's rows sum to 0
@@ -242,14 +237,14 @@ def try_phase1(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     """Fit each block's co-centered domain and test the level threshold.
 
     xy holds the (n, 2) (x, y) origins of level-sized blocks inside the band.
-    Cross terms and norms come from plain sums of each range and domain
-    (_sum_terms), with no mean-removed copy of either. The acceptance RMS is
+    _fit takes each block's one candidate as raw moments, with no mean-removed
+    copy of the range or the domain. The acceptance RMS is
     re-evaluated with the quantized contrast code and rounded mean, so the
     decision matches what the decoder reconstructs. Level 4 accepts
     unconditionally. Returns (accepted mask, (n, 2) rows of (o_byte, s_code), rms).
     """
     r, d = _ranges(band, xy, LEVEL_SIZES[level]).astype(np.float64), _domains(band, xy, LEVEL_SIZES[level])
-    _, s_code, o_byte, sse = _fit(r, *_sum_terms(r[:, None], d[:, None]))  # one candidate per block
+    _, s_code, o_byte, sse = _fit(r, *_moments(r, d[:, None]))  # one candidate per block
     rms = np.sqrt(sse / r.shape[1])
     accepted = np.full(len(xy), True) if level == 4 else rms <= config.threshold(level)
     return accepted, np.stack([o_byte.astype(np.intp), s_code], axis=1), rms
@@ -341,7 +336,9 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
     ranges = windows(image.pixels, k)[::k, ::k].reshape(-1, k * k)  # in raster order
-    pool = _centered(domain_means(sums, xs, ys, k).reshape(c, -1)) if shared else None
+    if shared:  # one pool for every range, with its candidates' sum(d^2) and sum(d)
+        pool = domain_means(sums, xs, ys, k).reshape(c, -1)
+        pool_dd, pool_sd = np.einsum("ck,ck->c", pool, pool), pool.sum(axis=1)
     step = max(1, WORK_PIXELS // 8 // c if shared else WORK_PIXELS // (c * k * k))
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
     rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)
@@ -349,10 +346,12 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     rows[:, 3], rows[:, 2] = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)
     for i in range(0, len(ranges), step):
         part = slice(i, i + step)
-        d, norms = pool if shared else _centered(domain_means(sums, xs[part], ys[part], k).reshape(-1, c, k * k))
         r = ranges[part].astype(np.float64)
-        cross = r @ d.T if shared else np.einsum("nck,nk->nc", d, r)  # d's rows sum to 0: no mean-removed r
-        best, rows[part, 6], rows[part, 5], _ = _fit(r, cross, norms)
+        if shared:
+            moments = r @ pool.T, pool_dd, pool_sd
+        else:
+            moments = _moments(r, domain_means(sums, xs[part], ys[part], k).reshape(-1, c, k * k))
+        best, rows[part, 6], rows[part, 5], _ = _fit(r, *moments)
         rows[part, 14:16] = np.stack([xs[part], ys[part]], axis=2)[np.arange(len(best)), best]
     return LeafTable(rows)
 

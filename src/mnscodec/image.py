@@ -184,8 +184,7 @@ def windows(a: np.ndarray, k: int) -> np.ndarray:
 def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
     """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k)
     array: the stride-2 samples of each (2k-1)-window of the box_sums raster `sums`, quartered exactly."""
-    d = windows(sums, 2 * k - 1)[y, x, ::2, ::2]  # a fresh copy
-    return np.multiply(d, 0.25, out=d if d.dtype == np.float64 else None)
+    return windows(sums, 2 * k - 1)[y, x, ::2, ::2] * 0.25
 
 
 def co_domain_origins(x, y, k, img_w: int, img_h: int) -> tuple[np.ndarray, np.ndarray]:

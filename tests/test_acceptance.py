@@ -17,7 +17,7 @@ from mnscodec.bitstream import (
     stream_bit_count,
     write_stream,
 )
-from mnscodec.decoder import _plan, decode, decode_step
+from mnscodec.decoder import _plan, decode
 from mnscodec.encoder import PHASE2, EncoderConfig, QuadtreeCode, encode_full_search, encode_quadtree
 from mnscodec.image import BlockRect
 from mnscodec.metrics import psnr
@@ -26,7 +26,7 @@ from mnscodec.transform import fit_affine, rms_error
 from records import LeafRecord, Phase1Payload, table_of
 from scalar_oracle import quadrants, round_to_int
 from test_transform import grid_min_rms
-from util import random_code
+from util import random_code, sweep
 
 SWEEP_THRESHOLDS = (3.0, 4.0, 6.0, 8.0)
 
@@ -225,7 +225,7 @@ def test_c08_decoder_convergence(natural_128, noise_64, gradient_64, constant_64
                 current = np.full((code.padded_h, code.padded_w), start)
                 deltas = []
                 for _ in range(10):
-                    nxt = decode_step(plan, current)
+                    nxt = sweep(plan, current)
                     deltas.append(float(np.max(np.abs(nxt - current))))
                     current = nxt
                 finals.append(current)

@@ -220,6 +220,17 @@ def test_reader_peak_on_all_level4_stream():
     assert traced_peak(read_stream, blob) < 1_500_000
 
 
+def test_reader_peak_stays_linear_in_the_stream_length():
+    # a = 256 bytes per stream byte and b = 64 KiB, from measurement: over these 40 codes (46 to
+    # 5,379 bytes) the traced peak reached 235 bytes per stream byte and 0.82 of the bound; a leaf
+    # of 2 to 5 bytes costs its (17,) int64 table row and a few bytes per field while it is gathered
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        blob = write_stream(random_code(rng, max_roots=12, split_p=rng.uniform(0.1, 0.9)))
+        read_stream(blob)  # warm
+        assert traced_peak(read_stream, blob) <= 256 * len(blob) + 65536
+
+
 def test_random_codes_write_read_and_decode():
     # a root of a raster with a 16-pixel side always splits, so every random code decodes
     rng = np.random.default_rng(0)

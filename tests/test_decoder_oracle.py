@@ -10,7 +10,7 @@ arbitrary start may.
 import numpy as np
 import pytest
 
-from mnscodec.decoder import _plan, decode, decode_step
+from mnscodec.decoder import _plan, decode
 from mnscodec.encoder import (
     CONTRAST_SETS,
     EncoderConfig,
@@ -25,7 +25,7 @@ from mnscodec.transform import apply_map
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of
 from scalar_oracle import co_domain_rect, dequantize_contrast, mean2_float32, quadrants
-from util import gradient_image, natural_image, noise_image, random_code, scene_image
+from util import gradient_image, natural_image, noise_image, random_code, scene_image, sweep
 
 
 def oracle_step(code, current, dtype=np.float32):
@@ -62,10 +62,13 @@ def _rasters(code, seed):
 
 def _assert_matches(code, seed=0):
     plan = _plan(code)
+    # one run per side and source, sorted by side, then by source (None, the raster itself, last)
+    keys = [(k, (2, 0) if source is None else source) for k, source, *_ in plan.runs]
+    assert keys == sorted(set(keys))
     for raster in _rasters(code, seed):
         expected = oracle_step(code, raster)
         assert not np.isnan(expected).any()
-        assert np.array_equal(decode_step(plan, raster), expected)
+        assert np.array_equal(sweep(plan, raster), expected)
 
 
 IMAGES = {
@@ -91,7 +94,7 @@ def test_random_codes_match_oracle(mode, technique2):
     direct = 0  # codes with a parity of too few blocks for half-size sums, gathered from the raster
     for checked in range(25):
         code = random_code(rng, mode=mode, technique2=technique2)
-        direct += any(parity is None for *_, gathers in _plan(code).sides for parity, _, _ in gathers)
+        direct += any(source is None for _, source, *_ in _plan(code).runs)
         _assert_matches(code, seed=checked)
     assert direct > 0
 
@@ -114,7 +117,7 @@ def test_misfit_cocentered_domain_raises_value_error(w, h):
               for y in range(0, h, 16) for x in range(0, w, 16)]
     code = QuadtreeCode(table_of(leaves), w, h, w, h, "no_search", False)
     with pytest.raises(ValueError):
-        decode_step(_plan(code), np.zeros((h, w)))
+        sweep(_plan(code), np.zeros((h, w)))
     with pytest.raises(ValueError):
         decode(code)
 
@@ -132,6 +135,6 @@ def test_misfit_search_domain_raises_value_error(domain):
     leaves[5] = LeafRecord(leaves[5].rect, 2, BaselinePayload(domain, 90, 5))
     code = QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "local_search", False)
     with pytest.raises(ValueError):
-        decode_step(_plan(code), np.zeros((32, 32)))
+        sweep(_plan(code), np.zeros((32, 32)))
     with pytest.raises(ValueError):
         decode(code)

@@ -343,14 +343,14 @@ class TestLocalSearch:
         calls = []
         real = enc._fit
 
-        def counting(r, cross, norms):
-            calls.append((len(r), cross.shape, norms.shape))
-            return real(r, cross, norms)
+        def counting(r, *moments):
+            calls.append((len(r), [m.shape for m in moments]))
+            return real(r, *moments)
 
         monkeypatch.setattr(enc, "_fit", counting)
         encode_local_search(img, EncoderConfig())
-        assert calls and all(cross_shape == norms_shape == (n, 81) for n, cross_shape, norms_shape in calls)
-        assert sum(n for n, _, _ in calls) == 16  # every range of the 32x32 image, each scored once
+        assert calls and all(shapes == [(n, 81)] * 3 for n, shapes in calls)
+        assert sum(n for n, _ in calls) == 16  # every range of the 32x32 image, each scored once
 
     def test_call_size_does_not_change_the_code(self, monkeypatch):
         img, config = scene_image(128, 128), EncoderConfig()

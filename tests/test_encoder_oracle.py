@@ -217,20 +217,16 @@ def test_fit_matches_scalar_oracle(k, n, c, seed, kind):
         r = rng.integers(0, 3, r.shape) * 100.0
     r[rng.random(n) < 0.2], r[rng.random(n) < 0.2] = 0.0, 255.0
     pool = d[0]  # also shared by every range, as full search shares its pool
-    d0, norms0 = encoder._centered(d.copy())
-    p0, pool_norms0 = encoder._centered(pool.copy())
-    inputs = {  # phase 1's plain sums and the searches' centered pools, per range and shared
-        "sums": encoder._sum_terms(r[:, None], d),
-        "centered": (np.einsum("nck,nk->nc", d0, r), norms0),
-        "shared sums": encoder._sum_terms(r[:, None], pool),
-        "shared centered": (r @ p0.T, pool_norms0),
+    inputs = {  # raw moments as the callers take them: phase 1 and local search per range, full search shared
+        "per range": encoder._moments(r, d),
+        "shared": (r @ pool.T, np.einsum("ck,ck->c", pool, pool), pool.sum(axis=1)),
     }
-    for name, (cross, norms) in inputs.items():
-        pools = [pool] * n if name.startswith("shared") else list(d)
+    for name, moments in inputs.items():
+        pools = [pool] * n if name == "shared" else list(d)
         expected = [oracle_fit(r[i], pools[i]) for i in range(n)]
-        kept = r.copy(), cross.copy(), norms.copy()
-        got = encoder._fit(r, cross, norms)
-        assert all(np.array_equal(a, b) for a, b in zip((r, cross, norms), kept)), name  # nothing written
+        kept = [a.copy() for a in (r, *moments)]
+        got = encoder._fit(r, *moments)
+        assert all(np.array_equal(a, b) for a, b in zip((r, *moments), kept)), name  # nothing written
         assert [tuple(column[i].item() for column in got) for i in range(n)] == expected, name
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mnscodec.decoder import decode_step
 from mnscodec.encoder import QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect, GrayImage
 
@@ -69,6 +70,11 @@ def gradient_image(width: int, height: int) -> GrayImage:
     xs = np.linspace(0, 255, width)
     ys = np.linspace(0, 255, height)
     return GrayImage(((xs[None, :] + ys[:, None]) / 2).astype(np.uint8))
+
+
+def sweep(plan, raster) -> np.ndarray:
+    """One decode_step of `raster` into a new float32 raster, for tests that keep each sweep's output."""
+    return decode_step(plan, raster, np.empty(plan.shape, np.float32))
 
 
 def random_code(
