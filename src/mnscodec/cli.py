@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="reconstruct a PGM image from a .mns stream")
     dec.add_argument("--in", dest="in_path", required=True, metavar="X.mns")
     dec.add_argument("--out", dest="out_path", required=True, metavar="Y.pgm")
-    dec.add_argument("--iters", type=int, default=10)
+    dec.add_argument("--iters", type=int, default=10, help="sweeps at most, the first a DC paint of each block's o")
     dec.add_argument("--stop-delta", type=float, default=0.5)
     dec.set_defaults(func=_cmd_decode)
 

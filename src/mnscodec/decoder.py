@@ -4,7 +4,8 @@ Every per-block map is non-expansive in luminance (|s| <= 1 on mean-removed
 domains), so repeated sweeps from any starting raster settle onto the coded
 image. Sweeps are Jacobi style: each block reads only the previous raster and
 writes its own disjoint region of the next, which keeps the result
-independent of leaf order. Rasters, contrasts and offsets are float32, which
+independent of leaf order. Sweep 1 is painted as each block's o, and the stop
+test samples rows first. Rasters, contrasts and offsets are float32, which
 halves the bytes each memory-bound sweep moves; the pinned test codes decode
 within one gray of a float64 decode.
 """
@@ -23,6 +24,7 @@ from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
 START_VALUE = 128.0  # every pixel of the raster the first sweep reads
+STOP_SAMPLE_ROWS = 8  # the stop test looks at every 8th row before it takes the whole change
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,14 @@ def _plan(code: QuadtreeCode) -> _Plan:
     if ((t.level[p2] < 1) | (t.level[p2] > 3) | (t.s_bits[p2] > 1).any(axis=1) | (t.s_bits[p2] < 0).any(axis=1)).any():
         raise ValueError("a phase-2 leaf lies outside levels 1..3 or picks a contrast other than 0 or 1")
     pairs = np.array([CONTRAST_SETS[level] for level in (1, 2, 3)])
-    qx, qy = _quadrants(t.rows[p2, 2:4], t.size[p2]).T
-    x, y = np.concatenate([t.x[~p2], qx]), np.concatenate([t.y[~p2], qy])
-    k = np.concatenate([t.size[~p2], (t.size[p2] // 2).repeat(4)])
+    # int32 columns: clipped first, so every block that fits keeps its place and no misfit comes to fit
+    xyk, domain = (np.clip(a, -1, 2 * MAX_PIXELS).astype(np.int32) for a in (t.rows[:, 2:5], t.domain))
+    qx, qy = _quadrants(xyk[p2, :2], xyk[p2, 2]).T
+    x, y = np.concatenate([xyk[~p2, 0], qx], dtype=np.int32), np.concatenate([xyk[~p2, 1], qy], dtype=np.int32)
+    k = np.concatenate([xyk[~p2, 2], (xyk[p2, 2] // 2).repeat(4)])
     s = np.concatenate([dequantize_contrast(t.s_code[~p2]), pairs[t.level[p2, None] - 1, t.s_bits[p2]].ravel()])
     o = np.concatenate([t.o_byte[~p2], np.stack(phase2_targets(t.o_byte[p2], t.deltas[p2].T), axis=1).ravel()])
-    dx, dy, dk = np.concatenate([t.domain[~p2], np.zeros((len(qx), 3), np.int64)]).T
+    dx, dy, dk = np.concatenate([domain[~p2], np.zeros((len(qx), 3), np.int32)]).T
     co = np.concatenate([t.kind[~p2] != SEARCH, np.full(len(qx), True)])  # co-centered domains
     dk[co] = 2 * k[co]
     dx[co], dy[co] = co_domain_origins(x[co], y[co], k[co], w, h)
@@ -78,10 +82,10 @@ def _plan(code: QuadtreeCode) -> _Plan:
     run = np.where(np.bincount(parity, weights=k * k, minlength=4)[parity] * 16 >= h * w, parity, 4)
     order = np.lexsort((run, k))
     k, run, y, x, dy, dx, s, o = (a[order] for a in (k, run, y, x, dy, dx, s, o))
-    halve = np.where(run < 4, 2, 1)
+    halve = run < 4  # a parity's runs gather at the halved domain origins
     cuts = np.flatnonzero((np.diff(k) != 0) | (np.diff(run) != 0)) + 1
     runs = [(int(side[0]), None if g[0] == 4 else divmod(int(g[0]), 2), *rest)
-            for side, g, *rest in zip(*(np.split(a, cuts) for a in (k, run, y, x, dy // halve, dx // halve, s, o)))]
+            for side, g, *rest in zip(*(np.split(a, cuts) for a in (k, run, y, x, dy >> halve, dx >> halve, s, o)))]
     return _Plan((h, w), [divmod(g, 2) for g in range(4) if (run == g).any()], runs)
 
 
@@ -109,24 +113,34 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+def _moved(a: np.ndarray, b: np.ndarray, diff: np.ndarray, step: int) -> float:
+    """max |a - b| over every step-th row, taken into the same rows of `diff`."""
+    change = np.subtract(a[::step], b[::step], out=diff[::step])
+    return float(max(change.max(), -change.min()))  # skips the pass that np.abs would write
+
+
 def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
     """Iterate decode_step from a flat raster of START_VALUE, then round once and crop.
 
+    Sweep 1 is a DC paint, which counts toward max_iters: the mean-removed maps take a flat raster
+    to each block's o, clamped into [0, 255], so painting that is decode_step's sweep bit for bit.
     The sweeps alternate between two float32 rasters, and one more buffer takes each sweep's change
-    and then the rounding, so the last sweep's input and output are left as they were. A code of
-    more than MAX_PIXELS padded pixels raises ValueError before anything is allocated."""
+    and then the rounding, so the last sweep's input and output are left as they were. Only a sweep
+    whose change on every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code
+    of more than MAX_PIXELS padded pixels raises ValueError before anything is allocated."""
     cfg = config if config is not None else DecodeConfig()
     if code.padded_w * code.padded_h > MAX_PIXELS:
         raise ValueError(f"a {code.padded_w}x{code.padded_h} raster exceeds the {MAX_PIXELS}-pixel limit")
     plan = _plan(code)
     current = np.full(plan.shape, START_VALUE, np.float32)
-    nxt, diff = np.empty_like(current), np.empty_like(current)
-    for _ in range(cfg.max_iters):
-        decode_step(plan, current, nxt)
-        change = np.subtract(nxt, current, out=diff)
-        delta = float(max(change.max(), -change.min()))  # skips the pass that np.abs would write
+    nxt, diff = current.copy(), np.empty_like(current)
+    for k, _, y, x, *_, o in plan.runs:  # sweep 1, the DC paint: a flat raster maps every domain to 0 * s + o
+        windows(nxt, k)[y, x] = np.clip(o, 0.0, 255.0)
+    for sweep in range(cfg.max_iters):
+        if sweep:
+            decode_step(plan, current, nxt)
         current, nxt = nxt, current
-        if delta < cfg.stop_delta:
+        if all(_moved(current, nxt, diff, rows) < cfg.stop_delta for rows in (STOP_SAMPLE_ROWS, 1)):
             break
     rounded = np.floor(np.add(current, 0.5, out=diff), out=diff)[: code.orig_h, : code.orig_w]
     return GrayImage(np.clip(rounded, 0.0, 255.0, out=rounded).astype(np.uint8))

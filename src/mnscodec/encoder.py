@@ -181,9 +181,10 @@ def _domains(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
 
 
 def _moments(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_fit's raw moments of the (n, c, kk) candidate domains d against the (n, kk) ranges r:
-    sum(d r), sum(d^2) and sum(d), each (n, c)."""
-    return np.einsum("nck,nk->nc", d, r), np.einsum("nck,nck->nc", d, d), d.sum(axis=2)
+    """_fit's moments of the (n, c, kk) candidate domains d against the (n, kk) ranges r:
+    sum(d r), the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, d0 = d - mean(d), and sum(d), each (n, c)."""
+    dd, sd = np.einsum("nck,nck->nc", d, d), d.sum(axis=2)
+    return np.einsum("nck,nk->nc", d, r), dd - sd * sd / d.shape[2], sd
 
 
 def _quadrants(xy: np.ndarray, size) -> np.ndarray:
@@ -201,19 +202,18 @@ def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _fit(r: np.ndarray, dr: np.ndarray, dd: np.ndarray, sd: np.ndarray):
+def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     """Each range's lowest-error candidate domain under its quantized least-squares contrast.
 
-    r holds (n, kk) range pixels; dr each candidate's sum(d r), (n, c), and dd and sd its sum(d^2)
-    and sum(d), (n, c) or (c,), where d is the candidate's 2x2 means. The cross terms and norms of
-    the mean-removed candidates are formed here, from these and each range's sum. None is written.
+    r holds (n, kk) range pixels; dr each candidate's sum(d r), (n, c), and norms and sd its sum(d0^2)
+    and sum(d), (n, c) or (c,), as _moments forms them, where d is the candidate's 2x2 means and
+    d0 = d - mean(d). The cross terms sum(d0 r) are formed here from each range's sum. None is written.
     Returns each range's candidate index (ties to the first), s code, o byte (the range mean rounded
     half up, as a float) and sum of squared residuals, exact as the module docstring says.
     """
     kk, total = r.shape[1], r.sum(axis=1)
     o_byte = np.floor(total / kk + 0.5)  # halves round up
     cross = dr - sd * (total / kk)[:, None]  # sum(d0 r), d0 = d - mean(d)
-    norms = dd - sd * sd / kk  # sum(d0^2)
     s_code = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))  # a flat candidate: s = 0
     s = np.take(CONTRAST_VALUES, s_code)
     sse = (s * norms - 2.0 * cross) * s  # |r - o - s d0|^2 expanded; d0's rows sum to 0
@@ -336,9 +336,10 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
     ranges = windows(image.pixels, k)[::k, ::k].reshape(-1, k * k)  # in raster order
-    if shared:  # one pool for every range, with its candidates' sum(d^2) and sum(d)
+    if shared:  # one pool for every range, with its candidates' norms and sum(d), taken once
         pool = domain_means(sums, xs, ys, k).reshape(c, -1)
-        pool_dd, pool_sd = np.einsum("ck,ck->c", pool, pool), pool.sum(axis=1)
+        pool_sd = pool.sum(axis=1)
+        pool_norms = np.einsum("ck,ck->c", pool, pool) - pool_sd * pool_sd / (k * k)
     step = max(1, WORK_PIXELS // 8 // c if shared else WORK_PIXELS // (c * k * k))
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
     rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)
@@ -348,7 +349,7 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
         part = slice(i, i + step)
         r = ranges[part].astype(np.float64)
         if shared:
-            moments = r @ pool.T, pool_dd, pool_sd
+            moments = r @ pool.T, pool_norms, pool_sd
         else:
             moments = _moments(r, domain_means(sums, xs[part], ys[part], k).reshape(-1, c, k * k))
         best, rows[part, 6], rows[part, 5], _ = _fit(r, *moments)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mnscodec import decoder
-from mnscodec.decoder import START_VALUE, DecodeConfig, _plan, decode, decode_step
+from mnscodec.decoder import START_VALUE, STOP_SAMPLE_ROWS, DecodeConfig, _plan, decode, decode_step
 from mnscodec.encoder import (
     MAX_PIXELS,
     EncoderConfig,
@@ -23,7 +23,7 @@ from mnscodec.image import BlockRect, GrayImage
 from records import BaselinePayload, LeafRecord, Phase1Payload, table_of
 from test_bitstream_oracle import traced_peak
 from test_decoder_oracle import IMAGES, _rasters, oracle_step
-from util import natural_image, noise_image, random_code, scene_image, sweep
+from util import natural_image, noise_image, random_code, reference_decode, scene_image, sweep
 
 
 class TestDecodeStep:
@@ -168,16 +168,21 @@ def _oracle_codes():
 
 
 def _misfit_codes():
-    """A level-1 leaf with no room for its domain, a search domain past the right edge, and an
-    empty search block whose empty domain is twice its side."""
+    """A level-1 leaf with no room for its domain, a search domain past the right edge, an empty
+    search block whose empty domain is twice its side, and a block origin and a search domain origin
+    2^32 past a fitting one, which int32 columns would wrap back to it."""
     cocentered = [LeafRecord(BlockRect(x, 0, 16), 1, Phase1Payload(100, 3)) for x in (0, 16, 32)]
     searched = [LeafRecord(BlockRect(x, y, 8), 2, BaselinePayload(BlockRect(0, 0, 16), 90, 5))
                 for y in range(0, 32, 8) for x in range(0, 32, 8)]
     past_edge, empty = list(searched), list(searched)
     past_edge[5] = LeafRecord(searched[5].rect, 2, BaselinePayload(BlockRect(20, 0, 16), 90, 5))
     empty[5] = LeafRecord(BlockRect(8, 8, 0), 2, BaselinePayload(BlockRect(0, 0, 0), 90, 5))
+    wrapped = [table_of(searched).rows.copy() for _ in range(2)]
+    wrapped[0][5, 2] += 1 << 32
+    wrapped[1][5, 14] += 1 << 32
     return (QuadtreeCode(table_of(cocentered), 48, 16, 48, 16, "no_search", False),
-            *(QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "local_search", False) for leaves in (past_edge, empty)))
+            *(QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "local_search", False) for leaves in (past_edge, empty)),
+            *(QuadtreeCode(LeafTable(rows), 32, 32, 32, 32, "local_search", False) for rows in wrapped))
 
 
 class TestPlanOnce:
@@ -188,7 +193,7 @@ class TestPlanOnce:
         monkeypatch.setattr(decoder, "_plan", lambda c: planned.append(c) or plan(c))
         monkeypatch.setattr(decoder, "decode_step", lambda p, *args: sweeps.append(p) or step(p, *args))
         decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
-        assert len(sweeps) == 9
+        assert len(sweeps) == 9 - 1  # sweep 1 is the DC paint
         assert planned == [code]
 
     def test_each_sweep_reads_the_previous_raster_and_leaves_it_unchanged(self, natural_128, monkeypatch):
@@ -208,8 +213,9 @@ class TestPlanOnce:
 
         monkeypatch.setattr(decoder, "decode_step", traced)
         decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
-        assert len(calls) == 9
-        assert START_VALUE == 128.0 and np.all(calls[0][2] == START_VALUE)
+        assert len(calls) == 9 - 1  # sweep 1 is the DC paint, which the first call reads
+        flat = np.full((code.padded_h, code.padded_w), START_VALUE, np.float32)
+        assert START_VALUE == 128.0 and calls[0][2].tobytes() == sweep(_plan(code), flat).tobytes()
         # two rasters in turn: each sweep writes the raster the sweep before it read
         assert len({id(raster) for current, result, *_ in calls for raster in (current, result)}) == 2
         assert all(result is previous for (previous, *_), (_, result, *_) in zip(calls, calls[1:]))
@@ -250,14 +256,14 @@ def test_decode_peak_memory_stays_under_five_rasters():
 
 
 def test_decode_peak_stays_linear_in_the_padded_pixels():
-    # a = 32 bytes per padded pixel and b = 64 KiB, from measurement: over these 40 codes (768 to
-    # 36,864 padded pixels) the traced peak reached 0.76 of the bound. Random codes are mostly
-    # small blocks, so the plan's per-block columns weigh beside decode's three float32 rasters
+    # a = 28 bytes per padded pixel and b = 64 KiB, from measurement: over these 40 codes (768 to
+    # 36,864 padded pixels) the traced peak reached 0.77 of the bound. Random codes are mostly
+    # small blocks, so the plan's per-block int32 columns weigh beside decode's three float32 rasters
     rng = np.random.default_rng(7)
     for _ in range(40):
         code = random_code(rng, max_roots=12, split_p=rng.uniform(0.1, 0.9))
         decode(code)  # warm
-        assert traced_peak(decode, code) <= 32 * code.padded_w * code.padded_h + 65536
+        assert traced_peak(decode, code) <= 28 * code.padded_w * code.padded_h + 65536
 
 
 # the sha256 of each code's decoded pixels, pinned when sweeps took full box sums (scene256_no_search
@@ -287,7 +293,8 @@ def test_decoded_pixels_match_pinned_digests(name):
 @pytest.mark.parametrize("name", PINNED_DECODES)
 def test_float32_decode_stays_within_one_gray_of_a_float64_decode(name, monkeypatch):
     # the float64 oracle, iterated with decode's stop rule and rounded as decode rounds, is the
-    # reference; float32 rasters move a pixel by one gray at most, in as many sweeps
+    # reference; float32 rasters move a pixel by one gray at most, in as many sweeps, the DC paint
+    # counted as the first
     encode, _, differing = PINNED_DECODES[name]
     code, cfg = encode(), DecodeConfig()
     current = np.full((code.padded_h, code.padded_w), START_VALUE)
@@ -301,4 +308,57 @@ def test_float32_decode_stays_within_one_gray_of_a_float64_decode(name, monkeypa
     monkeypatch.setattr(decoder, "decode_step", lambda *args: calls.append(1) or step(*args))
     diff = np.abs(decode(code, cfg).pixels - reference)
     assert diff.max() <= 1 and np.count_nonzero(diff) == differing
-    assert len(calls) == sweeps
+    assert len(calls) == sweeps - 1  # sweep 1 is the DC paint
+
+
+def _reference_codes():
+    """Seeded random codes, a noise encode that runs out of sweeps, a local- and a full-search code,
+    and a code whose every o is 128, which decode settles in its DC paint."""
+    rng = np.random.default_rng(15)
+    codes = {f"random{n}": random_code(rng, max_roots=4, split_p=rng.uniform(0.1, 0.9)) for n in range(8)}
+    search_image = scene_image(48, 40, seed=4)
+    codes["noise48_mns"] = encode_quadtree(noise_image(48, 48), EncoderConfig())
+    codes["local_search"] = encode_local_search(search_image, EncoderConfig())
+    codes["full_search"] = encode_full_search(search_image, 8, EncoderConfig(full_search_step=3))[0]
+    codes["flat128"] = encode_quadtree(GrayImage(np.full((40, 48), 128, np.uint8)), EncoderConfig())
+    return codes
+
+
+REFERENCE_CODES = _reference_codes()
+
+
+@pytest.mark.parametrize("name", REFERENCE_CODES)
+def test_decode_matches_the_reference_loop(name, monkeypatch):
+    # sweep 1 is a DC paint and the stop test looks at a row sample first; neither may move a pixel,
+    # a stop decision or a sweep count. Each sweep's exact change, and the floats either side of it,
+    # are the stop_deltas where a wrong comparison would show
+    code = REFERENCE_CODES[name]
+    _, changes = reference_decode(code, DecodeConfig(max_iters=10, stop_delta=-1.0))
+    calls, moved = [], []
+    step, measure = decoder.decode_step, decoder._moved
+    monkeypatch.setattr(decoder, "decode_step", lambda *args: calls.append(1) or step(*args))
+    monkeypatch.setattr(decoder, "_moved", lambda *args: moved.append((args[3], measure(*args))) or moved[-1][1])
+    for max_iters in (1, 2, 10):
+        near = np.array(changes[:max_iters])
+        for stop in {0.0, 0.5, -1.0, math.inf, *near, *np.nextafter(near, -math.inf), *np.nextafter(near, math.inf)}:
+            cfg = DecodeConfig(max_iters=max_iters, stop_delta=float(stop))
+            expected, deltas = reference_decode(code, cfg)
+            calls.clear(), moved.clear()
+            assert decode(code, cfg) == expected
+            assert len(calls) == len(deltas) - 1
+            # every sweep looks at its sample; only a sample under stop_delta takes the whole change,
+            # which is the reference's change of that sweep
+            samples = [value for rows, value in moved if rows == STOP_SAMPLE_ROWS]
+            assert len(samples) == len(deltas) and all(a <= b for a, b in zip(samples, deltas))
+            taken = [(STOP_SAMPLE_ROWS, 1) if a < stop else (STOP_SAMPLE_ROWS,) for a in samples]
+            assert [rows for rows, _ in moved] == [rows for sweep_rows in taken for rows in sweep_rows]
+            assert [value for rows, value in moved if rows == 1] == [b for a, b in zip(samples, deltas) if a < stop]
+
+
+def test_a_code_whose_every_o_is_128_stops_after_the_dc_paint(monkeypatch):
+    code = REFERENCE_CODES["flat128"]
+    assert np.all(code.leaves.o_byte == 128) and not code.leaves.deltas.any()
+    calls = []
+    monkeypatch.setattr(decoder, "decode_step", lambda *args: calls.append(args))
+    assert decode(code) == GrayImage(np.full((40, 48), 128, np.uint8))
+    assert calls == []

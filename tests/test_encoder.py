@@ -343,9 +343,9 @@ class TestLocalSearch:
         calls = []
         real = enc._fit
 
-        def counting(r, *moments):
-            calls.append((len(r), [m.shape for m in moments]))
-            return real(r, *moments)
+        def counting(r, dr, norms, sd):  # sum(d r), the norm and sum(d) of every candidate
+            calls.append((len(r), [m.shape for m in (dr, norms, sd)]))
+            return real(r, dr, norms, sd)
 
         monkeypatch.setattr(enc, "_fit", counting)
         encode_local_search(img, EncoderConfig())

@@ -217,9 +217,10 @@ def test_fit_matches_scalar_oracle(k, n, c, seed, kind):
         r = rng.integers(0, 3, r.shape) * 100.0
     r[rng.random(n) < 0.2], r[rng.random(n) < 0.2] = 0.0, 255.0
     pool = d[0]  # also shared by every range, as full search shares its pool
-    inputs = {  # raw moments as the callers take them: phase 1 and local search per range, full search shared
+    sd = pool.sum(axis=1)
+    inputs = {  # moments as the callers form them: phase 1 and local search per range, full search shared
         "per range": encoder._moments(r, d),
-        "shared": (r @ pool.T, np.einsum("ck,ck->c", pool, pool), pool.sum(axis=1)),
+        "shared": (r @ pool.T, np.einsum("ck,ck->c", pool, pool) - sd * sd / (k * k), sd),
     }
     for name, moments in inputs.items():
         pools = [pool] * n if name == "shared" else list(d)

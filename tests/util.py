@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mnscodec.decoder import decode_step
+from mnscodec.decoder import START_VALUE, DecodeConfig, _plan, decode_step
 from mnscodec.encoder import QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect, GrayImage
 
@@ -75,6 +75,25 @@ def gradient_image(width: int, height: int) -> GrayImage:
 def sweep(plan, raster) -> np.ndarray:
     """One decode_step of `raster` into a new float32 raster, for tests that keep each sweep's output."""
     return decode_step(plan, raster, np.empty(plan.shape, np.float32))
+
+
+def reference_decode(code: QuadtreeCode, config: DecodeConfig) -> tuple[GrayImage, list[float]]:
+    """decode as it ran while every sweep was a decode_step: from a flat START_VALUE raster, one
+    decode_step per sweep and the whole raster's change after each. Returns the image and each
+    sweep's change, so the sweep count is the list's length."""
+    plan = _plan(code)
+    current = np.full(plan.shape, START_VALUE, np.float32)
+    nxt, diff = np.empty_like(current), np.empty_like(current)
+    deltas = []
+    for _ in range(config.max_iters):
+        decode_step(plan, current, nxt)
+        change = np.subtract(nxt, current, out=diff)
+        deltas.append(float(max(change.max(), -change.min())))
+        current, nxt = nxt, current
+        if deltas[-1] < config.stop_delta:
+            break
+    rounded = np.floor(np.add(current, 0.5, out=diff), out=diff)[: code.orig_h, : code.orig_w]
+    return GrayImage(np.clip(rounded, 0.0, 255.0, out=rounded).astype(np.uint8)), deltas
 
 
 def random_code(
