@@ -7,7 +7,11 @@ writes its own disjoint region of the next, which keeps the result
 independent of leaf order. Sweep 1 is painted as each block's o, and the stop
 test samples rows first. Rasters, contrasts and offsets are float32, which
 halves the bytes each memory-bound sweep moves; the pinned test codes decode
-within one gray of a float64 decode.
+within one gray of a float64 decode. Blocks are addressed by flat origins. A 2x2
+block gathered from half-size sums maps as four 1-D pixel planes, since fancy
+indexing costs ~50 ns per block on a window view, more than a 2x2 block's map;
+its mean adds the four terms in np.mean's order, so the pixels are the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoder import CONTRAST_SETS, MAX_PIXELS, PHASE2, SEARCH, QuadtreeCode, _quadrants, phase2_targets
-from .image import GrayImage, co_domain_origins, parity_sums, windows
+from .image import GrayImage, co_domain_origins, flat_windows, parity_sums
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
@@ -41,11 +45,11 @@ class DecodeConfig:
 
 class _Plan(NamedTuple):
     """What every sweep of one code paints, as runs of blocks that share a side and a domain source.
-    A run is (k, source, y, x, oy, ox, s, o): the side, the source, the (n,) block origins, the (n,)
-    origins to gather the domains' 2x2 sums at, and s / 4 and o as (n, 1, 1). The source is a parity
-    (dy % 2, dx % 2), for a run gathered from that parity's half-size sums at the halved domain origins
-    (dy // 2, dx // 2), or None, for one gathered from the raster itself at the domain origins (dy, dx).
-    Runs are sorted by side, then by source."""
+    A run is (k, source, t, f, s, o): the side, the source, the (n,) flat block origins y * w + x on
+    the raster, the (n,) flat origins to gather the domains' 2x2 sums at, and s / 4 and o as (n,)
+    float32. The source is a parity (dy % 2, dx % 2), for a run gathered from that parity's half-size
+    sums at the halved domain origins (dy // 2, dx // 2), or None, for one gathered from the raster
+    itself at the domain origins (dy, dx). Runs are sorted by side, then by source."""
 
     shape: tuple[int, int]  # padded (h, w)
     parities: list[tuple[int, int]]  # the parities that get half-size sums
@@ -74,18 +78,20 @@ def _plan(code: QuadtreeCode) -> _Plan:
     misfit |= (dk != 2 * k) | (k < 1)
     if misfit.any():
         raise ValueError(f"a {k[misfit][0]}x{k[misfit][0]} block or its domain does not fit the {w}x{h} raster")
-    # s is quartered, which commutes with every rounding in apply_map, so sweeps map 2x2 sums as means
-    s, o = (s * 0.25).astype(np.float32)[:, None, None], o.astype(np.float32)[:, None, None]
+    # s is quartered, which commutes with every rounding in the map, so sweeps map 2x2 sums as means
+    s, o = (s * 0.25).astype(np.float32), o.astype(np.float32)
     # a parity whose blocks cover under 1/16 of the raster gets no half-size sums: gathering their
     # domains from the raster itself (run 4) costs less than building them
     parity = 2 * (dy % 2) + dx % 2
     run = np.where(np.bincount(parity, weights=k * k, minlength=4)[parity] * 16 >= h * w, parity, 4)
+    halve = run < 4  # a parity's runs gather at the halved domain origins, in a (w - dx % 2) // 2 wide raster
+    t = y.astype(np.intp) * w + x
+    f = (dy >> halve) * np.where(halve, (w - dx % 2) // 2, w).astype(np.intp) + (dx >> halve)
     order = np.lexsort((run, k))
-    k, run, y, x, dy, dx, s, o = (a[order] for a in (k, run, y, x, dy, dx, s, o))
-    halve = run < 4  # a parity's runs gather at the halved domain origins
+    k, run, t, f, s, o = (a[order] for a in (k, run, t, f, s, o))
     cuts = np.flatnonzero((np.diff(k) != 0) | (np.diff(run) != 0)) + 1
     runs = [(int(side[0]), None if g[0] == 4 else divmod(int(g[0]), 2), *rest)
-            for side, g, *rest in zip(*(np.split(a, cuts) for a in (k, run, y, x, dy >> halve, dx >> halve, s, o)))]
+            for side, g, *rest in zip(*(np.split(a, cuts) for a in (k, run, t, f, s, o)))]
     return _Plan((h, w), [divmod(g, 2) for g in range(4) if (run == g).any()], runs)
 
 
@@ -98,7 +104,12 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray
     (image.parity_sums). Per run, the gather takes the domains' sums as plain windows of its parity's
     raster, or, for a run with no parity, sums the domains' windows on `current` alike; either way a
     fresh array, which one apply_map call maps in place, with the plan's contrasts quartered so that
-    the sums act as 2x2 means, and one scatter writes the blocks through windows on `out`."""
+    the sums act as 2x2 means, and one scatter writes the blocks through windows on `out`.
+
+    A 2x2 run with a parity skips the windows, whose fancy indexing costs ~50 ns a block: it takes
+    each of the four sums of its domains as one flat plane, maps the four planes as one (4, n) array
+    about the mean ((a + b) + c) + d times 0.25, which is np.mean's order and so apply_map's bit for
+    bit, and writes each plane with one flat assignment."""
     cur = np.ascontiguousarray(current, dtype=np.float32)
     if cur.shape != plan.shape:
         raise ValueError(f"raster shape {cur.shape} does not match padded {plan.shape[0]}x{plan.shape[1]}")
@@ -107,10 +118,27 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray
     if np.may_share_memory(cur, out):
         raise ValueError("out must not overlap the raster the sweep reads")
     sums = {parity: parity_sums(cur, *parity) for parity in plan.parities}
-    for k, source, y, x, oy, ox, s, o in plan.runs:
-        d = parity_sums(windows(cur, 2 * k)[oy, ox], 0, 0) if source is None else windows(sums[source], k)[oy, ox]
-        windows(out, k)[y, x] = apply_map(d, s, o, d)
+    for k, source, t, f, s, o in plan.runs:
+        if k == 2 and source is not None:
+            p = np.empty((4, len(f)), np.float32)
+            for plane, row in zip(_planes(sums[source]), p):
+                plane.take(f, out=row)
+            p -= (p[0] + p[1] + p[2] + p[3]) * 0.25  # np.mean's order, so the pixels of apply_map
+            p *= s
+            p += o
+            for plane, row in zip(_planes(out), np.clip(p, 0.0, 255.0, out=p)):
+                plane[t] = row
+            continue
+        d = parity_sums(flat_windows(cur, 2 * k)[f], 0, 0) if source is None else flat_windows(sums[source], k)[f]
+        flat_windows(out, k)[t] = apply_map(d, s[:, None, None], o[:, None, None], d)
     return out
+
+
+def _planes(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The flattened C-contiguous 2-D array `a` from each pixel of a 2x2 block on: TL, TR, BL, BR, so
+    that a block's flat origin picks that pixel in each."""
+    flat, w = a.ravel(), a.shape[1]
+    return flat, flat[1:], flat[w:], flat[w + 1 :]
 
 
 def _moved(a: np.ndarray, b: np.ndarray, diff: np.ndarray, step: int) -> float:
@@ -134,8 +162,13 @@ def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
     plan = _plan(code)
     current = np.full(plan.shape, START_VALUE, np.float32)
     nxt, diff = current.copy(), np.empty_like(current)
-    for k, _, y, x, *_, o in plan.runs:  # sweep 1, the DC paint: a flat raster maps every domain to 0 * s + o
-        windows(nxt, k)[y, x] = np.clip(o, 0.0, 255.0)
+    for k, _, t, _, _, o in plan.runs:  # sweep 1, the DC paint: a flat raster maps every domain to 0 * s + o
+        dc = np.clip(o, 0.0, 255.0)
+        if k == 2:
+            for plane in _planes(nxt):
+                plane[t] = dc
+        else:
+            flat_windows(nxt, k)[t] = dc[:, None, None]
     for sweep in range(cfg.max_iters):
         if sweep:
             decode_step(plan, current, nxt)

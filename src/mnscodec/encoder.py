@@ -286,6 +286,15 @@ def try_phase2(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     return accepted, payload, np.where(accepted, worst, np.inf)
 
 
+def _padded_shape(image: GrayImage, multiple: int) -> tuple[int, int]:
+    """(w, h) of `image` padded to a multiple of `multiple`; ValueError past MAX_PIXELS, which the
+    encoders check before they pad or fit anything."""
+    w, h = (-(-side // multiple) * multiple for side in (image.width, image.height))
+    if w * h > MAX_PIXELS:
+        raise ValueError(f"a padded {w}x{h} raster exceeds MAX_PIXELS ({MAX_PIXELS} pixels)")
+    return w, h
+
+
 def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     """No-search / MNS quadtree encode over 16x16 roots, one level at a time.
 
@@ -299,7 +308,7 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     blocks become LeafTable rows keyed by their Morton start (root index, then
     a quadrant digit per level); one sort puts them in DFS order.
     """
-    if -(-max(image.width, image.height) // ROOT_SIZE) * ROOT_SIZE > MAX_SIDE:
+    if max(_padded_shape(image, ROOT_SIZE)) > MAX_SIDE:
         raise ValueError("padded dimensions exceed the 16-bit header fields")
     padded = pad_to_multiple(image, ROOT_SIZE)
     w, h = padded.width, padded.height
@@ -374,6 +383,7 @@ def encode_full_search(
     dsize = 2 * range_size
     if image.width < dsize or image.height < dsize:
         raise ValueError(f"image too small for any {dsize}x{dsize} domain")
+    _padded_shape(image, range_size)
     padded = pad_to_multiple(image, range_size)
     w, h, step = padded.width, padded.height, config.full_search_step
     ys, xs = np.mgrid[0 : h - dsize + 1 : step, 0 : w - dsize + 1 : step].reshape(2, -1)
@@ -391,6 +401,7 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
     """
     if image.width < 16 or image.height < 16:
         raise ValueError("local search needs at least a 16x16 image")
+    _padded_shape(image, 8)
     padded = pad_to_multiple(image, 8)
     w, h = padded.width, padded.height
     ry, rx = np.mgrid[0:h:8, 0:w:8].reshape(2, -1)

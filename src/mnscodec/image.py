@@ -181,6 +181,13 @@ def windows(a: np.ndarray, k: int) -> np.ndarray:
     return np.ndarray((h - k + 1, w - k + 1, k, k), a.dtype, a, 0, a.strides * 2)
 
 
+def flat_windows(a: np.ndarray, k: int) -> np.ndarray:
+    """Every k x k window of the C-contiguous 2-D array `a`, as a view indexed by the window's flat origin
+    y * w + x: one index per window, where windows takes two. An origin whose x passes w - k wraps rows."""
+    h, w = a.shape
+    return np.ndarray(((h - k) * w + w - k + 1, k, k), a.dtype, a, 0, (a.itemsize, a.strides[0], a.itemsize))
+
+
 def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
     """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k)
     array: the stride-2 samples of each (2k-1)-window of the box_sums raster `sums`, quartered exactly."""

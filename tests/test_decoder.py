@@ -77,6 +77,26 @@ class TestDecodeStep:
         for earlier, later in zip(deltas[1:], deltas[2:]):
             assert later <= earlier + 1e-9
 
+    def test_plane_mean_adds_in_np_means_order(self):
+        # decode_step maps a 2x2 run's four sum planes about ((a + b) + c) + d times 0.25, and apply_map
+        # about np.mean of the (n, 2, 2) stack; the two agree bit for bit only while numpy adds four
+        # float32 terms in that order, so a change of numpy's order fails here first
+        rng = np.random.default_rng(16)
+        n = 100_000
+        blocks = np.concatenate([
+            rng.uniform(0.0, 1020.0, (n, 2, 2)),  # sums of four in-range pixels
+            rng.uniform(-800.0, 2000.0, (n, 2, 2)),  # sums an early sweep of any start may hold
+            rng.choice((-1.0, 1.0), (n, 2, 2)) * 10.0 ** rng.uniform(-4.0, 6.0, (n, 2, 2)),  # mixed magnitudes
+        ]).astype(np.float32)
+        a, b, c, d = blocks.reshape(-1, 4).T
+        planes = (((a + b) + c) + d) * np.float32(0.25)
+        assert planes.dtype == np.float32
+        assert np.array_equal(planes, blocks.mean(axis=(-2, -1)))
+        assert np.array_equal(planes[::150], [np.mean(block) for block in blocks[::150]])
+        # the other orders differ on a fifth of these blocks or more, so the data tell orders apart
+        for other in (a + ((b + c) + d), (a + b) + (c + d)):
+            assert np.count_nonzero(other != ((a + b) + c) + d) > 0.2 * len(blocks)
+
 
 class TestDecode:
     def test_constant_round_trip_single_iteration(self, constant_64):
@@ -288,6 +308,12 @@ PINNED_DECODES = {
 def test_decoded_pixels_match_pinned_digests(name):
     encode, digest, _ = PINNED_DECODES[name]
     assert hashlib.sha256(decode(encode()).pixels.tobytes()).hexdigest() == digest
+
+
+def test_noise128_digest_covers_the_pixel_plane_path():
+    # decode_step maps a 2x2 run gathered from half-size sums as pixel planes; noise128's code has one
+    plan = _plan(PINNED_DECODES["noise128_mns"][0]())
+    assert any(k == 2 and source is not None for k, source, *_ in plan.runs)
 
 
 @pytest.mark.parametrize("name", PINNED_DECODES)

@@ -102,10 +102,12 @@ def test_random_codes_match_oracle(mode, technique2):
 def test_search_codes_match_oracle():
     img = scene_image(48, 40, seed=4)
     codes = [encode_local_search(img, EncoderConfig())]
-    for range_size in (4, 8):
+    for range_size in (2, 4, 8):
         codes.append(encode_full_search(img, range_size, EncoderConfig(full_search_step=3))[0])
-    # between them the codes gather from half-size sums of every (dy % 2, dx % 2)
+    # between them the codes gather from half-size sums of every (dy % 2, dx % 2), and the 2x2 code,
+    # whose runs decode_step maps as pixel planes, from each of the four
     assert set().union(*(_plan(code).parities for code in codes)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert {source for k, source, *_ in _plan(codes[1]).runs if k == 2} == {(0, 0), (0, 1), (1, 0), (1, 1)}
     for code in codes:
         _assert_matches(code)
 

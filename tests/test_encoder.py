@@ -414,3 +414,34 @@ class TestConfig:
         # every ordered comparison with NaN is false, so NaN would slip past the sign checks
         with pytest.raises(ValueError, match="NaN"):
             EncoderConfig(**{field: math.nan})
+
+
+# each encoder with the multiple it pads to
+ENCODERS = {
+    "quadtree": (lambda img: encode_quadtree(img, EncoderConfig()), 16),
+    "full_search": (lambda img: encode_full_search(img, 8, EncoderConfig(full_search_step=4))[0], 8),
+    "local_search": (lambda img: encode_local_search(img, EncoderConfig()), 8),
+}
+
+
+class TestMaxPixels:
+    # MAX_PIXELS is patched down to this 40x36 image's padded size, 48x48 for the quadtree and 40x40
+    # for the search baselines, so no 2^26-pixel image is needed; the unpadded 1,440 pixels fit both
+
+    @pytest.mark.parametrize("name", ENCODERS)
+    def test_oversize_padded_raster_fails_before_padding_or_any_fit(self, name, monkeypatch):
+        encode, multiple = ENCODERS[name]
+        img, calls = scene_image(40, 36, seed=1), []
+        monkeypatch.setattr(enc, "MAX_PIXELS", (-(-40 // multiple) * multiple) * (-(-36 // multiple) * multiple) - 1)
+        for spy in ("pad_to_multiple", "try_phase1", "_search"):
+            monkeypatch.setattr(enc, spy, lambda *args, spy=spy: calls.append(spy))
+        with pytest.raises(ValueError, match="MAX_PIXELS"):
+            encode(img)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ENCODERS)
+    def test_padded_raster_of_max_pixels_encodes(self, name, monkeypatch):
+        encode, multiple = ENCODERS[name]
+        monkeypatch.setattr(enc, "MAX_PIXELS", (-(-40 // multiple) * multiple) * (-(-36 // multiple) * multiple))
+        code = encode(scene_image(40, 36, seed=1))
+        assert code.padded_w * code.padded_h == enc.MAX_PIXELS
