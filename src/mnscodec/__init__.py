@@ -11,9 +11,6 @@ one; write_stream and read_stream turn it into .mns bytes and back;
 decode(code, DecodeConfig) rebuilds the GrayImage. try_phase1/try_phase2
 take a RowBand and an (n, 2) array of block origins. decode_step(plan,
 raster, out) runs one sweep of the plan decoder._plan(code) builds.
-
-API break: decode_step's out is required; it no longer sweeps into a fresh
-raster when out is omitted.
 """
 
 from .bench import OffsetHistogram, RdPoint, histogram_csv, offset_histogram, rd_csv, rd_sweep

@@ -48,7 +48,7 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
     splittable levels or an (E1, E2, E3) triple. Rows come out in grid order
     (modes outer, thresholds, then technique-2 options) and, timing aside,
     are a pure function of the inputs. Each layer has its own timer: encode_quadtree,
-    serialization, read_stream and decode.
+    write_stream, read_stream and decode; the exact bit count is taken off the clock.
     PSNR is taken against the original image, so padding pixels never count.
     """
     if not modes or not threshold_grid:
@@ -64,7 +64,7 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
                     clock = [time.perf_counter()]  # after each layer: encode, write, read, decode
                     code = encode_quadtree(image, config)
                     clock.append(time.perf_counter())
-                    blob, bits = bitstream._serialize(code)  # one pass: the stream bytes and their exact bit count
+                    blob = bitstream.write_stream(code)
                     clock.append(time.perf_counter())
                     back = read_stream(blob)
                     clock.append(time.perf_counter())
@@ -74,6 +74,7 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
                     raise RuntimeError(
                         f"sweep point failed (mode={mode}, E=({e1:g},{e2:g},{e3:g}), t2={t2}): {exc}"
                     ) from exc
+                bits = bitstream.stream_bit_count(code)
                 points.append(RdPoint(
                     mode=mode,
                     thresholds=(float(e1), float(e2), float(e3)),

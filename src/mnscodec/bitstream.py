@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,12 +119,12 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     return values, widths
 
 
-class _Packed(NamedTuple):
-    data: bytes
-    bit_count: int  # exact, before byte padding
+def write_stream(code: QuadtreeCode) -> bytes:
+    """Serialize a no_search/mns code into .mns container bytes.
 
-
-def _serialize(code: QuadtreeCode) -> _Packed:
+    Every check and field works on the code's columns at once: tiling is the Morton rule
+    above, and each leaf's fields are packed into one word, then placed by bit offset.
+    """
     values, widths = _leaf_fields(code)
     word = np.zeros(len(values), dtype=np.int64)  # a leaf's fields MSB first: at most 33 bits
     for v, w in zip(values.T, widths.T):
@@ -141,16 +140,7 @@ def _serialize(code: QuadtreeCode) -> _Packed:
     body = np.bincount(((pos >> 3)[:, None] + np.arange(5)).ravel(), parts.ravel(), nbytes + 5)[:nbytes]
     flags = (FLAG_MNS if code.mode == "mns" else 0) | (FLAG_TECHNIQUE2 if code.technique2 else 0)
     header = struct.pack(">4sB4H", MAGIC, flags, code.orig_w, code.orig_h, code.padded_w, code.padded_h)
-    return _Packed(header + body.astype(np.uint8).tobytes(), HEADER_BITS + int(width.sum()))
-
-
-def write_stream(code: QuadtreeCode) -> bytes:
-    """Serialize a no_search/mns code into .mns container bytes.
-
-    Every check and field works on the code's columns at once: tiling is the Morton rule
-    above, and each leaf's fields are packed into one word, then placed by bit offset.
-    """
-    return _serialize(code).data
+    return header + body.astype(np.uint8).tobytes()
 
 
 @functools.cache  # four entries; each read would otherwise pay ~40 µs of small numpy calls

@@ -7,11 +7,10 @@ writes its own disjoint region of the next, which keeps the result
 independent of leaf order. Sweep 1 is painted as each block's o, and the stop
 test samples rows first. Rasters, contrasts and offsets are float32, which
 halves the bytes each memory-bound sweep moves; the pinned test codes decode
-within one gray of a float64 decode. Blocks are addressed by flat origins. A 2x2
-block gathered from half-size sums maps as four 1-D pixel planes, since fancy
-indexing costs ~50 ns per block on a window view, more than a 2x2 block's map;
-its mean adds the four terms in np.mean's order, so the pixels are the same bit
-for bit.
+within one gray of a float64 decode. Blocks are addressed by flat origins.
+Every run of blocks is mapped by one apply_map call and written by _paint,
+which writes a 2x2 run as four flat pixel planes, since fancy indexing costs
+~50 ns per block on a window view, more than a 2x2 block's map.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ class DecodeConfig:
     stop_delta: float = 0.5  # stop once no pixel moves by this much per sweep
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, not {self.max_iters!r}")
         if math.isnan(self.stop_delta):
             raise ValueError("stop_delta must not be NaN")
 
@@ -101,15 +100,13 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray
     never written. `plan` is _plan(code), as decode builds it.
 
     Each domain-origin parity the plan names gets one half-size raster of the 2x2 sums of `current`
-    (image.parity_sums). Per run, the gather takes the domains' sums as plain windows of its parity's
-    raster, or, for a run with no parity, sums the domains' windows on `current` alike; either way a
-    fresh array, which one apply_map call maps in place, with the plan's contrasts quartered so that
-    the sums act as 2x2 means, and one scatter writes the blocks through windows on `out`.
-
-    A 2x2 run with a parity skips the windows, whose fancy indexing costs ~50 ns a block: it takes
-    each of the four sums of its domains as one flat plane, maps the four planes as one (4, n) array
-    about the mean ((a + b) + c) + d times 0.25, which is np.mean's order and so apply_map's bit for
-    bit, and writes each plane with one flat assignment."""
+    (image.parity_sums). Per run, the domains' sums are gathered into a fresh (n, k, k) array: windows
+    of the parity's raster, or the windows' sums on `current` for a run with none. One apply_map call
+    maps it in place, with s quartered so that sums act as 2x2 means, and _paint writes it into `out`.
+    A 2x2 run with a parity skips the windows, whose fancy indexing costs ~50 ns a block: it takes its
+    four sums as the four flat planes of a (4, n) array and maps its (n, 2, 2) view. The view's 2x2
+    axes fold into one strided axis of four, so apply_map adds the four sums in a contiguous block's
+    order, and the pixels are the same bit for bit."""
     cur = np.ascontiguousarray(current, dtype=np.float32)
     if cur.shape != plan.shape:
         raise ValueError(f"raster shape {cur.shape} does not match padded {plan.shape[0]}x{plan.shape[1]}")
@@ -119,19 +116,28 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray
         raise ValueError("out must not overlap the raster the sweep reads")
     sums = {parity: parity_sums(cur, *parity) for parity in plan.parities}
     for k, source, t, f, s, o in plan.runs:
-        if k == 2 and source is not None:
+        if source is None:
+            d = parity_sums(flat_windows(cur, 2 * k)[f], 0, 0)
+        elif k == 2:
             p = np.empty((4, len(f)), np.float32)
             for plane, row in zip(_planes(sums[source]), p):
                 plane.take(f, out=row)
-            p -= (p[0] + p[1] + p[2] + p[3]) * 0.25  # np.mean's order, so the pixels of apply_map
-            p *= s
-            p += o
-            for plane, row in zip(_planes(out), np.clip(p, 0.0, 255.0, out=p)):
-                plane[t] = row
-            continue
-        d = parity_sums(flat_windows(cur, 2 * k)[f], 0, 0) if source is None else flat_windows(sums[source], k)[f]
-        flat_windows(out, k)[t] = apply_map(d, s[:, None, None], o[:, None, None], d)
+            d = p.T.reshape(-1, 2, 2)
+        else:
+            d = flat_windows(sums[source], k)[f]
+        _paint(out, k, t, apply_map(d, s[:, None, None], o[:, None, None], d))
     return out
+
+
+def _paint(out: np.ndarray, k: int, t: np.ndarray, v: np.ndarray) -> None:
+    """Write the k x k blocks v, an (n, k, k) stack or an (n, 1, 1) one of flat blocks, at the flat origins
+    t of the C-contiguous raster `out`: a 2x2 run as four flat pixel planes, any other through windows."""
+    if k != 2:
+        flat_windows(out, k)[t] = v
+        return
+    rows = v.reshape(len(t), -1).T  # the four planes, or one that every plane takes
+    for i, plane in enumerate(_planes(out)):
+        plane[t] = rows[i % len(rows)]
 
 
 def _planes(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -163,12 +169,7 @@ def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
     current = np.full(plan.shape, START_VALUE, np.float32)
     nxt, diff = current.copy(), np.empty_like(current)
     for k, _, t, _, _, o in plan.runs:  # sweep 1, the DC paint: a flat raster maps every domain to 0 * s + o
-        dc = np.clip(o, 0.0, 255.0)
-        if k == 2:
-            for plane in _planes(nxt):
-                plane[t] = dc
-        else:
-            flat_windows(nxt, k)[t] = dc[:, None, None]
+        _paint(nxt, k, t, np.clip(o, 0.0, 255.0)[:, None, None])
     for sweep in range(cfg.max_iters):
         if sweep:
             decode_step(plan, current, nxt)

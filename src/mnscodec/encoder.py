@@ -75,8 +75,8 @@ class EncoderConfig:
             raise ValueError("error thresholds must be positive")
         if self.mean_tol < 0:
             raise ValueError("mean_tol must be non-negative")
-        if self.full_search_step < 1:
-            raise ValueError("full_search_step must be >= 1")
+        if not isinstance(self.full_search_step, (int, np.integer)) or self.full_search_step < 1:
+            raise ValueError(f"full_search_step must be an integer >= 1, not {self.full_search_step!r}")
 
     def threshold(self, level: int) -> float:
         """RMS tolerance for a splittable level (1..3)."""
@@ -180,11 +180,16 @@ def _domains(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
     return domain_means(band.sums, dx, dy - band.lo, k).reshape(-1, k * k)
 
 
+def _norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Over the last axis of d: the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, d0 = d - mean(d), and sum(d)."""
+    sd = d.sum(axis=-1)
+    return np.einsum("...k,...k->...", d, d) - sd * sd / d.shape[-1], sd
+
+
 def _moments(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_fit's moments of the (n, c, kk) candidate domains d against the (n, kk) ranges r:
-    sum(d r), the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, d0 = d - mean(d), and sum(d), each (n, c)."""
-    dd, sd = np.einsum("nck,nck->nc", d, d), d.sum(axis=2)
-    return np.einsum("nck,nk->nc", d, r), dd - sd * sd / d.shape[2], sd
+    sum(d r) and _norms(d), each (n, c)."""
+    return np.einsum("nck,nk->nc", d, r), *_norms(d)
 
 
 def _quadrants(xy: np.ndarray, size) -> np.ndarray:
@@ -347,8 +352,7 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     ranges = windows(image.pixels, k)[::k, ::k].reshape(-1, k * k)  # in raster order
     if shared:  # one pool for every range, with its candidates' norms and sum(d), taken once
         pool = domain_means(sums, xs, ys, k).reshape(c, -1)
-        pool_sd = pool.sum(axis=1)
-        pool_norms = np.einsum("ck,ck->c", pool, pool) - pool_sd * pool_sd / (k * k)
+        pool_norms, pool_sd = _norms(pool)
     step = max(1, WORK_PIXELS // 8 // c if shared else WORK_PIXELS // (c * k * k))
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
     rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)

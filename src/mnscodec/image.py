@@ -83,9 +83,10 @@ def _read_header_int(data: bytes, pos: int, field: str) -> tuple[int, int]:
 
 
 def load_pgm(data: bytes) -> GrayImage:
-    """Parse a binary PGM (magic P5, maxval 255) byte string."""
+    """Parse a binary PGM (magic P5, maxval 255) from bytes or any bytes-like object."""
+    data = bytes(data)  # the same object for bytes, so no copy
     if data[:2] != b"P5":
-        raise PgmFormatError(f"bad magic: expected b'P5', got {bytes(data[:2])!r}")
+        raise PgmFormatError(f"bad magic: expected b'P5', got {data[:2]!r}")
     width, pos = _read_header_int(data, 2, "width")
     height, pos = _read_header_int(data, pos, "height")
     maxval, pos = _read_header_int(data, pos, "maxval")

@@ -10,7 +10,6 @@ from mnscodec.bitstream import (
     HEADER_BYTES,
     MAGIC,
     StreamFormatError,
-    _serialize,
     leaf_bit_width,
     level_id_bit_count,
     payload_bit_width,
@@ -20,7 +19,7 @@ from mnscodec.bitstream import (
 )
 from mnscodec.decoder import decode
 from mnscodec.encoder import EncoderConfig, QuadtreeCode, encode_quadtree
-from mnscodec.image import BlockRect
+from mnscodec.image import BlockRect, GrayImage, PgmFormatError, load_pgm, save_pgm
 
 import bitstream_oracle as oracle
 from bitstream_oracle import BitReader, BitWriter
@@ -150,10 +149,8 @@ class TestRoundTrip:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             code = random_code(rng, mode="mns" if seed % 2 else "no_search", technique2=seed % 4 < 2)
-            data, bit_count = _serialize(code)
-            assert bit_count == stream_bit_count(code)
-            assert len(data) == HEADER_BYTES + (bit_count - 8 * HEADER_BYTES + 7) // 8
-            assert data == write_stream(code)
+            data = write_stream(code)
+            assert len(data) == HEADER_BYTES + (stream_bit_count(code) - 8 * HEADER_BYTES + 7) // 8
 
 
 class TestTechnique2:
@@ -191,6 +188,24 @@ class TestTechnique2:
         code = QuadtreeCode(table_of([leaf4]), 16, 16, 16, 16, "no_search", False)
         with pytest.raises(ValueError, match="quartet"):
             level_id_bit_count(code, technique2=True)
+
+
+# each reader with a valid input, what it decodes that input to, and a malformed input and its error
+READERS = {
+    "read_stream": (read_stream, write_stream(level1_code()), level1_code(),
+                    write_stream(level1_code())[:-1], StreamFormatError),
+    "load_pgm": (load_pgm, save_pgm(GrayImage([[1, 2, 3], [4, 5, 6]])), GrayImage([[1, 2, 3], [4, 5, 6]]),
+                 b"P5 3 2 255\n" + bytes(5), PgmFormatError),
+}
+
+
+@pytest.mark.parametrize("kind", (bytes, bytearray, memoryview))
+@pytest.mark.parametrize("name", READERS)
+def test_readers_take_any_bytes_like_input(name, kind):
+    read, valid, expected, malformed, error = READERS[name]
+    assert read(kind(valid)) == expected
+    with pytest.raises(error):
+        read(kind(malformed))
 
 
 class TestReadErrors:

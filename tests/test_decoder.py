@@ -19,6 +19,7 @@ from mnscodec.encoder import (
     encode_quadtree,
 )
 from mnscodec.image import BlockRect, GrayImage
+from mnscodec.transform import apply_map
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, table_of
 from test_bitstream_oracle import traced_peak
@@ -78,9 +79,10 @@ class TestDecodeStep:
             assert later <= earlier + 1e-9
 
     def test_plane_mean_adds_in_np_means_order(self):
-        # decode_step maps a 2x2 run's four sum planes about ((a + b) + c) + d times 0.25, and apply_map
-        # about np.mean of the (n, 2, 2) stack; the two agree bit for bit only while numpy adds four
-        # float32 terms in that order, so a change of numpy's order fails here first
+        # decode_step gathers a 2x2 run's four sum planes into a (4, n) array and maps its (n, 2, 2) view
+        # p.T.reshape(n, 2, 2); apply_map of that strided view must give the pixels it gives for the
+        # contiguous stack, which holds while numpy adds the view's four terms in a contiguous block's
+        # order, ((a + b) + c) + d, so a change of numpy's order fails here first
         rng = np.random.default_rng(16)
         n = 100_000
         blocks = np.concatenate([
@@ -88,14 +90,20 @@ class TestDecodeStep:
             rng.uniform(-800.0, 2000.0, (n, 2, 2)),  # sums an early sweep of any start may hold
             rng.choice((-1.0, 1.0), (n, 2, 2)) * 10.0 ** rng.uniform(-4.0, 6.0, (n, 2, 2)),  # mixed magnitudes
         ]).astype(np.float32)
+        s = rng.uniform(-0.25, 0.25, (len(blocks), 1, 1)).astype(np.float32)  # quartered, as _plan stores s
+        o = rng.uniform(0.0, 255.0, (len(blocks), 1, 1)).astype(np.float32)
+        expected = apply_map(blocks, s, o)
+        p = np.ascontiguousarray(blocks.reshape(-1, 4).T)  # the TL, TR, BL and BR planes
+        view = p.T.reshape(-1, 2, 2)
+        assert np.shares_memory(view, p) and not view.flags.c_contiguous
+        assert apply_map(view, s, o, view) is view and np.ascontiguousarray(view).tobytes() == expected.tobytes()
+        # the other orders differ on a fifth of these sums or more, and their maps on a tenth of these
+        # blocks or more (measured 18% and 13%), so the data tell orders apart
         a, b, c, d = blocks.reshape(-1, 4).T
-        planes = (((a + b) + c) + d) * np.float32(0.25)
-        assert planes.dtype == np.float32
-        assert np.array_equal(planes, blocks.mean(axis=(-2, -1)))
-        assert np.array_equal(planes[::150], [np.mean(block) for block in blocks[::150]])
-        # the other orders differ on a fifth of these blocks or more, so the data tell orders apart
         for other in (a + ((b + c) + d), (a + b) + (c + d)):
             assert np.count_nonzero(other != ((a + b) + c) + d) > 0.2 * len(blocks)
+            mapped = np.clip((blocks - (other * np.float32(0.25))[:, None, None]) * s + o, 0.0, 255.0)
+            assert np.count_nonzero((mapped != expected).any(axis=(1, 2))) > 0.1 * len(blocks)
 
 
 class TestDecode:
@@ -147,6 +155,14 @@ class TestDecode:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="max_iters"):
             DecodeConfig(max_iters=0)
+
+    def test_rejects_a_max_iters_that_is_not_an_integer(self):
+        # it fails on construction, before any decode plans or paints; numpy integers still pass
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+                DecodeConfig(max_iters=value)
+        assert DecodeConfig(max_iters=np.int64(3)).max_iters == 3
+        assert DecodeConfig(max_iters=np.int32(3)).max_iters == 3
 
     def test_start_value_is_not_a_setting(self):
         assert [field.name for field in dataclasses.fields(DecodeConfig)] == ["max_iters", "stop_delta"]

@@ -409,6 +409,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="full_search_step"):
             EncoderConfig(full_search_step=0)
 
+    def test_rejects_a_step_that_is_not_an_integer(self):
+        # it fails on construction, before any encoder pads; numpy integers still pass
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="full_search_step must be an integer >= 1"):
+                EncoderConfig(full_search_step=value)
+        assert EncoderConfig(full_search_step=np.int64(3)).full_search_step == 3
+        assert EncoderConfig(full_search_step=np.int32(3)).full_search_step == 3
+
     @pytest.mark.parametrize("field", ("e1", "e2", "e3", "mean_tol"))
     def test_rejects_nan(self, field):
         # every ordered comparison with NaN is false, so NaN would slip past the sign checks

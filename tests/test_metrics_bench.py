@@ -118,13 +118,13 @@ class TestRdSweep:
 
     def test_serializes_each_point_once(self, natural_128, monkeypatch):
         codes = []
-        serialize = bitstream._serialize
+        serialize = bitstream.write_stream
 
         def counting(code):
             codes.append(code)
             return serialize(code)
 
-        monkeypatch.setattr(bitstream, "_serialize", counting)
+        monkeypatch.setattr(bitstream, "write_stream", counting)
         points = rd_sweep(natural_128, ["no_search", "mns"], [6.0], (True, False))
         monkeypatch.undo()
         assert len(codes) == len(points) == 4

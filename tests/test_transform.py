@@ -161,6 +161,23 @@ class TestApplyMap:
         assert apply_map(stack, s[:, None, None], o[:, None, None], stack) is stack
         assert stack.tobytes() == out.tobytes()
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("k", (2, 3, 4, 8, 16))
+    def test_mean_is_np_means_bit_for_bit(self, dtype, k):
+        # apply_map takes np.mean's sum and division itself. With s = 1 and o = 127.5, a block whose
+        # pixels lie within 120 of its mean maps to D - mean(D) + 127.5 with no clamp, so any other
+        # mean shows in its pixels; the blocks sit anywhere in [-800, 2000] at mixed spreads
+        rng = np.random.default_rng(k)
+        spread = 10.0 ** rng.uniform(-4.0, np.log10(60.0), (500, 1, 1))
+        stack = (rng.uniform(-800.0, 2000.0, (500, 1, 1)) + spread * rng.uniform(-1.0, 1.0, (500, k, k))).astype(dtype)
+        s, o = np.ones((500, 1, 1), dtype), np.full((500, 1, 1), 127.5, dtype)
+        out = apply_map(stack, s, o)
+        expected = (stack - stack.mean(axis=(-2, -1), keepdims=True)) + o
+        assert out.dtype == dtype and expected.min() > 0.0 and expected.max() < 255.0
+        assert out.tobytes() == expected.tobytes()
+        for block, mapped in zip(stack[::25], out[::25]):
+            assert mapped.tobytes() == ((block - np.mean(block)) + dtype(127.5)).astype(dtype).tobytes()
+
     def test_float32_stack_maps_in_float32_and_other_blocks_in_float64(self):
         rng = np.random.default_rng(3)
         stack = rng.uniform(-300.0, 600.0, (10, 4, 4)).astype(np.float32)
