@@ -16,6 +16,7 @@ which writes a 2x2 run as four flat pixel planes, since fancy indexing costs
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +39,8 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, not {self.max_iters!r}")
-        if math.isnan(self.stop_delta):
-            raise ValueError("stop_delta must not be NaN")
+        if not isinstance(self.stop_delta, numbers.Real) or math.isnan(self.stop_delta):
+            raise ValueError(f"stop_delta must be a real number other than NaN, not {self.stop_delta!r}")
 
 
 class _Plan(NamedTuple):

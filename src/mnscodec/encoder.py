@@ -17,11 +17,12 @@ Phase 2's contrasts are not dyadic; _rms keeps rms_error's order there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, box_sums, co_domain_origins, domain_means, pad_to_multiple, windows
+from .image import GrayImage, box_sums, co_domain_origins, domain_means, flat_windows, pad_to_multiple
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import CONTRAST_VALUES, quantize_contrast
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
@@ -69,8 +70,11 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if any(math.isnan(v) for v in (self.e1, self.e2, self.e3, self.mean_tol)):
-            raise ValueError("error thresholds and mean_tol must not be NaN")
+        limits = (self.e1, self.e2, self.e3, self.mean_tol)
+        if not all(isinstance(v, numbers.Real) and not math.isnan(v) for v in limits):
+            raise ValueError("error thresholds and mean_tol must be real numbers other than NaN")
+        if not isinstance(self.technique2, (bool, np.bool_)):
+            raise ValueError(f"technique2 must be a bool, not {self.technique2!r}")
         if min(self.e1, self.e2, self.e3) <= 0:
             raise ValueError("error thresholds must be positive")
         if self.mean_tol < 0:
@@ -171,7 +175,7 @@ def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
 
 def _ranges(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
     """Pixels of the k x k ranges at origins xy, a uint8 row each."""
-    return windows(band.pixels, k)[xy[:, 1] - band.lo, xy[:, 0]].reshape(-1, k * k)
+    return flat_windows(band.pixels, k)[(xy[:, 1] - band.lo) * band.width + xy[:, 0]].reshape(-1, k * k)
 
 
 def _domains(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
@@ -349,7 +353,7 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     or a shared pool's (ranges, c) score matrix within WORK_PIXELS // 8 entries."""
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
-    ranges = windows(image.pixels, k)[::k, ::k].reshape(-1, k * k)  # in raster order
+    ranges = image.pixels.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(-1, k * k)  # in raster order
     if shared:  # one pool for every range, with its candidates' norms and sum(d), taken once
         pool = domain_means(sums, xs, ys, k).reshape(c, -1)
         pool_norms, pool_sd = _norms(pool)

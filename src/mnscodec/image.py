@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-_COMMENT = 0x23  # '#'
+# The width, height and maxval tokens after the magic, each after whitespace and '#' comments up to a line
+# end. Every part can match empty, so a match never fails or backtracks; it loops per comment, not per byte.
+_HEADER = re.compile(rb"\s*(?:#[^\r\n]*\s*)*([^\s#]*)" * 3)
 
 
 class PgmFormatError(ValueError):
@@ -27,7 +29,7 @@ class GrayImage:
     """8-bit single-channel raster, immutable after construction."""
 
     def __init__(self, pixels) -> None:
-        arr = np.array(pixels, order="C")  # so any run of rows is one block of memory, as windows needs
+        arr = np.array(pixels, order="C")  # so any run of rows is one block of memory, as flat_windows needs
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D pixel array, got shape {arr.shape}")
         if arr.size == 0:
@@ -56,47 +58,28 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
-def _skip_separators(data: bytes, pos: int) -> int:
-    # PGM headers allow '#' comments wherever whitespace may appear
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == _COMMENT:
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
-
-
-def _read_header_int(data: bytes, pos: int, field: str) -> tuple[int, int]:
-    pos = _skip_separators(data, pos)
-    start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != _COMMENT:
-        pos += 1
-    token = data[start:pos]
-    if not token.isdigit():
-        raise PgmFormatError(f"invalid {field}: {token!r}")
-    return int(token), pos
-
-
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary PGM (magic P5, maxval 255) from bytes or any bytes-like object."""
     data = bytes(data)  # the same object for bytes, so no copy
     if data[:2] != b"P5":
         raise PgmFormatError(f"bad magic: expected b'P5', got {data[:2]!r}")
-    width, pos = _read_header_int(data, 2, "width")
-    height, pos = _read_header_int(data, pos, "height")
-    maxval, pos = _read_header_int(data, pos, "maxval")
+    header, values = _HEADER.match(data, 2), []
+    for field, token in zip(("width", "height", "maxval"), header.groups()):
+        if not token.isdigit():
+            raise PgmFormatError(f"invalid {field}: {token!r}")
+        try:
+            values.append(int(token))
+        except ValueError:  # more digits than sys.get_int_max_str_digits() lets int() convert
+            raise PgmFormatError(f"invalid {field}: {len(token)} digits") from None
+    width, height, maxval = values
     if width < 1:
         raise PgmFormatError(f"invalid width: {width}")
     if height < 1:
         raise PgmFormatError(f"invalid height: {height}")
     if maxval != 255:
         raise PgmFormatError(f"unsupported maxval {maxval} (only 255)")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    pos = header.end()
+    if not data[pos : pos + 1].isspace():
         raise PgmFormatError("missing whitespace between maxval and payload")
     pos += 1
     expected = width * height
@@ -175,16 +158,10 @@ def parity_sums(raster: np.ndarray, py: int, px: int) -> np.ndarray:
     return sums
 
 
-def windows(a: np.ndarray, k: int) -> np.ndarray:
-    """Every k x k window of the C-contiguous 2-D array `a`, as a view indexed by the window's origin;
-    it skips sliding_window_view's checks, which cost more than a small gather."""
-    h, w = a.shape
-    return np.ndarray((h - k + 1, w - k + 1, k, k), a.dtype, a, 0, a.strides * 2)
-
-
 def flat_windows(a: np.ndarray, k: int) -> np.ndarray:
     """Every k x k window of the C-contiguous 2-D array `a`, as a view indexed by the window's flat origin
-    y * w + x: one index per window, where windows takes two. An origin whose x passes w - k wraps rows."""
+    y * w + x, so a gather takes one index array. An origin whose x passes w - k wraps rows. The view skips
+    sliding_window_view's checks, which cost more than a small gather."""
     h, w = a.shape
     return np.ndarray(((h - k) * w + w - k + 1, k, k), a.dtype, a, 0, (a.itemsize, a.strides[0], a.itemsize))
 
@@ -192,7 +169,7 @@ def flat_windows(a: np.ndarray, k: int) -> np.ndarray:
 def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
     """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k)
     array: the stride-2 samples of each (2k-1)-window of the box_sums raster `sums`, quartered exactly."""
-    return windows(sums, 2 * k - 1)[y, x, ::2, ::2] * 0.25
+    return flat_windows(sums, 2 * k - 1)[y * sums.shape[1] + x, ::2, ::2] * 0.25
 
 
 def co_domain_origins(x, y, k, img_w: int, img_h: int) -> tuple[np.ndarray, np.ndarray]:

@@ -164,6 +164,14 @@ class TestDecode:
         assert DecodeConfig(max_iters=np.int64(3)).max_iters == 3
         assert DecodeConfig(max_iters=np.int32(3)).max_iters == 3
 
+    def test_rejects_a_stop_delta_that_is_not_a_real_number(self):
+        # it fails on construction with ValueError, where math.isnan raised TypeError; numpy numbers still pass
+        for value in ("0.5", None, 0.5j):
+            with pytest.raises(ValueError, match="stop_delta must be a real number"):
+                DecodeConfig(stop_delta=value)
+        assert DecodeConfig(stop_delta=np.float32(0.5)).stop_delta == 0.5
+        assert DecodeConfig(stop_delta=np.int64(1)).stop_delta == 1
+
     def test_start_value_is_not_a_setting(self):
         assert [field.name for field in dataclasses.fields(DecodeConfig)] == ["max_iters", "stop_delta"]
         with pytest.raises(TypeError):

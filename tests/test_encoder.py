@@ -418,6 +418,22 @@ class TestConfig:
         assert EncoderConfig(full_search_step=np.int32(3)).full_search_step == 3
 
     @pytest.mark.parametrize("field", ("e1", "e2", "e3", "mean_tol"))
+    def test_rejects_a_limit_that_is_not_a_real_number(self, field):
+        # it fails on construction with ValueError, where math.isnan raised TypeError; numpy numbers still pass
+        for value in ("8", None, 8j, [8.0]):
+            with pytest.raises(ValueError, match="error thresholds and mean_tol must be real numbers"):
+                EncoderConfig(**{field: value})
+        for value in (np.float32(8), np.int64(8), 8):
+            assert getattr(EncoderConfig(**{field: value}), field) == 8
+
+    def test_rejects_a_technique2_that_is_not_a_bool(self):
+        # a truthy string such as "no" would otherwise be written as technique 2 on
+        for value in ("no", "", 1, 0, None, np.int64(1)):
+            with pytest.raises(ValueError, match="technique2 must be a bool"):
+                EncoderConfig(technique2=value)
+        assert EncoderConfig(technique2=np.True_).technique2 and not EncoderConfig(technique2=False).technique2
+
+    @pytest.mark.parametrize("field", ("e1", "e2", "e3", "mean_tol"))
     def test_rejects_nan(self, field):
         # every ordered comparison with NaN is false, so NaN would slip past the sign checks
         with pytest.raises(ValueError, match="NaN"):

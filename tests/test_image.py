@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mnscodec.image import (
     co_domain_origins,
     domain_means,
     downsample_mean2,
+    flat_windows,
     load_pgm,
     pad_to_multiple,
     parity_sums,
@@ -48,6 +50,47 @@ class TestPgm:
     def test_load_rejects_bad_width(self):
         with pytest.raises(PgmFormatError, match="width"):
             load_pgm(b"P5 -2 2 255\n" + bytes(8))
+
+    @pytest.mark.parametrize("data, pixels", (
+        (b"P512 1 255\n" + bytes(range(12)), [list(range(12))]),  # no separator after the magic
+        (b"P5 2# a comment right after a token\n1 255\n\x01\x02", [[1, 2]]),
+        (b"P5\r2\r1\r255\r\x01\x02", [[1, 2]]),  # CR alone separates, and ends a comment
+        (b"P5 #c\r2 1 255\r\x01\x02", [[1, 2]]),
+        (b"P5\x0b2\x0c1\x0b255\x0c\x01\x02", [[1, 2]]),  # vertical tab and form feed
+        (b"P5 2 1 255 #\n\x01\x02", [[35, 10]]),  # one whitespace byte ends the header: '#' is a pixel
+    ))
+    def test_tricky_headers(self, data, pixels):
+        assert load_pgm(data).pixels.tolist() == pixels
+
+    @pytest.mark.parametrize("data, message", (
+        (b"P5 2 1 # a comment that runs to the end of the data", "invalid maxval: b''"),
+        (b"P5 # a comment that runs to the end of the data", "invalid width: b''"),
+        (b"P5 2 1", "invalid maxval: b''"),  # an empty final token
+        (b"P5 2 1 \t\n", "invalid maxval: b''"),
+        (b"P5 2", "invalid height: b''"),
+        (b"P5 2 x# 255\n\x01\x02", "invalid height: b'x'"),
+        (b"P5 2 1 255#\n\x01\x02", "missing whitespace between maxval and payload"),  # '#' is no whitespace
+    ))
+    def test_tricky_headers_that_raise(self, data, message):
+        with pytest.raises(PgmFormatError) as info:
+            load_pgm(data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("separators", (b" #" * (1 << 19), b" " * (1 << 19) + b"#" * (1 << 19)),
+                             ids=("alternating", "spaces-then-hashes"))
+    def test_a_megabyte_header_of_separators_fails_fast(self, separators):
+        # spaces and '#' with no line end: a header with no tokens, whose scan must not take seconds
+        start = time.perf_counter()
+        with pytest.raises(PgmFormatError, match="^invalid width: b''$"):
+            load_pgm(b"P5" + separators)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("field", ("width", "height", "maxval"))
+    def test_a_token_past_int_digit_limit_is_a_format_error(self, field):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default) with a plain ValueError
+        tokens = {"width": b"1", "height": b"1", "maxval": b"255", field: b"9" * 5000}
+        with pytest.raises(PgmFormatError, match=f"^invalid {field}: 5000 digits$"):
+            load_pgm(b"P5 " + b" ".join(tokens.values()) + b"\n")
 
     def test_save_single_pixel(self):
         assert save_pgm(GrayImage([[7]])) == b"P5 1 1 255\n\x07"
@@ -182,6 +225,21 @@ class TestBlockOps:
         sums = box_sums(GrayImage(pixels), np.uint16)
         assert sums.dtype == np.uint16 and sums[0, 0] == 1020
         assert np.array_equal(sums, box_sums(GrayImage(pixels)))
+
+    @pytest.mark.parametrize("h, w, k", ((1, 1, 1), (5, 7, 1), (5, 7, 3), (5, 7, 5), (9, 4, 4), (16, 16, 15),
+                                         (3, 11, 3)))
+    @pytest.mark.parametrize("dtype", (np.uint8, np.uint16, np.float32))
+    def test_flat_windows_index_each_window_by_its_flat_origin(self, h, w, k, dtype):
+        # every gather and scatter in the codec goes through this view, the last row and column too
+        a = np.random.default_rng(7).integers(0, 256, (h, w)).astype(dtype)
+        view = flat_windows(a, k)
+        assert view.shape == ((h - k) * w + w - k + 1, k, k)
+        for y, x in np.ndindex(h - k + 1, w - k + 1):
+            assert np.array_equal(view[y * w + x], a[y : y + k, x : x + k])
+        expected = a.copy()
+        expected[h - k :, w - k :] = 0
+        view[(h - k) * w + w - k] = 0  # a scatter writes the raster: the last window, its bottom-right corner
+        assert np.array_equal(a, expected)
 
     @pytest.mark.parametrize("dtype", (np.uint16, np.float64))
     def test_domain_means_equal_downsample(self, dtype):
