@@ -8,6 +8,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 
 from . import bitstream
 from .bitstream import read_stream
@@ -44,9 +45,9 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
              mean_tol: float = 16.0, decode_config: DecodeConfig | None = None) -> list[RdPoint]:
     """Encode, serialize, decode, and measure every config combination.
 
-    threshold_grid entries are either one RMS value applied to all three
-    splittable levels or an (E1, E2, E3) triple. Rows come out in grid order
-    (modes outer, thresholds, then technique-2 options) and, timing aside,
+    threshold_grid entries are either one real RMS value (numpy scalars too) applied to all three
+    splittable levels or an (E1, E2, E3) triple; ValueError names any other before any encode. Rows
+    come out in grid order (modes outer, thresholds, then technique-2 options) and, timing aside,
     are a pure function of the inputs. Each layer has its own timer: encode_quadtree,
     write_stream, read_stream and decode; the exact bit count is taken off the clock.
     PSNR is taken against the original image, so padding pixels never count.
@@ -55,9 +56,12 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
         raise ValueError("rd_sweep needs at least one mode and one threshold entry")
     points: list[RdPoint] = []
     dec_cfg = decode_config if decode_config is not None else DecodeConfig()
+    grid = [(e,) * 3 if isinstance(e, Real) else tuple(e) if hasattr(e, "__iter__") else () for e in threshold_grid]
+    for entry, triple in zip(threshold_grid, grid):  # every entry is checked before any encode
+        if len(triple) != 3 or not all(isinstance(e, Real) for e in triple):
+            raise ValueError(f"threshold entry {entry!r} is neither a real number nor three of them")
     for mode in modes:
-        for entry in threshold_grid:
-            e1, e2, e3 = (entry, entry, entry) if isinstance(entry, (int, float)) else entry
+        for e1, e2, e3 in grid:
             for t2 in technique2_options:
                 config = EncoderConfig(e1=e1, e2=e2, e3=e3, mean_tol=mean_tol, mode=mode, technique2=t2)
                 try:

@@ -10,7 +10,8 @@ On integer pixels with power-of-two sides and contrasts in steps of 1/8, every t
 expanded sum of squared residuals is exact in float64, so it is rms_error's sum of squares to the
 last bit, in any order. So are the moments _fit removes the means from: a 16x16 block's domain sum
 times its range sum is at most 255 * 256 squared, about 4.3e9, in steps of 1/4, far inside
-float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies.
+float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies. Full search
+forms sum(d r) in float32 up to 8x8 ranges: at most 64 * 255 * 255 < 2^22 in steps of 1/4, exact in any order.
 Phase 2's contrasts are not dyadic; _rms keeps rms_error's order there.
 """
 
@@ -186,8 +187,8 @@ def _domains(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
 
 def _norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Over the last axis of d: the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, d0 = d - mean(d), and sum(d)."""
-    sd = d.sum(axis=-1)
-    return np.einsum("...k,...k->...", d, d) - sd * sd / d.shape[-1], sd
+    sd = d.sum(axis=-1, dtype=np.float64)
+    return np.einsum("...k,...k->...", d, d, dtype=np.float64) - sd * sd / d.shape[-1], sd
 
 
 def _moments(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,12 +222,21 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     half up, as a float) and sum of squared residuals, exact as the module docstring says.
     """
     kk, total = r.shape[1], r.sum(axis=1)
-    o_byte = np.floor(total / kk + 0.5)  # halves round up
-    cross = dr - sd * (total / kk)[:, None]  # sum(d0 r), d0 = d - mean(d)
-    s_code = quantize_contrast(cross / np.where(norms > 0.0, norms, 1.0))  # a flat candidate: s = 0
+    mean = total / kk
+    o_byte = np.floor(mean + 0.5)  # halves round up
+    x = dr - sd * mean[:, None]  # sum(d0 r), d0 = d - mean(d), then divided in place by the norm
+    x /= np.where(norms > 0.0, norms, 1.0)  # a flat candidate: s = 0
+    s_code = quantize_contrast(x)
     s = np.take(CONTRAST_VALUES, s_code)
-    sse = (s * norms - 2.0 * cross) * s  # |r - o - s d0|^2 expanded; d0's rows sum to 0
-    sse += (np.einsum("ij,ij->i", r, r) - (2.0 * total - kk * o_byte) * o_byte)[:, None]  # sum((r - o)^2)
+    # |r - o - s d0|^2 = s (-2 sum(d0 r)) + s^2 norm + sum((r - o)^2), in x's and s's memory, as d0's rows sum to 0
+    sse = np.multiply(sd, 2.0 * mean[:, None], out=x)
+    sse -= dr
+    sse -= dr
+    sse *= s
+    s *= s
+    s *= norms
+    sse += s
+    sse += (np.einsum("ij,ij->i", r, r) - (2.0 * total - kk * o_byte) * o_byte)[:, None]
     best = sse.argmin(axis=1)
     at = (np.arange(len(r)), best)
     return best, s_code[at], o_byte, sse[at]
@@ -349,15 +359,15 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     """LeafTable of the k x k ranges of `image`, whose sides are multiples of k, in raster order:
     each takes its lowest-error 2k x 2k candidate domain, ties to the first. xs and ys hold the
     candidates' origins: (c,) for one pool shared by every range, or (n, c), a pool per range.
-    A call takes as many ranges as keep its per-range pools within WORK_PIXELS candidate pixels,
-    or a shared pool's (ranges, c) score matrix within WORK_PIXELS // 8 entries."""
+    A call takes as many ranges as keep its per-range pools within WORK_PIXELS candidate pixels, or a shared
+    pool's (ranges, c) score matrix within WORK_PIXELS // 2 entries; a shared pool is float32 up to k = 8."""
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
     ranges = image.pixels.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(-1, k * k)  # in raster order
-    if shared:  # one pool for every range, with its candidates' norms and sum(d), taken once
-        pool = domain_means(sums, xs, ys, k).reshape(c, -1)
+    if shared:  # one pool for every range; its candidates' norms and sum(d) are taken once, in float64
+        pool = domain_means(sums.astype(np.float32 if k <= 8 else np.float64), xs, ys, k).reshape(c, -1)
         pool_norms, pool_sd = _norms(pool)
-    step = max(1, WORK_PIXELS // 8 // c if shared else WORK_PIXELS // (c * k * k))
+    step = max(1, WORK_PIXELS // 2 // c if shared else WORK_PIXELS // (c * k * k))
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
     rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)
     rows[:, 0], rows[:, 1], rows[:, 4], rows[:, 16] = SIZE_LEVELS[k], SEARCH, k, 2 * k
@@ -366,11 +376,12 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
         part = slice(i, i + step)
         r = ranges[part].astype(np.float64)
         if shared:
-            moments = r @ pool.T, pool_norms, pool_sd
+            moments = ranges[part].astype(pool.dtype) @ pool.T, pool_norms, pool_sd
         else:
             moments = _moments(r, domain_means(sums, xs[part], ys[part], k).reshape(-1, c, k * k))
         best, rows[part, 6], rows[part, 5], _ = _fit(r, *moments)
-        rows[part, 14:16] = np.stack([xs[part], ys[part]], axis=2)[np.arange(len(best)), best]
+        at = np.arange(i, i + len(best)), best
+        rows[part, 14], rows[part, 15] = xs[at], ys[at]
     return LeafTable(rows)
 
 
@@ -380,7 +391,7 @@ def encode_full_search(
     """Exhaustive-domain baseline on a fixed-size partition.
 
     The domain pool holds every double-size block on a lattice with stride
-    config.full_search_step; it is built once per image. Per range the best
+    config.full_search_step; it is built once per image, in float32 up to 8x8 ranges. Per range the best
     (domain, quantized s, o) by error wins, ties going to the smallest
     (y, x) domain origin. Also returns one (dx, dy) domain-minus-range
     center offset per range, the raw material for the locality histograms.

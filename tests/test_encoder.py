@@ -322,11 +322,12 @@ class TestFullSearch:
     def test_call_size_does_not_change_the_code(self, range_size, step, monkeypatch):
         img, config = natural_image(64, 64), EncoderConfig(full_search_step=step)
         code, samples = encode_full_search(img, range_size, config)
-        monkeypatch.setattr(enc, "WORK_PIXELS", 1)  # one range per call
-        assert encode_full_search(img, range_size, config) == (code, samples)
+        for work_pixels in (1, 1 << 40):  # one range per call, then one call for every range
+            monkeypatch.setattr(enc, "WORK_PIXELS", work_pixels)
+            assert encode_full_search(img, range_size, config) == (code, samples)
 
     def test_traced_peak_stays_small(self):
-        # the 2,401-domain pool of 8x8 means is 1.2 MB of float64; each call's score matrices stay small
+        # the 2,401-domain pool of 8x8 means is 0.6 MB of float32; a call's 13 ranges score in (13, 2401) arrays
         peak = traced_peak(encode_full_search, natural_image(64, 64), 8, EncoderConfig())
         assert peak < 2_000_000
 

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mnscodec import bitstream
+from mnscodec import bench, bitstream
 from mnscodec.bench import RD_CSV_COLUMNS, histogram_csv, offset_histogram, rd_csv, rd_sweep
 from mnscodec.bitstream import stream_bit_count
 from mnscodec.image import GrayImage
@@ -79,6 +80,10 @@ class TestOffsetHistogram:
         assert "joint,1,-2,2" in lines
 
 
+def strip_time(points):
+    return [(p.mode, p.thresholds, p.technique2, p.bits, p.bpp, p.psnr, p.leaf_counts, p.phase2_count) for p in points]
+
+
 class TestRdSweep:
     def test_single_point(self, constant_64):
         points = rd_sweep(constant_64, ["no_search"], [8.0])
@@ -106,15 +111,21 @@ class TestRdSweep:
         assert lines[1].startswith("no_search,8,8,8,1,")
 
     def test_deterministic_apart_from_timing(self, natural_128):
-        def strip_time(points):
-            return [
-                (p.mode, p.thresholds, p.technique2, p.bits, p.bpp, p.psnr, p.leaf_counts, p.phase2_count)
-                for p in points
-            ]
-
         a = rd_sweep(natural_128, ["mns"], [6.0, 9.0])
         b = rd_sweep(natural_128, ["mns"], [6.0, 9.0])
         assert strip_time(a) == strip_time(b)
+
+    def test_numpy_scalar_thresholds_give_the_rows_of_an_int(self, natural_128):
+        rows = strip_time(rd_sweep(natural_128, ["mns"], [8, (8, 8, 8)]))
+        assert rows[0] == rows[1]
+        for entry in (np.int64(8), np.float32(8), (np.int64(8), np.float32(8), 8.0)):
+            assert strip_time(rd_sweep(natural_128, ["mns"], [entry])) == rows[:1]
+
+    @pytest.mark.parametrize("entry", ["8", "888", (8.0, 8.0), (8.0, 8.0, "8"), None, {"e1": 8}])
+    def test_rejects_an_entry_that_is_not_thresholds_before_any_encode(self, constant_64, entry, monkeypatch):
+        monkeypatch.setattr(bench, "encode_quadtree", None)  # an encode would raise TypeError
+        with pytest.raises(ValueError, match=f"threshold entry {re.escape(repr(entry))} is neither"):
+            rd_sweep(constant_64, ["no_search"], [8.0, entry])
 
     def test_serializes_each_point_once(self, natural_128, monkeypatch):
         codes = []

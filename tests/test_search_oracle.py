@@ -11,7 +11,7 @@ import pytest
 
 import mnscodec.encoder as encoder
 from mnscodec.encoder import SIZE_LEVELS, EncoderConfig, encode_full_search, encode_local_search
-from mnscodec.image import BlockRect, GrayImage, downsample_mean2, pad_to_multiple
+from mnscodec.image import BlockRect, GrayImage, box_sums, domain_means, downsample_mean2, pad_to_multiple
 from mnscodec.transform import fit_affine, rms_error
 
 from records import BaselinePayload, LeafRecord, table_of
@@ -35,6 +35,12 @@ def _images():
 
 
 IMAGES = _images()
+# 16x16 ranges need room for 32x32 domains, and float32 would round their sums on bright images: each
+# image doubled in scale, cut to 40x36 (padded to 48x48) and mapped into [192, 255]. Scored in float32,
+# the gradient's would code differently at step 1.
+BRIGHT = {
+    name: GrayImage(255 - np.kron(img.pixels, np.ones((2, 2), np.uint8))[:36, :40] // 4) for name, img in IMAGES.items()
+}
 
 
 def oracle_leaf(padded, rect, domains):
@@ -74,12 +80,12 @@ def test_local_search_matches_oracle(name, monkeypatch):
 
 
 @pytest.mark.parametrize("step", (1, 3))
-@pytest.mark.parametrize("range_size", (4, 8))
+@pytest.mark.parametrize("range_size", (2, 4, 8, 16))
 @pytest.mark.parametrize("name", IMAGES)
 def test_full_search_matches_oracle(name, range_size, step, monkeypatch):
-    config = EncoderConfig(full_search_step=step)
-    code, samples = encode_full_search(IMAGES[name], range_size, config)
-    padded = pad_to_multiple(IMAGES[name], range_size)
+    config, image = EncoderConfig(full_search_step=step), (BRIGHT if range_size == 16 else IMAGES)[name]
+    code, samples = encode_full_search(image, range_size, config)
+    padded = pad_to_multiple(image, range_size)
     w, h = padded.width, padded.height
     dsize = 2 * range_size
     domains = [BlockRect(x, y, dsize) for y in range(0, h - dsize + 1, step) for x in range(0, w - dsize + 1, step)]
@@ -91,9 +97,30 @@ def test_full_search_matches_oracle(name, range_size, step, monkeypatch):
     assert code.leaves == table_of(expected)
     with monkeypatch.context() as m:
         m.setattr(encoder, "WORK_PIXELS", 1)  # one range per call
-        assert encode_full_search(IMAGES[name], range_size, config)[0].leaves == table_of(expected)
+        assert encode_full_search(image, range_size, config)[0].leaves == table_of(expected)
     half = range_size // 2
     assert samples == [
         (leaf.payload.domain.x + range_size - (leaf.rect.x + half), leaf.payload.domain.y + range_size - (leaf.rect.y + half))
         for leaf in expected
     ]
+
+
+@pytest.mark.parametrize("pixels, range_size", [
+    (np.full((32, 32), 255), 8),  # every sum(d r) is 64 * 255 * 255, the largest the float32 rule admits
+    (255 - noise_image(48, 48, seed=5).pixels // 8, 8),
+    (255 - noise_image(48, 48, seed=5).pixels // 8, 16),  # past the rule: float32 would round these sums
+], ids=["all_255-8", "bright_noise-8", "bright_noise-16"])
+def test_full_search_scores_equal_the_float64_product(pixels, range_size, monkeypatch):
+    image, dsize = GrayImage(pixels.astype(np.uint8)), 2 * range_size
+    ys, xs = np.mgrid[0 : image.height - dsize + 1, 0 : image.width - dsize + 1].reshape(2, -1)
+    pool = domain_means(box_sums(image), xs, ys, range_size).reshape(len(xs), -1)  # float64 2x2 means
+    scored, fit = [], encoder._fit
+
+    def spy(r, dr, norms, sd):
+        scored.append((r, dr))
+        return fit(r, dr, norms, sd)
+
+    monkeypatch.setattr(encoder, "_fit", spy)
+    encode_full_search(image, range_size, EncoderConfig())
+    assert sum(len(r) for r, _ in scored) == (image.width // range_size) * (image.height // range_size)
+    assert all(np.array_equal(dr, r @ pool.T) for r, dr in scored)
