@@ -10,8 +10,12 @@ On integer pixels with power-of-two sides and contrasts in steps of 1/8, every t
 expanded sum of squared residuals is exact in float64, so it is rms_error's sum of squares to the
 last bit, in any order. So are the moments _fit removes the means from: a 16x16 block's domain sum
 times its range sum is at most 255 * 256 squared, about 4.3e9, in steps of 1/4, far inside
-float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies. Full search
-forms sum(d r) in float32 up to 8x8 ranges: at most 64 * 255 * 255 < 2^22 in steps of 1/4, exact in any order.
+float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies. The searches
+read every candidate's norm and sum(d) from one table of each domain origin's sum(S) and sum(S^2) over its
+box sums S, integers added in int32 (at most 256 * 1020^2 < 2^31), so the norms equal _norms of the means.
+They form sum(d r) in float32 up to 8x8 ranges, from raw box sums and quartered ranges. Counted in quarters,
+every partial sum is an integer of at most 64 * 1020 * 255 = 16,646,400 < 2^24, whether a pool row meets a
+range or, in local search, window rows meet range rows and 8 such sums are added; so each is exact in any order.
 Phase 2's contrasts are not dyadic; _rms keeps rms_error's order there.
 """
 
@@ -192,8 +196,8 @@ def _norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moments(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_fit's moments of the (n, c, kk) candidate domains d against the (n, kk) ranges r:
-    sum(d r) and _norms(d), each (n, c)."""
+    """_fit's moments of the (n, c, kk) candidate domains d against the (n, kk) ranges r, as phase 1
+    passes them: sum(d r) and _norms(d), each (n, c)."""
     return np.einsum("nck,nk->nc", d, r), *_norms(d)
 
 
@@ -216,7 +220,7 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     """Each range's lowest-error candidate domain under its quantized least-squares contrast.
 
     r holds (n, kk) range pixels; dr each candidate's sum(d r), (n, c), and norms and sd its sum(d0^2)
-    and sum(d), (n, c) or (c,), as _moments forms them, where d is the candidate's 2x2 means and
+    and sum(d), (n, c) or (c,), as _norms forms them, where d is the candidate's 2x2 means and
     d0 = d - mean(d). The cross terms sum(d0 r) are formed here from each range's sum. None is written.
     Returns each range's candidate index (ties to the first), s code, o byte (the range mean rounded
     half up, as a float) and sum of squared residuals, exact as the module docstring says.
@@ -228,7 +232,8 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     x /= np.where(norms > 0.0, norms, 1.0)  # a flat candidate: s = 0
     s_code = quantize_contrast(x)
     s = np.take(CONTRAST_VALUES, s_code)
-    # |r - o - s d0|^2 = s (-2 sum(d0 r)) + s^2 norm + sum((r - o)^2), in x's and s's memory, as d0's rows sum to 0
+    # |r - o - s d0|^2 = s (-2 sum(d0 r)) + s^2 norm + sum((r - o)^2), in x's and s's memory, as d0's rows sum
+    # to 0; the last term is the same for every candidate of a range, so only the winner's takes it
     sse = np.multiply(sd, 2.0 * mean[:, None], out=x)
     sse -= dr
     sse -= dr
@@ -236,10 +241,9 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     s *= s
     s *= norms
     sse += s
-    sse += (np.einsum("ij,ij->i", r, r) - (2.0 * total - kk * o_byte) * o_byte)[:, None]
     best = sse.argmin(axis=1)
     at = (np.arange(len(r)), best)
-    return best, s_code[at], o_byte, sse[at]
+    return best, s_code[at], o_byte, sse[at] + (np.einsum("ij,ij->i", r, r) - (2.0 * total - kk * o_byte) * o_byte)
 
 
 def _rms(r: np.ndarray, d0: np.ndarray, s, o) -> np.ndarray:
@@ -355,31 +359,70 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     return QuadtreeCode(LeafTable(table[order]), w, h, image.width, image.height, config.mode, config.technique2)
 
 
+def _norm_table(sums: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_norms of the 2x2 means of the 2k x 2k domains at every origin, indexed [y, x], bit for bit: each
+    domain's sum(S) and sum(S^2) over its k x k stride-2 box sums S (the uint16 `sums`), added separably in
+    int32, doubling the span each pass; both are exact, as sum(S^2) <= 256 * 1020^2 < 2^31."""
+    s, tables = sums.astype(np.int32), []
+    for t in (s, s * s):
+        span = 1
+        while span < k:
+            t = t[: -2 * span] + t[2 * span :]
+            t = t[:, : -2 * span] + t[:, 2 * span :]
+            span *= 2
+        tables.append(t)
+    sd, sq = tables[0] * 0.25, tables[1] * 0.0625
+    return sq - sd * sd / (k * k), sd
+
+
+def _translates(windows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum(S r) of each 8x8 range r, (n, 8, 8), and the 2x2 sums S at each of the 9 x 9 origins of its (n, 23, 23)
+    window: one product of the window's (23, 9, 8) row view, rows[y, x, j] = window[y, x + 2j], with the range's
+    rows, then 8 shifted adds. g[y, x] = sum over i, j of window[y + 2i, x + 2j] r[i, j]."""
+    n, (s0, s1, s2) = len(r), windows.strides
+    rows = np.ndarray((n, 23, 9, 8), windows.dtype, windows, 0, (s0, s1, s2, 2 * s2))
+    p = rows @ r.transpose(0, 2, 1)[:, None]  # p[y, x, i] = sum over j of rows[y, x, j] r[i, j]
+    g = p[:, 0:9, :, 0].copy()
+    for i in range(1, 8):
+        g += p[:, 2 * i : 2 * i + 9, :, i]
+    return g
+
+
 def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTable:
     """LeafTable of the k x k ranges of `image`, whose sides are multiples of k, in raster order:
     each takes its lowest-error 2k x 2k candidate domain, ties to the first. xs and ys hold the
-    candidates' origins: (c,) for one pool shared by every range, or (n, c), a pool per range.
-    A call takes as many ranges as keep its per-range pools within WORK_PIXELS candidate pixels, or a shared
-    pool's (ranges, c) score matrix within WORK_PIXELS // 2 entries; a shared pool is float32 up to k = 8."""
+    candidates' origins: (c,) for one pool shared by every range, or (n, c) for local search's 8x8
+    ranges, each pool at most 8 past its first origin on each axis. Norms and sum(d) come from _norm_table;
+    sum(d r) takes raw box sums and quartered ranges, in float32 up to k = 8: a shared pool's sums are
+    gathered once, and local search reads each range's 23 x 23 window through _translates. A call takes
+    as many ranges as keep a shared pool's (ranges, c) scores within WORK_PIXELS // 2 entries, or the
+    (23, 9, 8) products within WORK_PIXELS."""
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
     ranges = image.pixels.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(-1, k * k)  # in raster order
-    if shared:  # one pool for every range; its candidates' norms and sum(d) are taken once, in float64
-        pool = domain_means(sums.astype(np.float32 if k <= 8 else np.float64), xs, ys, k).reshape(c, -1)
-        pool_norms, pool_sd = _norms(pool)
-    step = max(1, WORK_PIXELS // 2 // c if shared else WORK_PIXELS // (c * k * k))
+    norms, sd, dtype = *_norm_table(sums, k), np.float32 if k <= 8 else np.float64
+    if shared:
+        pool = flat_windows(sums.astype(dtype), 2 * k - 1)[ys * (w - 1) + xs, ::2, ::2].reshape(c, -1)
+        pool_norms, pool_sd = norms[ys, xs], sd[ys, xs]
+        step = max(1, WORK_PIXELS // 2 // c)
+    else:  # each range's window starts at its first candidate, shifted back in bounds; a 16-pixel side is padded
+        sums = np.pad(sums.astype(np.float32), ((0, max(24 - h, 0)), (0, max(24 - w, 0))))
+        u, v = np.minimum(xs[:, 0], max(w - 24, 0)), np.minimum(ys[:, 0], max(h - 24, 0))
+        cells = (ys - v[:, None]) * 9 + xs - u[:, None]  # each candidate's origin in its range's 9 x 9 grid
+        step = max(1, WORK_PIXELS // (23 * 9 * 8))
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
     rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)
     rows[:, 0], rows[:, 1], rows[:, 4], rows[:, 16] = SIZE_LEVELS[k], SEARCH, k, 2 * k
     rows[:, 3], rows[:, 2] = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)
     for i in range(0, len(ranges), step):
         part = slice(i, i + step)
-        r = ranges[part].astype(np.float64)
+        r, r4 = ranges[part].astype(np.float64), ranges[part] * dtype(0.25)
         if shared:
-            moments = ranges[part].astype(pool.dtype) @ pool.T, pool_norms, pool_sd
+            best, rows[part, 6], rows[part, 5], _ = _fit(r, r4 @ pool.T, pool_norms, pool_sd)
         else:
-            moments = _moments(r, domain_means(sums, xs[part], ys[part], k).reshape(-1, c, k * k))
-        best, rows[part, 6], rows[part, 5], _ = _fit(r, *moments)
+            g = _translates(flat_windows(sums, 23)[v[part] * sums.shape[1] + u[part]], r4.reshape(-1, 8, 8))
+            dr, at = np.take_along_axis(g.reshape(-1, 81), cells[part], axis=1), (ys[part], xs[part])
+            best, rows[part, 6], rows[part, 5], _ = _fit(r, dr, norms[at], sd[at])
         at = np.arange(i, i + len(best)), best
         rows[part, 14], rows[part, 15] = xs[at], ys[at]
     return LeafTable(rows)
@@ -391,7 +434,8 @@ def encode_full_search(
     """Exhaustive-domain baseline on a fixed-size partition.
 
     The domain pool holds every double-size block on a lattice with stride
-    config.full_search_step; it is built once per image, in float32 up to 8x8 ranges. Per range the best
+    config.full_search_step; its raw 2x2 sums are gathered once per image, in float32 up to 8x8 ranges,
+    and its norms read from the per-origin table once. Per range the best
     (domain, quantized s, o) by error wins, ties going to the smallest
     (y, x) domain origin. Also returns one (dx, dy) domain-minus-range
     center offset per range, the raw material for the locality histograms.
@@ -417,6 +461,8 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
     Candidates are the co-centered 16x16 block translated by dx, dy in
     -4..4, each clamped back in bounds; clamped duplicates are still scored,
     81 per range. Ties keep the first candidate in (dy, dx) scan order.
+    All 81 lie in one 23 x 23 window of box sums, scored by one product per
+    range; their norms come from the per-origin table, with no per-candidate gather.
     """
     if image.width < 16 or image.height < 16:
         raise ValueError("local search needs at least a 16x16 image")

@@ -327,7 +327,7 @@ class TestFullSearch:
             assert encode_full_search(img, range_size, config) == (code, samples)
 
     def test_traced_peak_stays_small(self):
-        # the 2,401-domain pool of 8x8 means is 0.6 MB of float32; a call's 13 ranges score in (13, 2401) arrays
+        # the 2,401-domain pool of raw 2x2 sums is 0.6 MB of float32; a call's 13 ranges score in (13, 2401) arrays
         peak = traced_peak(encode_full_search, natural_image(64, 64), 8, EncoderConfig())
         assert peak < 2_000_000
 
@@ -356,11 +356,14 @@ class TestLocalSearch:
     def test_call_size_does_not_change_the_code(self, monkeypatch):
         img, config = scene_image(128, 128), EncoderConfig()
         code = encode_local_search(img, config)
-        monkeypatch.setattr(enc, "WORK_PIXELS", 1)  # one range per call
-        assert encode_local_search(img, config) == code
+        for work_pixels in (1, 1 << 40):  # one range per call, then one call for every range
+            monkeypatch.setattr(enc, "WORK_PIXELS", work_pixels)
+            assert encode_local_search(img, config) == code
 
     def test_traced_peak_stays_small(self):
-        # a call gathers at most WORK_PIXELS candidate pixels: 12 ranges' 81 candidates, 0.5 MB of float64
+        # a call's (23, 9, 8) products stay within WORK_PIXELS entries: 39 ranges' 23 x 23 windows of float32
+        # box sums and their products take 0.34 MB, next to the 256 ranges' (256, 81) candidate origins and
+        # grid cells (0.5 MB of int64) and the per-origin norm and sum(d) tables (0.2 MB of float64)
         assert traced_peak(encode_local_search, scene_image(128, 128), EncoderConfig()) < 2_000_000
 
     def test_never_beats_full_search(self):

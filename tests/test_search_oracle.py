@@ -43,6 +43,16 @@ BRIGHT = {
 }
 
 
+# padded sides of 16 leave no room for a 23-pixel window of box sums around the 9 x 9 translates
+SIDE_16 = {
+    "noise_16x16": noise_image(16, 16, seed=14),
+    "diagonal_16x44": GrayImage((np.add.outer(np.arange(44), np.arange(16)) % 6 * 40).astype(np.uint8)),
+    "four_level_44x16": GrayImage((np.random.default_rng(5).integers(0, 4, (16, 44)) * 85).astype(np.uint8)),
+}
+# sum(d r) at its bound: every 2x2 sum 1020 against every pixel 255; and bright noise
+ALL_255, BRIGHT_NOISE = np.full((32, 32), 255), 255 - noise_image(48, 48, seed=5).pixels // 8
+
+
 def oracle_leaf(padded, rect, domains):
     """First candidate domain with the strictly lowest quantized-fit RMS."""
     r = block_pixels(padded, rect)
@@ -58,10 +68,11 @@ def oracle_leaf(padded, rect, domains):
     return LeafRecord(rect, SIZE_LEVELS[rect.size], best[1])
 
 
-@pytest.mark.parametrize("name", IMAGES)
+@pytest.mark.parametrize("name", [*IMAGES, *SIDE_16])
 def test_local_search_matches_oracle(name, monkeypatch):
-    code = encode_local_search(IMAGES[name], EncoderConfig())
-    padded = pad_to_multiple(IMAGES[name], 8)
+    image = {**IMAGES, **SIDE_16}[name]
+    code = encode_local_search(image, EncoderConfig())
+    padded = pad_to_multiple(image, 8)
     w, h = padded.width, padded.height
     expected = []
     for ry in range(0, h, 8):
@@ -76,7 +87,7 @@ def test_local_search_matches_oracle(name, monkeypatch):
             expected.append(oracle_leaf(padded, rect, domains))
     assert code.leaves == table_of(expected)
     monkeypatch.setattr(encoder, "WORK_PIXELS", 1)  # one range per call
-    assert encode_local_search(IMAGES[name], EncoderConfig()).leaves == table_of(expected)
+    assert encode_local_search(image, EncoderConfig()).leaves == table_of(expected)
 
 
 @pytest.mark.parametrize("step", (1, 3))
@@ -106,9 +117,9 @@ def test_full_search_matches_oracle(name, range_size, step, monkeypatch):
 
 
 @pytest.mark.parametrize("pixels, range_size", [
-    (np.full((32, 32), 255), 8),  # every sum(d r) is 64 * 255 * 255, the largest the float32 rule admits
-    (255 - noise_image(48, 48, seed=5).pixels // 8, 8),
-    (255 - noise_image(48, 48, seed=5).pixels // 8, 16),  # past the rule: float32 would round these sums
+    (ALL_255, 8),  # every sum(d r) is 64 * 255 * 255, the largest the float32 rule admits
+    (BRIGHT_NOISE, 8),
+    (BRIGHT_NOISE, 16),  # past the rule: float32 would round these sums
 ], ids=["all_255-8", "bright_noise-8", "bright_noise-16"])
 def test_full_search_scores_equal_the_float64_product(pixels, range_size, monkeypatch):
     image, dsize = GrayImage(pixels.astype(np.uint8)), 2 * range_size
@@ -124,3 +135,34 @@ def test_full_search_scores_equal_the_float64_product(pixels, range_size, monkey
     encode_full_search(image, range_size, EncoderConfig())
     assert sum(len(r) for r, _ in scored) == (image.width // range_size) * (image.height // range_size)
     assert all(np.array_equal(dr, r @ pool.T) for r, dr in scored)
+
+
+@pytest.mark.parametrize("pixels", [ALL_255, BRIGHT_NOISE], ids=["all_255", "bright_noise"])
+def test_local_search_scores_equal_the_float64_product(pixels, monkeypatch):
+    # every call's sum(d r), against the float64 2x2 means of each range's 81 clamped translates
+    image, scored, fit = GrayImage(pixels.astype(np.uint8)), [], encoder._fit
+
+    def spy(r, dr, norms, sd):
+        scored.append((r, dr))
+        return fit(r, dr, norms, sd)
+
+    monkeypatch.setattr(encoder, "_fit", spy)
+    encode_local_search(image, EncoderConfig())
+    w, h, sums = image.width, image.height, box_sums(image)
+    rects = [BlockRect(rx, ry, 8) for ry in range(0, h, 8) for rx in range(0, w, 8)]
+    assert sum(len(r) for r, _ in scored) == len(rects)
+    dy, dx = np.indices((9, 9)).reshape(2, 81) - 4  # (dy, dx) scan order
+    for rect, row, sums_dr in zip(rects, *(np.concatenate(arrays) for arrays in zip(*scored))):
+        base = co_domain_rect(rect, w, h)
+        xs, ys = np.clip(base.x + dx, 0, w - 16), np.clip(base.y + dy, 0, h - 16)
+        assert np.array_equal(sums_dr, domain_means(sums, xs, ys, 8).reshape(81, 64) @ row)
+
+
+@pytest.mark.parametrize("k", (2, 4, 8, 16))
+@pytest.mark.parametrize("pixels", [ALL_255, BRIGHT_NOISE], ids=["all_255", "bright_noise"])
+def test_norm_table_equals_the_norms_of_gathered_means(pixels, k):
+    image = GrayImage(pixels.astype(np.uint8))
+    ys, xs = np.mgrid[0 : image.height - 2 * k + 1, 0 : image.width - 2 * k + 1]
+    expected = encoder._norms(domain_means(box_sums(image), xs, ys, k).reshape(*xs.shape, k * k))
+    got = encoder._norm_table(box_sums(image, np.uint16), k)
+    assert all(a.dtype == np.float64 and np.array_equal(a, b) for a, b in zip(got, expected))
