@@ -60,39 +60,36 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
     for entry, triple in zip(threshold_grid, grid):  # every entry is checked before any encode
         if len(triple) != 3 or not all(isinstance(e, Real) for e in triple):
             raise ValueError(f"threshold entry {entry!r} is neither a real number nor three of them")
-    for mode in modes:
-        for e1, e2, e3 in grid:
-            for t2 in technique2_options:
-                config = EncoderConfig(e1=e1, e2=e2, e3=e3, mean_tol=mean_tol, mode=mode, technique2=t2)
-                try:
-                    clock = [time.perf_counter()]  # after each layer: encode, write, read, decode
-                    code = encode_quadtree(image, config)
-                    clock.append(time.perf_counter())
-                    blob = bitstream.write_stream(code)
-                    clock.append(time.perf_counter())
-                    back = read_stream(blob)
-                    clock.append(time.perf_counter())
-                    decoded = decode(back, dec_cfg)
-                    clock.append(time.perf_counter())
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"sweep point failed (mode={mode}, E=({e1:g},{e2:g},{e3:g}), t2={t2}): {exc}"
-                    ) from exc
-                bits = bitstream.stream_bit_count(code)
-                points.append(RdPoint(
-                    mode=mode,
-                    thresholds=(float(e1), float(e2), float(e3)),
-                    technique2=t2,
-                    bits=bits,
-                    bpp=bits / (image.width * image.height),
-                    psnr=psnr(image, decoded),
-                    encode_seconds=clock[1] - clock[0],
-                    leaf_counts=code.level_counts(),
-                    phase2_count=code.phase2_count(),
-                    write_seconds=clock[2] - clock[1],
-                    read_seconds=clock[3] - clock[2],
-                    decode_seconds=clock[4] - clock[3],
-                ))
+    configs = [EncoderConfig(e1=e1, e2=e2, e3=e3, mean_tol=mean_tol, mode=mode, technique2=t2)
+               for mode in modes for e1, e2, e3 in grid for t2 in technique2_options]  # all checked before any encode
+    for config in configs:
+        try:
+            clock = [time.perf_counter()]  # after each layer: encode, write, read, decode
+            code = encode_quadtree(image, config)
+            clock.append(time.perf_counter())
+            blob = bitstream.write_stream(code)
+            clock.append(time.perf_counter())
+            back = read_stream(blob)
+            clock.append(time.perf_counter())
+            decoded = decode(back, dec_cfg)
+            clock.append(time.perf_counter())
+        except Exception as exc:
+            raise RuntimeError(f"sweep point failed ({config}): {exc}") from exc
+        bits = bitstream.stream_bit_count(code)
+        points.append(RdPoint(
+            mode=config.mode,
+            thresholds=(float(config.e1), float(config.e2), float(config.e3)),
+            technique2=config.technique2,
+            bits=bits,
+            bpp=bits / (image.width * image.height),
+            psnr=psnr(image, decoded),
+            encode_seconds=clock[1] - clock[0],
+            leaf_counts=code.level_counts(),
+            phase2_count=code.phase2_count(),
+            write_seconds=clock[2] - clock[1],
+            read_seconds=clock[3] - clock[2],
+            decode_seconds=clock[4] - clock[3],
+        ))
     return points
 
 

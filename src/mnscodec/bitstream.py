@@ -8,11 +8,12 @@ drop their level ids; the quartet is implied by the first member. A raster
 with a 16-pixel side has no level-1 leaves, since no 32x32 domain fits it.
 
 Writer and reader work on a code's LeafTable columns. A leaf's Morton start
-is the total area of the leaves before it, in 2x2-pixel cells: a level-L
-leaf covers 4 ** (4 - L) cells, a root 64. Leaves tile the padded raster in
-DFS order iff every start is a multiple of its leaf's area, every leaf's
-(x, y) is its start de-interleaved, and the areas sum to 64 per root. The
-quartet siblings are the level-4 leaves whose start is not a multiple of 4.
+counts 2x2-pixel cells in DFS order: a level-L leaf covers 4 ** (4 - L)
+cells, a root 64. The writer takes the starts from encoder.tiling_starts,
+the one tiling rule, and requires them to increase, which is DFS order. The
+reader's starts are the total area of the leaves before each, and a leaf's
+(x, y) is its start de-interleaved. The quartet siblings are the level-4
+leaves whose start is not a multiple of 4.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import struct
 import numpy as np
 
 from .encoder import DELTA_MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode
-from .encoder import MODES, phase2_targets
+from .encoder import MODES, phase2_targets, tiling_starts
 
 MAGIC = b"MNS1"
 HEADER_BYTES = 13
@@ -64,20 +65,6 @@ def leaf_bit_width(level: int, phase2: bool, mode: str, id_elided: bool = False)
     return int(_field_widths(level, phase2, mode == "mns", id_elided).sum())
 
 
-def _layout(level: np.ndarray, phase2: np.ndarray, roots_x: int, mns: bool, technique2: bool):
-    """Each leaf's Morton start and area in 2x2-pixel cells, its (x, y), which is the start
-    de-interleaved, and the (n, FIELDS) bit widths of its fields in stream order."""
-    cells = ROOT_CELLS >> 2 * (level - 1)
-    start = np.cumsum(cells) - cells
-    root, m = np.divmod(start, ROOT_CELLS)
-    x, y = root % roots_x * ROOT_SIZE, root // roots_x * ROOT_SIZE
-    for shift in (4, 2, 0):  # the TL/TR/BL/BR digits of levels 2, 3 and 4, whose sides are 8, 4 and 2
-        digit, side = (m >> shift) & 3, 2 << shift // 2
-        x, y = x + (digit & 1) * side, y + (digit >> 1) * side
-    elided = technique2 & (level == 4) & (start % 4 != 0)  # quartet siblings share an id
-    return start, cells, x, y, _field_widths(level, phase2, mns, elided)
-
-
 def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     """Check that `code` serializes; then its leaves' (n, FIELDS) field values and bit widths."""
     if code.mode not in MODES:
@@ -94,11 +81,11 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     level, p2, o, s_code, d, bits = t.level, t.kind == PHASE2, t.o_byte, t.s_code, t.deltas, t.s_bits
     if ((level < 1) | (level > 4)).any():
         raise ValueError(f"bad leaf level {level[(level < 1) | (level > 4)][0]}")
-    roots_x, mns = code.padded_w // ROOT_SIZE, code.mode == "mns"
-    start, cells, x, y, widths = _layout(level, p2, roots_x, mns, bool(code.technique2))
-    total = ROOT_CELLS * roots_x * (code.padded_h // ROOT_SIZE)
-    nbits, misplaced = MAGNITUDE_BITS[level, None], (start % cells != 0) | (t.x != x) | (t.y != y)
-    for bad, what in (((start < total) & (misplaced | (t.size != 2 * ROOT_SIZE >> level)), "does not tile the raster"),
+    start, mns = tiling_starts(t, code.padded_w, code.padded_h), code.mode == "mns"
+    widths = _field_widths(level, p2, mns, bool(code.technique2) & (level == 4) & (start % 4 != 0))  # elided ids
+    nbits = MAGNITUDE_BITS[level, None]
+    for bad, what in ((np.diff(start, prepend=-1) <= 0, "out of DFS order"),
+                      (t.size != 2 * ROOT_SIZE >> level, "size does not match its level"),
                       ((level == 1) & (min(code.padded_w, code.padded_h) < 2 * ROOT_SIZE), NO_LEVEL1),
                       (t.kind == SEARCH, "search-baseline records have no stream encoding"),
                       ((o < 0) | (o > 255), "luminance byte out of range"),
@@ -110,8 +97,6 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
                       (p2 & (phase2_targets(o, d.T)[3] >> 8 != 0), NO_IMPLIED_MEAN)):
         if bad.any():
             raise ValueError(f"leaf {int(bad.argmax())} {t.rows[bad.argmax()].tolist()}: {what}")
-    if cells.sum() != total:
-        raise ValueError("leaf list under-fills the padded raster" if cells.sum() < total else "excess leaf records")
     values = np.zeros_like(widths)
     values[:, 0], values[:, 1], values[:, 2], values[:, 3] = level - 1, p2, o, s_code
     values[:, 4:7], values[:, 7] = (d < 0) << nbits | np.abs(d), bits @ (8, 4, 2, 1)  # sign, then magnitude
@@ -122,8 +107,8 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
 def write_stream(code: QuadtreeCode) -> bytes:
     """Serialize a no_search/mns code into .mns container bytes.
 
-    Every check and field works on the code's columns at once: tiling is the Morton rule
-    above, and each leaf's fields are packed into one word, then placed by bit offset.
+    Every check and field works on the code's columns at once: tiling is encoder.tiling_starts'
+    rule, and each leaf's fields are packed into one word, then placed by bit offset.
     """
     values, widths = _leaf_fields(code)
     word = np.zeros(len(values), dtype=np.int64)  # a leaf's fields MSB first: at most 33 bits
@@ -213,8 +198,14 @@ def read_stream(data: bytes) -> QuadtreeCode:
     level, p2 = kind // 2 + 1, kind % 2 == 1
     if min(padded_w, padded_h) < 2 * ROOT_SIZE and (level == 1).any():
         raise StreamFormatError(NO_LEVEL1)
-    *_, x, y, widths = _layout(level, p2, padded_w // ROOT_SIZE, mns, technique2)
-    widths = widths.ravel()
+    cells = ROOT_CELLS >> 2 * (level - 1)
+    start = np.cumsum(cells) - cells  # each leaf's Morton start, which _scan kept a multiple of its area
+    root, m = np.divmod(start, ROOT_CELLS)
+    x, y = root % (padded_w // ROOT_SIZE) * ROOT_SIZE, root // (padded_w // ROOT_SIZE) * ROOT_SIZE
+    for shift in (4, 2, 0):  # the start de-interleaved: the TL/TR/BL/BR digits of sides 8, 4 and 2
+        digit, side = (m >> shift) & 3, 2 << shift // 2
+        x, y = x + (digit & 1) * side, y + (digit >> 1) * side
+    widths = _field_widths(level, p2, mns, technique2 & (level == 4) & (start % 4 != 0)).ravel()
     # a field lies in the 16-bit window from its first byte; past one int64 offset, it is gathered narrow
     offset = np.cumsum(widths, dtype=np.int64)
     offset += HEADER_BITS - widths  # each field's first bit

@@ -1,16 +1,17 @@
 """Iterative fixed-point reconstruction of an image from a quadtree code.
 
-Every per-block map is non-expansive in luminance (|s| <= 1 on mean-removed
-domains), so repeated sweeps from any starting raster settle onto the coded
-image. Sweeps are Jacobi style: each block reads only the previous raster and
-writes its own disjoint region of the next, which keeps the result
-independent of leaf order. Sweep 1 is painted as each block's o, and the stop
-test samples rows first. Rasters, contrasts and offsets are float32, which
-halves the bytes each memory-bound sweep moves; the pinned test codes decode
-within one gray of a float64 decode. Blocks are addressed by flat origins.
-Every run of blocks is mapped by one apply_map call and written by _paint,
-which writes a 2x2 run as four flat pixel planes, since fancy indexing costs
-~50 ns per block on a window view, more than a 2x2 block's map.
+A sweep maps a change dD of a block's domain to s * (dD - mean(dD)), which can
+reach 2 * |s| * max|dD|, so nothing bounds in advance how fast, or whether,
+sweeps settle; decode stops at its stop test or after max_iters sweeps, and a
+128x128 noise image's code reaches the cap. Sweeps are Jacobi style: each block
+reads only the previous raster and writes its own disjoint region of the next,
+which keeps the result independent of leaf order. Sweep 1 is painted as each
+block's o, and the stop test samples rows first. Rasters, contrasts and offsets
+are float32, which halves the bytes each memory-bound sweep moves; the pinned
+test codes decode within one gray of a float64 decode. Blocks are addressed by
+flat origins. Every run of blocks is mapped by one apply_map call and written
+by _paint, which writes a 2x2 run as four flat pixel planes, since fancy
+indexing costs ~50 ns per block on a window view, more than a 2x2 block's map.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import CONTRAST_SETS, MAX_PIXELS, PHASE2, SEARCH, QuadtreeCode, _quadrants, phase2_targets
+from .encoder import CONTRAST_SETS, MAX_PIXELS, PHASE2, SEARCH, QuadtreeCode, _quadrants, phase2_targets, tiling_starts
 from .image import GrayImage, co_domain_origins, flat_windows, parity_sums
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
@@ -62,9 +63,10 @@ def _plan(code: QuadtreeCode) -> _Plan:
     p2 = t.kind == PHASE2
     if ((t.level[p2] < 1) | (t.level[p2] > 3) | (t.s_bits[p2] > 1).any(axis=1) | (t.s_bits[p2] < 0).any(axis=1)).any():
         raise ValueError("a phase-2 leaf lies outside levels 1..3 or picks a contrast other than 0 or 1")
+    tiling_starts(t, w, h)
     pairs = np.array([CONTRAST_SETS[level] for level in (1, 2, 3)])
-    # int32 columns: clipped first, so every block that fits keeps its place and no misfit comes to fit
-    xyk, domain = (np.clip(a, -1, 2 * MAX_PIXELS).astype(np.int32) for a in (t.rows[:, 2:5], t.domain))
+    # int32 columns: domains clipped first, so every domain that fits keeps its place and no misfit comes to fit
+    xyk, domain = t.rows[:, 2:5].astype(np.int32), np.clip(t.domain, -1, 2 * MAX_PIXELS).astype(np.int32)
     qx, qy = _quadrants(xyk[p2, :2], xyk[p2, 2]).T
     x, y = np.concatenate([xyk[~p2, 0], qx], dtype=np.int32), np.concatenate([xyk[~p2, 1], qy], dtype=np.int32)
     k = np.concatenate([xyk[~p2, 2], (xyk[p2, 2] // 2).repeat(4)])
@@ -74,10 +76,9 @@ def _plan(code: QuadtreeCode) -> _Plan:
     co = np.concatenate([t.kind[~p2] != SEARCH, np.full(len(qx), True)])  # co-centered domains
     dk[co] = 2 * k[co]
     dx[co], dy[co] = co_domain_origins(x[co], y[co], k[co], w, h)
-    misfit = (np.minimum.reduce([y, x, dy, dx]) < 0) | (y + k > h) | (x + k > w) | (dy + dk > h) | (dx + dk > w)
-    misfit |= (dk != 2 * k) | (k < 1)
+    misfit = (np.minimum(dy, dx) < 0) | (dy + dk > h) | (dx + dk > w) | (dk != 2 * k)
     if misfit.any():
-        raise ValueError(f"a {k[misfit][0]}x{k[misfit][0]} block or its domain does not fit the {w}x{h} raster")
+        raise ValueError(f"the domain of a {k[misfit][0]}x{k[misfit][0]} block does not fit the {w}x{h} raster")
     # s is quartered, which commutes with every rounding in the map, so sweeps map 2x2 sums as means
     s, o = (s * 0.25).astype(np.float32), o.astype(np.float32)
     # a parity whose blocks cover under 1/16 of the raster gets no half-size sums: gathering their
@@ -159,13 +160,15 @@ def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
 
     Sweep 1 is a DC paint, which counts toward max_iters: the mean-removed maps take a flat raster
     to each block's o, clamped into [0, 255], so painting that is decode_step's sweep bit for bit.
-    The sweeps alternate between two float32 rasters, and one more buffer takes each sweep's change
-    and then the rounding, so the last sweep's input and output are left as they were. Only a sweep
-    whose change on every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code
-    of more than MAX_PIXELS padded pixels raises ValueError before anything is allocated."""
+    The sweeps alternate between two float32 rasters, and one more buffer takes each sweep's change and then
+    the rounding, so the last sweep's input and output are left as they were. Only a sweep whose change on
+    every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code of more than MAX_PIXELS
+    padded pixels, not holding its original size, or whose leaves do not tile raises ValueError first."""
     cfg = config if config is not None else DecodeConfig()
     if code.padded_w * code.padded_h > MAX_PIXELS:
         raise ValueError(f"a {code.padded_w}x{code.padded_h} raster exceeds the {MAX_PIXELS}-pixel limit")
+    if not (0 < code.orig_w <= code.padded_w and 0 < code.orig_h <= code.padded_h):
+        raise ValueError("original dimensions must fit inside the padded raster")
     plan = _plan(code)
     current = np.full(plan.shape, START_VALUE, np.float32)
     nxt, diff = current.copy(), np.empty_like(current)

@@ -129,9 +129,9 @@ class LeafTable:
 
 @dataclass(frozen=True)
 class QuadtreeCode:
-    """Leaves tiling the padded raster in DFS order, plus header metadata.
+    """Leaves tiling the padded raster, as tiling_starts checks, plus header metadata.
 
-    DFS order: 16x16 roots in raster order, children in TL, TR, BL, BR order.
+    Leaf order: DFS in quadtree codes (16x16 roots in raster order, children TL, TR, BL, BR), raster in search codes.
     """
 
     leaves: LeafTable
@@ -165,6 +165,33 @@ class RowBand:
     lo: int
     width: int
     height: int
+
+
+def _morton(x: np.ndarray, y: np.ndarray, w: int) -> np.ndarray:
+    """DFS start, in 2x2 cells, of the blocks at (x, y) of a w-wide raster: its 16x16 root's index over ceil(w / 16)
+    roots a row, times 64, plus its TL/TR/BL/BR digits at sides 8, 4 and 2, which weigh 16, 4 and 1 cells; so
+    bits 3, 2 and 1 of x go to bits 4, 2 and 0 of the key, and those of y to bits 5, 3 and 1."""
+    spread = np.array([0, 1, 4, 5, 16, 17, 20, 21])  # bits 2, 1 and 0 of the index, at bits 4, 2 and 0
+    return (y // ROOT_SIZE * -(-w // ROOT_SIZE) + x // ROOT_SIZE) * 64 + spread[x >> 1 & 7] + 2 * spread[y >> 1 & 7]
+
+
+def tiling_starts(leaves: LeafTable, w: int, h: int) -> np.ndarray:
+    """Each leaf's DFS start in 2x2 cells, _morton of its origin. ValueError unless the leaves tile the w x h
+    raster: each is a power-of-two square of side 2..16 at a multiple of its side inside the raster, the
+    areas add up to w * h, and, taken by start, no leaf's cells [start, start + (side / 2)^2) reach the next's."""
+    x, y, k = np.ascontiguousarray(leaves.rows[:, 2:5].T)  # contiguous columns: each pass below costs half
+    # for k >= 1, (k | x | y) & k - 1 is 0 iff k is a power of two that divides x and y
+    bad = (k < 2) | (k > ROOT_SIZE) | ((k | x | y) & k - 1 != 0) | (x < 0) | (y < 0) | (x > w - k) | (y > h - k)
+    if bad.any():
+        raise ValueError(f"leaf {bad.argmax()} {leaves.rows[bad.argmax()].tolist()}: does not tile the {w}x{h} raster")
+    if (area := (k * k).sum()) != w * h:
+        raise ValueError("leaf list under-fills the padded raster" if area < w * h else "excess leaf records")
+    start = _morton(x, y, w)
+    order = np.argsort(start)
+    over = order[1:][(start + (k // 2) ** 2)[order[:-1]] > start[order[1:]]]
+    if len(over):
+        raise ValueError(f"leaf {over[0]} {leaves.rows[over[0]].tolist()}: overlaps another, so the leaves do not tile")
+    return start
 
 
 def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
@@ -328,20 +355,19 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     8 * WORK_PIXELS pixels (one root row at least), so one band's box sums and
     one call's float64 arrays bound the memory; 512x512 is one band. Blocks are
     fitted one by one, so calls and bands do not change the code. Accepted
-    blocks become LeafTable rows keyed by their Morton start (root index, then
-    a quadrant digit per level); one sort puts them in DFS order.
+    blocks become LeafTable rows, and one sort by their _morton start puts
+    them in DFS order.
     """
     if max(_padded_shape(image, ROOT_SIZE)) > MAX_SIDE:
         raise ValueError("padded dimensions exceed the 16-bit header fields")
     padded = pad_to_multiple(image, ROOT_SIZE)
     w, h = padded.width, padded.height
-    rows, keys = [], []  # per kernel call: LeafTable rows and their Morton starts
+    rows = []  # per kernel call: LeafTable rows
     band_rows = max(1, 8 * WORK_PIXELS // (ROOT_SIZE * w)) * ROOT_SIZE
     for y0 in range(0, h, band_rows):
         band = _band(padded, y0, min(y0 + band_rows, h))
         ys, xs = np.mgrid[y0 : min(y0 + band_rows, h) : ROOT_SIZE, 0:w:ROOT_SIZE].reshape(2, -1)
         xy = np.stack([xs, ys], axis=1)
-        path = ys // ROOT_SIZE * (w // ROOT_SIZE) + xs // ROOT_SIZE  # root index, then a base-4 digit per level
         for level, size in LEVEL_SIZES.items():
             step = max(1, WORK_PIXELS // size**2)  # blocks per kernel call
             # phase 1 accepts every level-4 block, so phase 2 never runs at level 4
@@ -350,13 +376,13 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
                 for i in range(0, len(xy) if 2 * size <= min(w, h) else 0, step):  # a 16-wide raster: no level 1
                     accepted, payload, _ = phase(band, xy[i : i + step], level, config)
                     rows.append(_rows(xy[i : i + step][accepted], level, payload[accepted]))
-                    keys.append(path[i : i + step][accepted] * 4 ** (len(LEVEL_SIZES) - level))
                     live[i : i + step] = ~accepted
-                xy, path = xy[live], path[live]
-            xy, path = _quadrants(xy, size), (path[:, None] * 4 + np.arange(4)).ravel()
-    table, order = np.concatenate(rows), np.argsort(np.concatenate(keys))
+                xy = xy[live]
+            xy = _quadrants(xy, size)
+    table = np.concatenate(rows)
     rows.clear()  # the parts go before the sort copies the table
-    return QuadtreeCode(LeafTable(table[order]), w, h, image.width, image.height, config.mode, config.technique2)
+    table = table[np.argsort(_morton(table[:, 2], table[:, 3], w))]
+    return QuadtreeCode(LeafTable(table), w, h, image.width, image.height, config.mode, config.technique2)
 
 
 def _norm_table(sums: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,17 +6,13 @@ import math
 
 import numpy as np
 
-from .image import GrayImage
-
-
-def _pixels(image) -> np.ndarray:
-    return image.pixels if isinstance(image, GrayImage) else np.asarray(image)
+from .image import _raster
 
 
 def mse(a, b) -> float:
     """Mean squared pixel difference."""
-    pa = _pixels(a).astype(np.float64)
-    pb = _pixels(b).astype(np.float64)
+    pa = _raster(a).astype(np.float64)
+    pb = _raster(b).astype(np.float64)
     if pa.shape != pb.shape:
         raise ValueError(f"image dimensions differ: {pa.shape} vs {pb.shape}")
     diff = pa - pb

@@ -312,6 +312,12 @@ class TestWriteErrors:
         with pytest.raises(ValueError, match="under-fills"):
             write_stream(code)
 
+    def test_rejects_leaves_out_of_dfs_order(self):
+        code = level1_code("no_search", False)
+        code = dataclasses.replace(code, leaves=table_of(records(code.leaves)[::-1]))
+        with pytest.raises(ValueError, match="DFS order"):
+            write_stream(code)
+
     def test_rejects_excess_leaves(self):
         code = level1_code("no_search", False)
         code = dataclasses.replace(code, leaves=table_of(records(code.leaves) * 2))

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from mnscodec import decoder
+from mnscodec.bitstream import write_stream
 from mnscodec.decoder import START_VALUE, STOP_SAMPLE_ROWS, DecodeConfig, _plan, decode, decode_step
 from mnscodec.encoder import (
     MAX_PIXELS,
+    MODES,
     EncoderConfig,
     LeafTable,
     QuadtreeCode,
     encode_full_search,
     encode_local_search,
     encode_quadtree,
+    tiling_starts,
 )
 from mnscodec.image import BlockRect, GrayImage
 from mnscodec.transform import apply_map
@@ -211,10 +214,25 @@ def _oracle_codes():
                 yield random_code(rng, mode=mode, technique2=technique2)
 
 
+def _tiling_mutations(code):
+    """`code` with a leaf dropped (an under-fill), a leaf duplicated (an excess), its largest leaf
+    shifted right by 2 pixels (misaligned, unless its side is 2), a smallest leaf moved by its own
+    side onto its neighbour (aligned, so only the overlap test sees it), and a smallest leaf shifted
+    right by 1 pixel, which keeps its start, so only the alignment test (or the right edge) sees it."""
+    rows, k, middle = code.leaves.rows, code.leaves.size, len(code.leaves) // 2
+    shifted, moved, nudged, small = rows.copy(), rows.copy(), rows.copy(), int(k.argmin())
+    shifted[k.argmax(), 2] += 2
+    moved[small, 2] += k[small] if rows[small, 2] + 2 * k[small] <= code.padded_w else -k[small]
+    nudged[small, 2] += 1
+    tables = (np.delete(rows, middle, axis=0), np.insert(rows, middle, rows[middle], axis=0), shifted, moved, nudged)
+    return [dataclasses.replace(code, leaves=LeafTable(t)) for t in tables]
+
+
 def _misfit_codes():
     """A level-1 leaf with no room for its domain, a search domain past the right edge, an empty
-    search block whose empty domain is twice its side, and a block origin and a search domain origin
-    2^32 past a fitting one, which int32 columns would wrap back to it."""
+    search block whose empty domain is twice its side, a block origin and a search domain origin
+    2^32 past a fitting one, which int32 columns would wrap back to it, then the five
+    _tiling_mutations of a natural 64x64 code."""
     cocentered = [LeafRecord(BlockRect(x, 0, 16), 1, Phase1Payload(100, 3)) for x in (0, 16, 32)]
     searched = [LeafRecord(BlockRect(x, y, 8), 2, BaselinePayload(BlockRect(0, 0, 16), 90, 5))
                 for y in range(0, 32, 8) for x in range(0, 32, 8)]
@@ -226,7 +244,53 @@ def _misfit_codes():
     wrapped[1][5, 14] += 1 << 32
     return (QuadtreeCode(table_of(cocentered), 48, 16, 48, 16, "no_search", False),
             *(QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "local_search", False) for leaves in (past_edge, empty)),
-            *(QuadtreeCode(LeafTable(rows), 32, 32, 32, 32, "local_search", False) for rows in wrapped))
+            *(QuadtreeCode(LeafTable(rows), 32, 32, 32, 32, "local_search", False) for rows in wrapped),
+            *_tiling_mutations(encode_quadtree(natural_image(64, 64), EncoderConfig(mode="mns"))))
+
+
+def _full_search_codes(side):
+    sizes = ((64, 64), (62, 58)) if side == 2 else ((64, 64),)  # 62x58: sides that are no multiple of 16
+    return [encode_full_search(scene_image(w, h, seed=5), side, EncoderConfig())[0] for w, h in sizes]
+
+
+# codes of every encoder, each of whose _tiling_mutations decode and write_stream must reject
+TILING_CODES = {
+    "mns": lambda: [encode_quadtree(natural_image(80, 48, seed=3), EncoderConfig(mode="mns"))],
+    "no_search": lambda: [encode_quadtree(scene_image(64, 64), EncoderConfig(mode="no_search"))],
+    "local_search": lambda: [encode_local_search(scene_image(96, 80, seed=4), EncoderConfig())],
+    "full_search_2": lambda: _full_search_codes(2),
+    "full_search_4": lambda: _full_search_codes(4),
+    "full_search_8": lambda: _full_search_codes(8),
+    "full_search_16": lambda: _full_search_codes(16),
+    "random": lambda: [random_code(np.random.default_rng(seed), "mns" if seed % 2 else "no_search", seed % 4 < 2)
+                       for seed in range(12)],
+}
+
+
+@pytest.mark.parametrize("name", TILING_CODES)
+def test_every_encoders_codes_tile_and_each_mutation_is_rejected(name, monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(decoder, "decode_step", lambda *args: sweeps.append(args))
+    for code in TILING_CODES[name]():
+        starts = tiling_starts(code.leaves, code.padded_w, code.padded_h)
+        assert code.mode not in MODES or (np.diff(starts) > 0).all()  # quadtree codes are in DFS order
+        for bad in _tiling_mutations(code):
+            with pytest.raises(ValueError, match="tile|under-fills|excess"):  # tiling_starts' verdicts
+                decode(bad)
+            if code.mode in MODES:
+                with pytest.raises(ValueError, match="tile|under-fills|excess"):
+                    write_stream(bad)
+    assert sweeps == []
+
+
+def test_decode_rejects_an_original_size_outside_the_padded_raster(monkeypatch):
+    code = encode_quadtree(natural_image(48, 48), EncoderConfig())
+    planned = []
+    monkeypatch.setattr(decoder, "_plan", lambda c: planned.append(c))
+    for w, h in ((100, 100), (49, 48), (48, 49), (0, 48), (48, 0)):
+        with pytest.raises(ValueError, match="original dimensions"):
+            decode(dataclasses.replace(code, orig_w=w, orig_h=h))
+    assert planned == []
 
 
 class TestPlanOnce:

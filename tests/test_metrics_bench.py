@@ -127,6 +127,16 @@ class TestRdSweep:
         with pytest.raises(ValueError, match=f"threshold entry {re.escape(repr(entry))} is neither"):
             rd_sweep(constant_64, ["no_search"], [8.0, entry])
 
+    @pytest.mark.parametrize("modes, grid, technique2", [(["mns"], [8.0, math.nan], (True,)),
+                                                         (["mns", "bogus"], [8.0], (True,)),
+                                                         (["mns"], [8.0], (True, 1))])
+    def test_rejects_a_bad_configuration_before_any_encode(self, constant_64, modes, grid, technique2, monkeypatch):
+        encodes, encode = [], bench.encode_quadtree
+        monkeypatch.setattr(bench, "encode_quadtree", lambda *args: encodes.append(args) or encode(*args))
+        with pytest.raises(ValueError):
+            rd_sweep(constant_64, modes, grid, technique2)
+        assert encodes == []
+
     def test_serializes_each_point_once(self, natural_128, monkeypatch):
         codes = []
         serialize = bitstream.write_stream
