@@ -38,10 +38,10 @@ class DecodeConfig:
     stop_delta: float = 0.5  # stop once no pixel moves by this much per sweep
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if not isinstance(self.max_iters, (int, np.integer)) or isinstance(self.max_iters, bool) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, not {self.max_iters!r}")
-        if not isinstance(self.stop_delta, numbers.Real) or math.isnan(self.stop_delta):
-            raise ValueError(f"stop_delta must be a real number other than NaN, not {self.stop_delta!r}")
+        if not isinstance(delta := self.stop_delta, numbers.Real) or isinstance(delta, bool) or math.isnan(delta):
+            raise ValueError(f"stop_delta must be a real number other than a bool or NaN, not {delta!r}")
 
 
 class _Plan(NamedTuple):

@@ -10,7 +10,9 @@ On integer pixels with power-of-two sides and contrasts in steps of 1/8, every t
 expanded sum of squared residuals is exact in float64, so it is rms_error's sum of squares to the
 last bit, in any order. So are the moments _fit removes the means from: a 16x16 block's domain sum
 times its range sum is at most 255 * 256 squared, about 4.3e9, in steps of 1/4, far inside
-float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies. The searches
+float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies. _fit scores u = 4s
+(steps of 1/2, |u| <= 3.5) as u^2 norm / 8 - u x; the norm and x = sum(d0 r) are under 2^22 in steps of 2^-12 and
+2^-10, so u x and u^2 norm / 8 are under 2^24 in steps of 2^-11 and 2^-17: 42 bits at most. The searches
 read every candidate's norm and sum(d) from one table of each domain origin's sum(S) and sum(S^2) over its
 box sums S, integers added in int32 (at most 256 * 1020^2 < 2^31), so the norms equal _norms of the means.
 They form sum(d r) in float32 up to 8x8 ranges, from raw box sums and quartered ranges. Counted in quarters,
@@ -29,7 +31,7 @@ import numpy as np
 
 from .image import GrayImage, box_sums, co_domain_origins, domain_means, flat_windows, pad_to_multiple
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
-from .transform import CONTRAST_VALUES, quantize_contrast
+from .transform import contrast_bins
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
 
 MODES = ("no_search", "mns")  # the quadtree modes; the search baselines take only full_search_step
@@ -76,16 +78,16 @@ class EncoderConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         limits = (self.e1, self.e2, self.e3, self.mean_tol)
-        if not all(isinstance(v, numbers.Real) and not math.isnan(v) for v in limits):
-            raise ValueError("error thresholds and mean_tol must be real numbers other than NaN")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and not math.isnan(v) for v in limits):
+            raise ValueError("error thresholds and mean_tol must be real numbers other than a bool or NaN")
         if not isinstance(self.technique2, (bool, np.bool_)):
             raise ValueError(f"technique2 must be a bool, not {self.technique2!r}")
         if min(self.e1, self.e2, self.e3) <= 0:
             raise ValueError("error thresholds must be positive")
         if self.mean_tol < 0:
             raise ValueError("mean_tol must be non-negative")
-        if not isinstance(self.full_search_step, (int, np.integer)) or self.full_search_step < 1:
-            raise ValueError(f"full_search_step must be an integer >= 1, not {self.full_search_step!r}")
+        if not isinstance(step := self.full_search_step, (int, np.integer)) or isinstance(step, bool) or step < 1:
+            raise ValueError(f"full_search_step must be an integer >= 1, not {step!r}")
 
     def threshold(self, level: int) -> float:
         """RMS tolerance for a splittable level (1..3)."""
@@ -255,22 +257,22 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     kk, total = r.shape[1], r.sum(axis=1)
     mean = total / kk
     o_byte = np.floor(mean + 0.5)  # halves round up
-    x = dr - sd * mean[:, None]  # sum(d0 r), d0 = d - mean(d), then divided in place by the norm
-    x /= np.where(norms > 0.0, norms, 1.0)  # a flat candidate: s = 0
-    s_code = quantize_contrast(x)
-    s = np.take(CONTRAST_VALUES, s_code)
-    # |r - o - s d0|^2 = s (-2 sum(d0 r)) + s^2 norm + sum((r - o)^2), in x's and s's memory, as d0's rows sum
-    # to 0; the last term is the same for every candidate of a range, so only the winner's takes it
-    sse = np.multiply(sd, 2.0 * mean[:, None], out=x)
-    sse -= dr
-    sse -= dr
-    sse *= s
-    s *= s
-    s *= norms
-    sse += s
-    best = sse.argmin(axis=1)
+    x = np.multiply(sd, mean[:, None])
+    np.subtract(dr, x, out=x)  # sum(d0 r), d0 = d - mean(d)
+    # u = 4s in quantize_contrast's bins, as 4 fl(x / norm) == fl(x / (norm / 4)); a flat candidate has x = 0: s = 0
+    u = contrast_bins(np.divide(x, np.where(norms > 0.0, 0.25 * norms, 1.0)))
+    codes = u.astype(np.int8)  # the code minus 4
+    u += 0.5  # the bin's centre
+    # |r - o - s d0|^2 = s^2 norm - 2 s sum(d0 r) + sum((r - o)^2), as d0's rows sum to 0; u's memory takes twice the
+    # first two terms, u^2 norm / 8 - u x, and only each range's winner the last, which all its candidates share
+    x *= u
+    u *= u
+    u *= 0.125 * norms
+    u -= x
+    best = u.argmin(axis=1)
     at = (np.arange(len(r)), best)
-    return best, s_code[at], o_byte, sse[at] + (np.einsum("ij,ij->i", r, r) - (2.0 * total - kk * o_byte) * o_byte)
+    rest = np.einsum("ij,ij->i", r, r) - (2.0 * total - kk * o_byte) * o_byte  # sum((r - o)^2)
+    return best, codes[at] + 4, o_byte, 0.5 * u[at] + rest
 
 
 def _rms(r: np.ndarray, d0: np.ndarray, s, o) -> np.ndarray:
@@ -420,8 +422,10 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     candidates' origins: (c,) for one pool shared by every range, or (n, c) for local search's 8x8
     ranges, each pool at most 8 past its first origin on each axis. Norms and sum(d) come from _norm_table;
     sum(d r) takes raw box sums and quartered ranges, in float32 up to k = 8: a shared pool's sums are
-    gathered once, and local search reads each range's 23 x 23 window through _translates. A call takes
-    as many ranges as keep a shared pool's (ranges, c) scores within WORK_PIXELS // 2 entries, or the
+    gathered once and multiplied as the left factor, which OpenBLAS does in half the time, and local search
+    reads each range's 23 x 23 window through _translates. Calls split a shared pool's ranges evenly, each
+    keeping its (ranges, c) scores within WORK_PIXELS // 3 entries: with more, an op's heap peak passed
+    glibc's trim threshold and a loop of ops re-faulted its pages. Local search's calls keep their
     (23, 9, 8) products within WORK_PIXELS."""
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
@@ -430,12 +434,15 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     if shared:
         pool = flat_windows(sums.astype(dtype), 2 * k - 1)[ys * (w - 1) + xs, ::2, ::2].reshape(c, -1)
         pool_norms, pool_sd = norms[ys, xs], sd[ys, xs]
-        step = max(1, WORK_PIXELS // 2 // c)
+        calls = -(-len(ranges) // max(1, WORK_PIXELS // 3 // c))
+        step = -(-len(ranges) // calls)  # equal calls: the largest is as small as their number allows
     else:  # each range's window starts at its first candidate, shifted back in bounds; a 16-pixel side is padded
         sums = np.pad(sums.astype(np.float32), ((0, max(24 - h, 0)), (0, max(24 - w, 0))))
         u, v = np.minimum(xs[:, 0], max(w - 24, 0)), np.minimum(ys[:, 0], max(h - 24, 0))
-        cells = (ys - v[:, None]) * 9 + xs - u[:, None]  # each candidate's origin in its range's 9 x 9 grid
         step = max(1, WORK_PIXELS // (23 * 9 * 8))
+        # each candidate's origin in its range's 9 x 9 grid, flat in its call's (ranges, 9, 9) grids
+        cells = (ys - v[:, None]) * 9 + xs - u[:, None] + 81 * (np.arange(len(ranges)) % step)[:, None]
+        at = ys * norms.shape[1] + xs  # each candidate's flat index into the per-origin tables
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
     rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)
     rows[:, 0], rows[:, 1], rows[:, 4], rows[:, 16] = SIZE_LEVELS[k], SEARCH, k, 2 * k
@@ -444,13 +451,13 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
         part = slice(i, i + step)
         r, r4 = ranges[part].astype(np.float64), ranges[part] * dtype(0.25)
         if shared:
-            best, rows[part, 6], rows[part, 5], _ = _fit(r, r4 @ pool.T, pool_norms, pool_sd)
+            best, rows[part, 6], rows[part, 5], _ = _fit(r, (pool @ r4.T).T, pool_norms, pool_sd)
         else:
             g = _translates(flat_windows(sums, 23)[v[part] * sums.shape[1] + u[part]], r4.reshape(-1, 8, 8))
-            dr, at = np.take_along_axis(g.reshape(-1, 81), cells[part], axis=1), (ys[part], xs[part])
-            best, rows[part, 6], rows[part, 5], _ = _fit(r, dr, norms[at], sd[at])
-        at = np.arange(i, i + len(best)), best
-        rows[part, 14], rows[part, 15] = xs[at], ys[at]
+            dr, near = g.take(cells[part]), at[part]
+            best, rows[part, 6], rows[part, 5], _ = _fit(r, dr, norms.take(near), sd.take(near))
+        won = np.arange(i, i + len(best)), best
+        rows[part, 14], rows[part, 15] = xs[won], ys[won]
     return LeafTable(rows)
 
 
@@ -495,8 +502,8 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
     _padded_shape(image, 8)
     padded = pad_to_multiple(image, 8)
     w, h = padded.width, padded.height
-    ry, rx = np.mgrid[0:h:8, 0:w:8].reshape(2, -1)
+    ry, rx = np.mgrid[0:h:8, 0:w:8].reshape(2, -1).astype(np.int32)  # flat indices stay under MAX_PIXELS < 2^31
     bx, by = co_domain_origins(rx, ry, 8, w, h)
-    dys, dxs = np.indices((9, 9)).reshape(2, 81) - 4  # shifts in (dy, dx) scan order
+    dys, dxs = np.indices((9, 9), np.int32).reshape(2, 81) - 4  # shifts in (dy, dx) scan order
     xs, ys = np.clip(bx[:, None] + dxs, 0, w - 16), np.clip(by[:, None] + dys, 0, h - 16)
     return QuadtreeCode(_search(padded, 8, xs, ys), w, h, image.width, image.height, "local_search", False)

@@ -43,6 +43,11 @@ def fit_affine(block_r, block_d) -> AffineParams:
     return AffineParams(float(d0 @ (r - o)) / denom, o)
 
 
+def contrast_bins(u: np.ndarray) -> np.ndarray:
+    """In place on u = 4s, float64: floor(clamp(u, -4, 3.5)), the code minus 4; NaN and -inf give -4, and inf 3."""
+    return np.floor(np.fmin(np.fmax(u, -4.0, out=u), 3.5, out=u), out=u)
+
+
 def quantize_contrast(s: float | np.ndarray) -> np.ndarray:
     """Snap s, a float or an array, clamped into [-1, 1], onto the 3-bit contrast grid; a float
     gives a numpy integer scalar.
@@ -51,7 +56,7 @@ def quantize_contrast(s: float | np.ndarray) -> np.ndarray:
     is closed so s = 1 maps to code 7. The code is floor(4s) + 4, exact in
     floats: (s + 1) * 4 would round a value just below an inner edge onto it.
     """
-    return np.fmin(np.floor(np.fmin(1.0, np.fmax(-1.0, s)) * 4.0) + 4.0, CONTRAST_CODES - 1).astype(np.intp)
+    return contrast_bins(np.multiply(s, 4.0, out=np.empty(np.shape(s)))).astype(np.intp)[()] + 4
 
 
 def dequantize_contrast(code: int | np.ndarray) -> np.ndarray:

@@ -161,7 +161,7 @@ class TestDecode:
 
     def test_rejects_a_max_iters_that_is_not_an_integer(self):
         # it fails on construction, before any decode plans or paints; numpy integers still pass
-        for value in (2.5, 3.0, "3", None):
+        for value in (2.5, 3.0, "3", None, True, False, np.True_):  # a bool is an int, but no count
             with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
                 DecodeConfig(max_iters=value)
         assert DecodeConfig(max_iters=np.int64(3)).max_iters == 3
@@ -169,7 +169,7 @@ class TestDecode:
 
     def test_rejects_a_stop_delta_that_is_not_a_real_number(self):
         # it fails on construction with ValueError, where math.isnan raised TypeError; numpy numbers still pass
-        for value in ("0.5", None, 0.5j):
+        for value in ("0.5", None, 0.5j, True, False, np.False_):
             with pytest.raises(ValueError, match="stop_delta must be a real number"):
                 DecodeConfig(stop_delta=value)
         assert DecodeConfig(stop_delta=np.float32(0.5)).stop_delta == 0.5

@@ -327,9 +327,23 @@ class TestFullSearch:
             assert encode_full_search(img, range_size, config) == (code, samples)
 
     def test_traced_peak_stays_small(self):
-        # the 2,401-domain pool of raw 2x2 sums is 0.6 MB of float32; a call's 13 ranges score in (13, 2401) arrays
+        # the 2,401-domain pool of raw 2x2 sums is 0.6 MB of float32; a call's 8 ranges score in two
+        # (8, 2401) float64 arrays: 1.25 MB in all, where 13-range calls to a _fit with five such arrays took 1.76 MB
         peak = traced_peak(encode_full_search, natural_image(64, 64), 8, EncoderConfig())
         assert peak < 2_000_000
+
+    def test_fit_scores_in_two_arrays(self):
+        # a 13-range full-search call against 2,401 shared candidates, sum(d r) in float32 as the
+        # pool product gives it. _fit may hold two (n, c) float64 arrays and 5 bytes a candidate more:
+        # the int8 codes, the (c,) norm temporaries and numpy's broadcast buffers (0.61 MB in all; a _fit
+        # that kept intp codes and float64 contrasts beside its score peaked at 0.87 MB)
+        rng, (n, c) = np.random.default_rng(5), (13, 2401)
+        pool = rng.integers(0, 1021, (c, 64)).astype(np.float32)
+        r = rng.integers(0, 256, (n, 64)).astype(np.float64)
+        norms, sd = enc._norms(pool * 0.25)
+        dr = (r * np.float32(0.25)).astype(np.float32) @ pool.T
+        enc._fit(r, dr, norms, sd)  # numpy's first-call set-up is not the kernel's
+        assert traced_peak(enc._fit, r, dr, norms, sd) <= 2 * 8 * n * c + 5 * n * c
 
     def test_offsets_are_center_differences(self, constant_64):
         _, samples = encode_full_search(constant_64, 8, EncoderConfig())
@@ -362,8 +376,9 @@ class TestLocalSearch:
 
     def test_traced_peak_stays_small(self):
         # a call's (23, 9, 8) products stay within WORK_PIXELS entries: 39 ranges' 23 x 23 windows of float32
-        # box sums and their products take 0.34 MB, next to the 256 ranges' (256, 81) candidate origins and
-        # grid cells (0.5 MB of int64) and the per-origin norm and sum(d) tables (0.2 MB of float64)
+        # box sums and their products take 0.34 MB, next to the 256 ranges' (256, 81) candidate origins and flat
+        # table indices (0.25 MB of int32) and grid cells (0.17 MB of int64) and the per-origin norm and sum(d)
+        # tables (0.2 MB of float64): 1.17 MB in all
         assert traced_peak(encode_local_search, scene_image(128, 128), EncoderConfig()) < 2_000_000
 
     def test_never_beats_full_search(self):
@@ -415,7 +430,7 @@ class TestConfig:
 
     def test_rejects_a_step_that_is_not_an_integer(self):
         # it fails on construction, before any encoder pads; numpy integers still pass
-        for value in (2.5, 3.0, "3", None):
+        for value in (2.5, 3.0, "3", None, True, False, np.True_):  # a bool is an int, but no step
             with pytest.raises(ValueError, match="full_search_step must be an integer >= 1"):
                 EncoderConfig(full_search_step=value)
         assert EncoderConfig(full_search_step=np.int64(3)).full_search_step == 3
@@ -424,7 +439,7 @@ class TestConfig:
     @pytest.mark.parametrize("field", ("e1", "e2", "e3", "mean_tol"))
     def test_rejects_a_limit_that_is_not_a_real_number(self, field):
         # it fails on construction with ValueError, where math.isnan raised TypeError; numpy numbers still pass
-        for value in ("8", None, 8j, [8.0]):
+        for value in ("8", None, 8j, [8.0], True, False, np.True_):
             with pytest.raises(ValueError, match="error thresholds and mean_tol must be real numbers"):
                 EncoderConfig(**{field: value})
         for value in (np.float32(8), np.int64(8), 8):

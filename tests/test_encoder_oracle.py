@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnscodec import encoder
+from mnscodec import encoder, transform
 from mnscodec.encoder import (
     CONTRAST_SETS,
     LEVEL_SIZES,
@@ -229,6 +229,20 @@ def test_fit_matches_scalar_oracle(k, n, c, seed, kind):
         got = encoder._fit(r, *moments)
         assert all(np.array_equal(a, b) for a, b in zip((r, *moments), kept)), name  # nothing written
         assert [tuple(column[i].item() for column in got) for i in range(n)] == expected, name
+
+
+@given(st.lists(st.tuples(st.integers(-2**31 + 1, 2**31 - 1), st.integers(1, 2**31 - 1)), min_size=1, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_fit_bins_equal_quantize_contrast(pairs):
+    # _fit bins u = x / (norm / 4) where quantize_contrast bins s = x / norm. With sum(d) = 0 the cross term x is
+    # sum(d r) itself, so each range of one candidate takes the code of x / norm: x over integers, and
+    # x = edge * norm at every bin edge, -1 and 1 included
+    x, norm = np.array(pairs, dtype=np.float64).T
+    x = np.concatenate([x, np.multiply.outer(np.arange(-4, 5) / 4, norm).ravel()])
+    norm = np.tile(norm, 10)
+    _, codes, _, _ = encoder._fit(np.zeros((len(x), 1)), x[:, None], norm[:, None], np.zeros((len(x), 1)))
+    assert codes.tolist() == transform.quantize_contrast(x / norm).tolist()
+    assert codes.tolist() == [quantize_contrast(s) for s in (x / norm).tolist()]
 
 
 def kernel_alone(kernel, image, rect, level, config):

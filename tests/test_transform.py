@@ -104,6 +104,13 @@ class TestContrastQuantizer:
         assert [quantize_contrast(x) for x in s.tolist()] == expected
         assert isinstance(quantize_contrast(0.3), np.integer)  # one numpy path: a float gives a numpy scalar
 
+    def test_nan_and_infinities(self):
+        # the clamp takes NaN to the lowest bin, as the scalar max(-1.0, s) does, and -inf and inf to the end bins
+        assert [quantize_contrast(s) for s in (math.nan, -math.inf, math.inf)] == [0, 0, 7]
+        s = np.array([np.nan, -np.inf, np.inf, 0.3], dtype=np.float32)
+        assert quantize_contrast(s).tolist() == [0, 0, 7, 5]
+        assert np.isnan(s[0]) and s[1:].tolist() == [-np.inf, np.inf, np.float32(0.3)]  # the input is not written
+
     def test_dequantize_formula(self):
         assert dequantize_contrast(0) == -0.875
         assert dequantize_contrast(7) == 0.875
