@@ -12,7 +12,7 @@ from numbers import Real
 
 from . import bitstream
 from .bitstream import read_stream
-from .decoder import DecodeConfig, decode
+from .decoder import decode
 from .encoder import EncoderConfig, encode_quadtree
 from .image import GrayImage
 from .metrics import psnr
@@ -42,7 +42,7 @@ class RdPoint:
 
 
 def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,), *,
-             mean_tol: float = 16.0, decode_config: DecodeConfig | None = None) -> list[RdPoint]:
+             mean_tol: float = 16.0) -> list[RdPoint]:
     """Encode, serialize, decode, and measure every config combination.
 
     threshold_grid entries are either one real RMS value (numpy scalars too) applied to all three
@@ -55,7 +55,6 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
     if not modes or not threshold_grid:
         raise ValueError("rd_sweep needs at least one mode and one threshold entry")
     points: list[RdPoint] = []
-    dec_cfg = decode_config if decode_config is not None else DecodeConfig()
     grid = [(e,) * 3 if isinstance(e, Real) else tuple(e) if hasattr(e, "__iter__") else () for e in threshold_grid]
     for entry, triple in zip(threshold_grid, grid):  # every entry is checked before any encode
         if len(triple) != 3 or not all(isinstance(e, Real) for e in triple):
@@ -71,7 +70,7 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
             clock.append(time.perf_counter())
             back = read_stream(blob)
             clock.append(time.perf_counter())
-            decoded = decode(back, dec_cfg)
+            decoded = decode(back)
             clock.append(time.perf_counter())
         except Exception as exc:
             raise RuntimeError(f"sweep point failed ({config}): {exc}") from exc

@@ -9,10 +9,12 @@ with a 16-pixel side has no level-1 leaves, since no 32x32 domain fits it.
 
 Writer and reader work on a code's LeafTable columns. A leaf's Morton start
 counts 2x2-pixel cells in DFS order: a level-L leaf covers 4 ** (4 - L)
-cells, a root 64. The writer takes the starts from encoder.tiling_starts,
-the one tiling rule, and requires them to increase, which is DFS order. The
-reader's starts are the total area of the leaves before each, and a leaf's
-(x, y) is its start de-interleaved. The quartet siblings are the level-4
+cells, a root 64. The writer takes the starts from encoder.check_code, the
+one rule for a valid code, and adds the stream's own six: a quadtree mode,
+sides that are multiples of 16 up to MAX_SIDE, starts that increase (DFS
+order), no search leaf and no phase 2 in a no_search code. The reader's
+starts are the total area of the leaves before each, and a leaf's (x, y) is
+its start de-interleaved. The quartet siblings are the level-4
 leaves whose start is not a multiple of 4.
 """
 
@@ -23,8 +25,8 @@ import struct
 
 import numpy as np
 
-from .encoder import DELTA_MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, PHASE2, ROOT_SIZE, SEARCH, LeafTable, QuadtreeCode
-from .encoder import MODES, phase2_targets, tiling_starts
+from .encoder import MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, MODES, NO_IMPLIED_MEAN, PHASE2, ROOT_SIZE, SEARCH
+from .encoder import TOO_MANY_PIXELS, LeafTable, QuadtreeCode, _reject, check_code, phase2_targets
 
 MAGIC = b"MNS1"
 HEADER_BYTES = 13
@@ -33,10 +35,7 @@ FLAG_MNS = 0x01
 FLAG_TECHNIQUE2 = 0x02
 ROOT_CELLS = 64  # 2x2-pixel cells per 16x16 root
 FIELDS = 8  # per leaf: level id, phase bit, o byte, s code, three sign-and-magnitude deltas, the four s bits
-MAGNITUDE_BITS = np.array([DELTA_MAGNITUDE_BITS.get(level, 0) for level in range(5)])  # by level; 0 where none
 NO_LEVEL1 = "level-1 leaf in a raster with a 16-pixel side, where no 32x32 domain fits"
-TOO_MANY_PIXELS = f"padded raster of more than MAX_PIXELS ({MAX_PIXELS}) pixels"
-NO_IMPLIED_MEAN = "phase-2 leaf whose implied fourth quadrant mean, o_byte minus the deltas, is not a byte"
 
 
 class StreamFormatError(ValueError):
@@ -66,37 +65,20 @@ def leaf_bit_width(level: int, phase2: bool, mode: str, id_elided: bool = False)
 
 
 def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
-    """Check that `code` serializes; then its leaves' (n, FIELDS) field values and bit widths."""
+    """Check that `code` is valid and serializes; then its leaves' (n, FIELDS) field values and bit widths."""
     if code.mode not in MODES:
         raise ValueError(f"only no_search/mns codes serialize, not {code.mode!r}")
+    start, t, mns = check_code(code), code.leaves, code.mode == "mns"
     if code.padded_w % ROOT_SIZE or code.padded_h % ROOT_SIZE:
         raise ValueError("padded dimensions must be multiples of 16")
-    if not (0 < code.orig_w <= code.padded_w and 0 < code.orig_h <= code.padded_h):
-        raise ValueError("original dimensions must fit inside the padded raster")
     if code.padded_w > MAX_SIDE or code.padded_h > MAX_SIDE:
         raise ValueError("dimensions exceed the 16-bit header fields")
-    if code.padded_w * code.padded_h > MAX_PIXELS:
-        raise ValueError(TOO_MANY_PIXELS)
-    t = code.leaves
     level, p2, o, s_code, d, bits = t.level, t.kind == PHASE2, t.o_byte, t.s_code, t.deltas, t.s_bits
-    if ((level < 1) | (level > 4)).any():
-        raise ValueError(f"bad leaf level {level[(level < 1) | (level > 4)][0]}")
-    start, mns = tiling_starts(t, code.padded_w, code.padded_h), code.mode == "mns"
+    _reject(t, ((np.diff(start, prepend=-1) <= 0, "out of DFS order"),
+                (t.kind == SEARCH, "search-baseline records have no stream encoding"),
+                (p2 & (not mns), "phase-2 record in a no_search code")))
     widths = _field_widths(level, p2, mns, bool(code.technique2) & (level == 4) & (start % 4 != 0))  # elided ids
     nbits = MAGNITUDE_BITS[level, None]
-    for bad, what in ((np.diff(start, prepend=-1) <= 0, "out of DFS order"),
-                      (t.size != 2 * ROOT_SIZE >> level, "size does not match its level"),
-                      ((level == 1) & (min(code.padded_w, code.padded_h) < 2 * ROOT_SIZE), NO_LEVEL1),
-                      (t.kind == SEARCH, "search-baseline records have no stream encoding"),
-                      ((o < 0) | (o > 255), "luminance byte out of range"),
-                      (~p2 & ((s_code < 0) | (s_code > 7)), "contrast code out of range"),
-                      (p2 & (not mns), "phase-2 record in a no_search code"),
-                      (p2 & (level == 4), "phase-2 record at level 4"),
-                      (p2 & (np.abs(d) >= 1 << nbits).any(axis=1), "delta exceeds its level's width"),
-                      (p2 & ((bits < 0) | (bits > 1)).any(axis=1), "bad contrast selection bits"),
-                      (p2 & (phase2_targets(o, d.T)[3] >> 8 != 0), NO_IMPLIED_MEAN)):
-        if bad.any():
-            raise ValueError(f"leaf {int(bad.argmax())} {t.rows[bad.argmax()].tolist()}: {what}")
     values = np.zeros_like(widths)
     values[:, 0], values[:, 1], values[:, 2], values[:, 3] = level - 1, p2, o, s_code
     values[:, 4:7], values[:, 7] = (d < 0) << nbits | np.abs(d), bits @ (8, 4, 2, 1)  # sign, then magnitude
@@ -165,17 +147,19 @@ def _scan(data: bytes, mns: bool, technique2: bool, total: int) -> tuple[list[in
 
 
 def read_stream(data: bytes) -> QuadtreeCode:
-    """Exact inverse of write_stream; anything it did not write raises StreamFormatError.
+    """Exact inverse of write_stream; anything it did not write raises StreamFormatError. `data` is bytes
+    or any bytes-like object, such as a bytearray, a memoryview, an array.array or a uint8 numpy array.
 
     One sequential pass reads only the level ids and phase bits, which fix every field's
     width and offset; every payload field is then gathered by bit offset at once, and each
     leaf's (x, y) is its Morton start de-interleaved. Memory grows with the stream's length,
     not with the dimensions its header claims, which may not exceed MAX_PIXELS.
     """
+    data = data if isinstance(data, bytes) else memoryview(data).tobytes()  # an int is no byte count here
     if len(data) < HEADER_BYTES:
         raise StreamFormatError("truncated header")
     if data[:4] != MAGIC:
-        raise StreamFormatError(f"bad magic {bytes(data[:4])!r}")
+        raise StreamFormatError(f"bad magic {data[:4]!r}")
     flags = data[4]
     if flags & ~(FLAG_MNS | FLAG_TECHNIQUE2):
         raise StreamFormatError(f"unknown flag bits 0x{flags:02x}")
@@ -210,7 +194,7 @@ def read_stream(data: bytes) -> QuadtreeCode:
     offset = np.cumsum(widths, dtype=np.int64)
     offset += HEADER_BITS - widths  # each field's first bit
     shift = 16 - (offset.astype(np.uint8) & 7) - widths  # the low byte keeps the first bit's place in its byte
-    buf = np.frombuffer(bytes(data) + b"\0\0", dtype=np.uint8)  # 0-wide fields may start at the end
+    buf = np.frombuffer(data + b"\0\0", dtype=np.uint8)  # 0-wide fields may start at the end
     fields = (buf[:-1].astype(np.uint16) << 8 | buf[1:])[offset >> 3] >> shift
     fields &= np.left_shift(1, widths, dtype=np.uint16) - 1
     del offset  # the int64 offsets go before the table is built

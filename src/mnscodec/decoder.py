@@ -12,6 +12,7 @@ test codes decode within one gray of a float64 decode. Blocks are addressed by
 flat origins. Every run of blocks is mapped by one apply_map call and written
 by _paint, which writes a 2x2 run as four flat pixel planes, since fancy
 indexing costs ~50 ns per block on a window view, more than a 2x2 block's map.
+decode checks each code with encoder.check_code, as the writer does, first.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import CONTRAST_SETS, MAX_PIXELS, PHASE2, SEARCH, QuadtreeCode, _quadrants, phase2_targets, tiling_starts
+from .encoder import CONTRAST_SETS, PHASE2, SEARCH, QuadtreeCode, _quadrants, check_code, phase2_targets
 from .image import GrayImage, co_domain_origins, flat_windows, parity_sums
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
@@ -58,27 +59,20 @@ class _Plan(NamedTuple):
 
 
 def _plan(code: QuadtreeCode) -> _Plan:
-    """Plan every painted block, one per phase-1 or search leaf and four per phase-2 leaf; misfits raise ValueError."""
+    """Plan every painted block, one per phase-1 or search leaf and four per phase-2 leaf, of a code that
+    encoder.check_code accepts, as decode checks it."""
     w, h, t = code.padded_w, code.padded_h, code.leaves
     p2 = t.kind == PHASE2
-    if ((t.level[p2] < 1) | (t.level[p2] > 3) | (t.s_bits[p2] > 1).any(axis=1) | (t.s_bits[p2] < 0).any(axis=1)).any():
-        raise ValueError("a phase-2 leaf lies outside levels 1..3 or picks a contrast other than 0 or 1")
-    tiling_starts(t, w, h)
     pairs = np.array([CONTRAST_SETS[level] for level in (1, 2, 3)])
-    # int32 columns: domains clipped first, so every domain that fits keeps its place and no misfit comes to fit
-    xyk, domain = t.rows[:, 2:5].astype(np.int32), np.clip(t.domain, -1, 2 * MAX_PIXELS).astype(np.int32)
+    xyk, domain = t.rows[:, 2:5].astype(np.int32), t.domain[:, :2].astype(np.int32)  # a valid code's values fit
     qx, qy = _quadrants(xyk[p2, :2], xyk[p2, 2]).T
     x, y = np.concatenate([xyk[~p2, 0], qx], dtype=np.int32), np.concatenate([xyk[~p2, 1], qy], dtype=np.int32)
     k = np.concatenate([xyk[~p2, 2], (xyk[p2, 2] // 2).repeat(4)])
     s = np.concatenate([dequantize_contrast(t.s_code[~p2]), pairs[t.level[p2, None] - 1, t.s_bits[p2]].ravel()])
     o = np.concatenate([t.o_byte[~p2], np.stack(phase2_targets(t.o_byte[p2], t.deltas[p2].T), axis=1).ravel()])
-    dx, dy, dk = np.concatenate([domain[~p2], np.zeros((len(qx), 3), np.int32)]).T
+    dx, dy = np.concatenate([domain[~p2], np.zeros((len(qx), 2), np.int32)]).T
     co = np.concatenate([t.kind[~p2] != SEARCH, np.full(len(qx), True)])  # co-centered domains
-    dk[co] = 2 * k[co]
     dx[co], dy[co] = co_domain_origins(x[co], y[co], k[co], w, h)
-    misfit = (np.minimum(dy, dx) < 0) | (dy + dk > h) | (dx + dk > w) | (dk != 2 * k)
-    if misfit.any():
-        raise ValueError(f"the domain of a {k[misfit][0]}x{k[misfit][0]} block does not fit the {w}x{h} raster")
     # s is quartered, which commutes with every rounding in the map, so sweeps map 2x2 sums as means
     s, o = (s * 0.25).astype(np.float32), o.astype(np.float32)
     # a parity whose blocks cover under 1/16 of the raster gets no half-size sums: gathering their
@@ -162,13 +156,10 @@ def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
     to each block's o, clamped into [0, 255], so painting that is decode_step's sweep bit for bit.
     The sweeps alternate between two float32 rasters, and one more buffer takes each sweep's change and then
     the rounding, so the last sweep's input and output are left as they were. Only a sweep whose change on
-    every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code of more than MAX_PIXELS
-    padded pixels, not holding its original size, or whose leaves do not tile raises ValueError first."""
+    every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code that encoder.check_code
+    rejects raises its ValueError first, before the plan or any raster."""
     cfg = config if config is not None else DecodeConfig()
-    if code.padded_w * code.padded_h > MAX_PIXELS:
-        raise ValueError(f"a {code.padded_w}x{code.padded_h} raster exceeds the {MAX_PIXELS}-pixel limit")
-    if not (0 < code.orig_w <= code.padded_w and 0 < code.orig_h <= code.padded_h):
-        raise ValueError("original dimensions must fit inside the padded raster")
+    check_code(code)
     plan = _plan(code)
     current = np.full(plan.shape, START_VALUE, np.float32)
     nxt, diff = current.copy(), np.empty_like(current)

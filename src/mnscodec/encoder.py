@@ -40,6 +40,8 @@ ROOT_SIZE = 16
 MAX_SIDE = 0xFFFF  # largest padded side: the .mns header stores each dimension as a u16
 MAX_PIXELS = 1 << 26  # largest padded raster the stream reader and writer and the decoder take: decode's three
 # float32 rasters then need 768 MB, where the header alone would admit 65520 x 65520 and 3 x 17 GB
+TOO_MANY_PIXELS = f"padded raster over the MAX_PIXELS ({MAX_PIXELS}) pixel limit"
+NO_IMPLIED_MEAN = "phase-2 leaf whose implied fourth quadrant mean, o_byte minus the deltas, is not a byte"
 LEVEL_SIZES = {1: 16, 2: 8, 3: 4, 4: 2}
 SIZE_LEVELS = {size: level for level, size in LEVEL_SIZES.items()}
 WORK_PIXELS = 1 << 16  # range pixels per kernel call; a band holds up to 8x as many pixels (one root row at least)
@@ -50,6 +52,7 @@ CONTRAST_SETS = {1: (0.2, 0.5), 2: (0.4, 0.65), 3: (0.5, 0.9)}
 
 # Magnitude bits of a phase-2 mean offset; one sign bit comes on top.
 DELTA_MAGNITUDE_BITS = {1: 4, 2: 5, 3: 5}
+MAGNITUDE_BITS = np.array([DELTA_MAGNITUDE_BITS.get(level, 0) for level in range(5)])  # by level; 0 where none
 
 
 def delta_limit(level: int) -> int:
@@ -101,9 +104,9 @@ class LeafTable:
     """A code's leaves as int64 columns of one read-only (n, 17) array, a row per leaf in code order.
 
     Columns: level, kind (PHASE1, PHASE2 or SEARCH), the block's x, y and size, o_byte, s_code,
-    then the (n, 3) deltas, the (n, 4) s_bits and the search domain's (n, 3) x, y and size;
-    fields a kind does not use are 0. An int64 `rows` array is kept as it is and made
-    read-only. Its repr lists every row in full.
+    then the (n, 3) deltas, the (n, 4) s_bits and the search domain's (n, 3) x, y and size.
+    It keeps any values; check_code requires, among others, that fields a kind does not use are 0.
+    An int64 `rows` array is kept as it is and made read-only. Its repr lists every row in full.
     """
 
     WIDTH = 17
@@ -131,7 +134,7 @@ class LeafTable:
 
 @dataclass(frozen=True)
 class QuadtreeCode:
-    """Leaves tiling the padded raster, as tiling_starts checks, plus header metadata.
+    """Leaves tiling the padded raster, plus header metadata; check_code says whether a code is valid.
 
     Leaf order: DFS in quadtree codes (16x16 roots in raster order, children TL, TR, BL, BR), raster in search codes.
     """
@@ -184,8 +187,7 @@ def tiling_starts(leaves: LeafTable, w: int, h: int) -> np.ndarray:
     x, y, k = np.ascontiguousarray(leaves.rows[:, 2:5].T)  # contiguous columns: each pass below costs half
     # for k >= 1, (k | x | y) & k - 1 is 0 iff k is a power of two that divides x and y
     bad = (k < 2) | (k > ROOT_SIZE) | ((k | x | y) & k - 1 != 0) | (x < 0) | (y < 0) | (x > w - k) | (y > h - k)
-    if bad.any():
-        raise ValueError(f"leaf {bad.argmax()} {leaves.rows[bad.argmax()].tolist()}: does not tile the {w}x{h} raster")
+    _reject(leaves, ((bad, f"does not tile the {w}x{h} raster"),))
     if (area := (k * k).sum()) != w * h:
         raise ValueError("leaf list under-fills the padded raster" if area < w * h else "excess leaf records")
     start = _morton(x, y, w)
@@ -194,6 +196,61 @@ def tiling_starts(leaves: LeafTable, w: int, h: int) -> np.ndarray:
     if len(over):
         raise ValueError(f"leaf {over[0]} {leaves.rows[over[0]].tolist()}: overlaps another, so the leaves do not tile")
     return start
+
+
+def _reject(leaves: LeafTable, rules) -> None:
+    """ValueError naming the first leaf that breaks the first (bad mask, message) rule that any leaf breaks."""
+    for bad, what in rules:
+        if bad.any():
+            raise ValueError(f"leaf {bad.argmax()} {leaves.rows[bad.argmax()].tolist()}: {what}")
+
+
+def check_code(code: QuadtreeCode) -> np.ndarray:
+    """The one rule for a valid code: its tiling_starts, or ValueError unless the sizes are integers (no bools),
+    the padded raster holds at most MAX_PIXELS pixels and the original size, and each leaf has a known kind,
+    a level 1..4 that matches its size, its kind's fields in range and the others 0, and a 2k x 2k domain that
+    fits, co-centered or stored. Phase-2 rules run first, then the other fields, the tiling and the domains."""
+    dims = (code.padded_w, code.padded_h, code.orig_w, code.orig_h)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in dims):
+        raise ValueError(f"original dimensions and padded ones must be integers, not bools: {dims!r}")
+    w, h, orig_w, orig_h = map(int, dims)
+    if w * h > MAX_PIXELS:
+        raise ValueError(TOO_MANY_PIXELS)
+    if not (0 < orig_w <= w and 0 < orig_h <= h):
+        raise ValueError("original dimensions must fit inside the padded raster")
+    rows = code.leaves.rows
+    if rows.min(initial=0) < -1 << 31 or rows.max(initial=0) >= 1 << 31:  # no valid field is that large
+        _reject(code.leaves, (((rows != rows.astype(np.int32)).any(axis=1), "a field past the int32 range"),))
+    fields, domains = _leaf_rules(rows.T.astype(np.int32, order="C"), w, h)
+    _reject(code.leaves, fields)
+    start = tiling_starts(code.leaves, w, h)
+    _reject(code.leaves, domains)
+    return start
+
+
+def _leaf_rules(columns: np.ndarray, w: int, h: int) -> tuple[tuple, tuple]:
+    """check_code's (bad mask, message) rules on the fields, then on the domains, which hold once the leaves
+    tile, from the columns as one contiguous (17, n) int32 copy: each pass costs half a strided one, and the
+    copy, freed before tiling_starts runs, half an int64 one (decode's peak memory is bound per pixel)."""
+    (level, kind, _, _, k, o, s_code), d, bits, (dx, dy, dk) = columns[:7], columns[7:10], columns[10:14], columns[14:]
+    p2, search = kind == PHASE2, kind == SEARCH
+    cramped = ~search & (2 * k > min(w, h))
+    side = 2 * k[cramped.argmax()] if len(k) else 0
+    return ((((kind < PHASE1) | (kind > SEARCH), "unknown leaf kind"),
+             (p2 & ((level < 1) | (level > 3)), "phase-2 leaf outside levels 1..3"),
+             (p2 & (np.abs(d).max(axis=0) >> MAGNITUDE_BITS.take(level, mode="clip") != 0),
+              "phase-2 delta exceeds its level's width"),
+             (p2 & (bits >> 1 != 0).any(axis=0), "phase-2 contrast pick other than 0 or 1"),
+             (p2 & (o - d[0] - d[1] - d[2] >> 8 != 0), NO_IMPLIED_MEAN),  # phase2_targets' fourth mean
+             ((level < 1) | (level > 4) | (k != 2 * ROOT_SIZE >> level.clip(1, 4)),
+              "level outside 1..4 or not matching the leaf's size"),
+             (o >> 8 != 0, "luminance byte out of range"),
+             (~p2 & (s_code >> 3 != 0), "contrast code out of range"),
+             (np.where(p2, s_code != 0, columns[7:14].any(axis=0)) | ~search & columns[14:].any(axis=0),
+              "a field its kind does not use is not 0")),  # deltas and s_bits, s_code, the domain
+            ((cramped, f"no {side}x{side} domain fits the {w}x{h} raster"),
+             (search & ((dk != 2 * k) | (dx < 0) | (dy < 0) | (dx > w - dk) | (dy > h - dk)),
+              f"its stored domain is not twice its side or leaves the {w}x{h} raster")))
 
 
 def _band(image: GrayImage, y0: int, y1: int) -> RowBand:

@@ -1,3 +1,4 @@
+import array
 import dataclasses
 
 import numpy as np
@@ -199,7 +200,15 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("kind", (bytes, bytearray, memoryview))
+def byte_array(data):
+    return array.array("B", data)
+
+
+def uint8_array(data):
+    return np.frombuffer(data, np.uint8)
+
+
+@pytest.mark.parametrize("kind", (bytes, bytearray, memoryview, byte_array, uint8_array))
 @pytest.mark.parametrize("name", READERS)
 def test_readers_take_any_bytes_like_input(name, kind):
     read, valid, expected, malformed, error = READERS[name]
@@ -317,6 +326,15 @@ class TestWriteErrors:
         code = dataclasses.replace(code, leaves=table_of(records(code.leaves)[::-1]))
         with pytest.raises(ValueError, match="DFS order"):
             write_stream(code)
+
+    def test_rejects_header_sizes_that_are_not_integers(self):
+        # before any leaf is checked; numpy integers still pass
+        code = level1_code()
+        for field, value in (("orig_w", 30.0), ("orig_h", True), ("padded_w", 32.0), ("padded_h", np.True_)):
+            with pytest.raises(ValueError, match="must be integers, not bools"):
+                write_stream(dataclasses.replace(code, **{field: value}))
+        assert write_stream(dataclasses.replace(code, orig_w=np.int16(30))) == write_stream(
+            dataclasses.replace(code, orig_w=30))
 
     def test_rejects_excess_leaves(self):
         code = level1_code("no_search", False)

@@ -6,16 +6,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnscodec import decoder
-from mnscodec.bitstream import write_stream
+from mnscodec.bitstream import read_stream, write_stream
 from mnscodec.decoder import START_VALUE, STOP_SAMPLE_ROWS, DecodeConfig, _plan, decode, decode_step
 from mnscodec.encoder import (
     MAX_PIXELS,
     MODES,
+    PHASE1,
+    PHASE2,
     EncoderConfig,
     LeafTable,
     QuadtreeCode,
+    check_code,
     encode_full_search,
     encode_local_search,
     encode_quadtree,
@@ -283,12 +288,71 @@ def test_every_encoders_codes_tile_and_each_mutation_is_rejected(name, monkeypat
     assert sweeps == []
 
 
+def _field_mutations():
+    """(rule, code) pairs: a natural 64x64 mns code with one field of one leaf set out of its range, and a local
+    search code with one stored domain past the raster's right edge; the rule is what check_code's message says."""
+    code = encode_quadtree(natural_image(64, 64), EncoderConfig(mode="mns"))
+    rows, kind = code.leaves.rows, code.leaves.kind
+    p1 = int(np.flatnonzero(kind == PHASE1)[0])
+    p2 = int(next(i for i in np.flatnonzero(kind == PHASE2) if rows[i, 7:10].sum()))  # deltas that move the 4th mean
+    total = int(rows[p2, 7:10].sum())
+    unused, level = "a field its kind does not use", "level outside 1..4 or not matching"
+    for i, column, value, rule in (
+        (p1, 1, 5, "unknown leaf kind"), (p1, 1, -1, "unknown leaf kind"),
+        (p1, 8, 1, unused), (p1, 12, 1, unused), (p1, 14, 4, unused), (p2, 6, 9, unused),  # delta, s bit, domain x, s
+        (p1, 5, 300, "luminance"), (p1, 5, -5, "luminance"), (p1, 0, 7, level), (p1, 0, rows[p1, 0] % 4 + 1, level),
+        (p2, 7, 100, "delta exceeds"), (p2, 5, total - 1 if total > 0 else 256 + total, "implied fourth quadrant mean"),
+        (p1, 5, 2**32 + 100, "int32 range"),  # an int32 copy would read a byte, 100
+    ):
+        bad = rows.copy()
+        bad[i, column] = value
+        yield rule, dataclasses.replace(code, leaves=LeafTable(bad))
+    search = encode_local_search(scene_image(32, 32), EncoderConfig())
+    bad = search.leaves.rows.copy()
+    bad[5, 14] = 24  # a 16x16 domain at x = 24 of a 32-wide raster
+    yield "stored domain", dataclasses.replace(search, leaves=LeafTable(bad))
+
+
+@pytest.mark.parametrize("rule, code", list(_field_mutations()))
+def test_each_malformed_field_is_rejected_before_any_plan_or_sweep(rule, code, monkeypatch):
+    calls = []
+    monkeypatch.setattr(decoder, "_plan", lambda *args: calls.append(args))
+    monkeypatch.setattr(decoder, "decode_step", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=rule):
+        check_code(code)
+    with pytest.raises(ValueError, match=rule):
+        decode(code)
+    if code.mode in MODES:
+        with pytest.raises(ValueError, match=rule):
+            write_stream(code)
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**16), st.integers(0, LeafTable.WIDTH - 1),
+       st.integers(-300, 300) | st.sampled_from((-(2**40), -(2**31) - 1, 2**31, 2**32 + 5, 2**63 - 1)))
+def test_every_field_mutation_the_writer_accepts_reads_back_and_decodes(seed, leaf, column, value):
+    code = random_code(np.random.default_rng(seed), "mns" if seed % 2 else "no_search", seed % 4 < 2)
+    rows = code.leaves.rows.copy()
+    rows[leaf % len(rows), column] = value
+    bad = dataclasses.replace(code, leaves=LeafTable(rows))
+    try:
+        blob = write_stream(bad)
+    except ValueError:
+        return
+    assert read_stream(blob) == bad
+    assert decode(bad).pixels.shape == (code.orig_h, code.orig_w)
+
+
 def test_decode_rejects_an_original_size_outside_the_padded_raster(monkeypatch):
     code = encode_quadtree(natural_image(48, 48), EncoderConfig())
     planned = []
     monkeypatch.setattr(decoder, "_plan", lambda c: planned.append(c))
     for w, h in ((100, 100), (49, 48), (48, 49), (0, 48), (48, 0)):
         with pytest.raises(ValueError, match="original dimensions"):
+            decode(dataclasses.replace(code, orig_w=w, orig_h=h))
+    for w, h in ((60.0, 48), (48, 48.0), (True, 48), (48, np.True_), ("48", 48)):  # a bool is an int, but no size
+        with pytest.raises(ValueError, match="original dimensions and padded ones must be integers"):
             decode(dataclasses.replace(code, orig_w=w, orig_h=h))
     assert planned == []
 

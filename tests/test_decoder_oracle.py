@@ -15,6 +15,7 @@ from mnscodec.encoder import (
     CONTRAST_SETS,
     EncoderConfig,
     QuadtreeCode,
+    check_code,
     encode_full_search,
     encode_local_search,
     encode_quadtree,
@@ -118,8 +119,8 @@ def test_misfit_cocentered_domain_raises_value_error(w, h):
     leaves = [LeafRecord(BlockRect(x, y, 16), 1, Phase1Payload(100, 3))
               for y in range(0, h, 16) for x in range(0, w, 16)]
     code = QuadtreeCode(table_of(leaves), w, h, w, h, "no_search", False)
-    with pytest.raises(ValueError):
-        sweep(_plan(code), np.zeros((h, w)))
+    with pytest.raises(ValueError, match="no 32x32 domain"):  # _plan takes only codes that check_code accepts
+        check_code(code)
     with pytest.raises(ValueError):
         decode(code)
 
@@ -136,7 +137,7 @@ def test_misfit_search_domain_raises_value_error(domain):
               for y in range(0, 32, 8) for x in range(0, 32, 8)]
     leaves[5] = LeafRecord(leaves[5].rect, 2, BaselinePayload(domain, 90, 5))
     code = QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "local_search", False)
-    with pytest.raises(ValueError):
-        sweep(_plan(code), np.zeros((32, 32)))
+    with pytest.raises(ValueError, match="stored domain"):  # _plan takes only codes that check_code accepts
+        check_code(code)
     with pytest.raises(ValueError):
         decode(code)
