@@ -89,8 +89,8 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
 def write_stream(code: QuadtreeCode) -> bytes:
     """Serialize a no_search/mns code into .mns container bytes.
 
-    Every check and field works on the code's columns at once: tiling is encoder.tiling_starts'
-    rule, and each leaf's fields are packed into one word, then placed by bit offset.
+    Every check and field works on the code's columns at once: validity, the tiling among it, is
+    encoder.check_code's rule, and each leaf's fields are packed into one word, then placed by bit offset.
     """
     values, widths = _leaf_fields(code)
     word = np.zeros(len(values), dtype=np.int64)  # a leaf's fields MSB first: at most 33 bits

@@ -180,24 +180,6 @@ def _morton(x: np.ndarray, y: np.ndarray, w: int) -> np.ndarray:
     return (y // ROOT_SIZE * -(-w // ROOT_SIZE) + x // ROOT_SIZE) * 64 + spread[x >> 1 & 7] + 2 * spread[y >> 1 & 7]
 
 
-def tiling_starts(leaves: LeafTable, w: int, h: int) -> np.ndarray:
-    """Each leaf's DFS start in 2x2 cells, _morton of its origin. ValueError unless the leaves tile the w x h
-    raster: each is a power-of-two square of side 2..16 at a multiple of its side inside the raster, the
-    areas add up to w * h, and, taken by start, no leaf's cells [start, start + (side / 2)^2) reach the next's."""
-    x, y, k = np.ascontiguousarray(leaves.rows[:, 2:5].T)  # contiguous columns: each pass below costs half
-    # for k >= 1, (k | x | y) & k - 1 is 0 iff k is a power of two that divides x and y
-    bad = (k < 2) | (k > ROOT_SIZE) | ((k | x | y) & k - 1 != 0) | (x < 0) | (y < 0) | (x > w - k) | (y > h - k)
-    _reject(leaves, ((bad, f"does not tile the {w}x{h} raster"),))
-    if (area := (k * k).sum()) != w * h:
-        raise ValueError("leaf list under-fills the padded raster" if area < w * h else "excess leaf records")
-    start = _morton(x, y, w)
-    order = np.argsort(start)
-    over = order[1:][(start + (k // 2) ** 2)[order[:-1]] > start[order[1:]]]
-    if len(over):
-        raise ValueError(f"leaf {over[0]} {leaves.rows[over[0]].tolist()}: overlaps another, so the leaves do not tile")
-    return start
-
-
 def _reject(leaves: LeafTable, rules) -> None:
     """ValueError naming the first leaf that breaks the first (bad mask, message) rule that any leaf breaks."""
     for bad, what in rules:
@@ -206,10 +188,13 @@ def _reject(leaves: LeafTable, rules) -> None:
 
 
 def check_code(code: QuadtreeCode) -> np.ndarray:
-    """The one rule for a valid code: its tiling_starts, or ValueError unless the sizes are integers (no bools),
-    the padded raster holds at most MAX_PIXELS pixels and the original size, and each leaf has a known kind,
-    a level 1..4 that matches its size, its kind's fields in range and the others 0, and a 2k x 2k domain that
-    fits, co-centered or stored. Phase-2 rules run first, then the other fields, the tiling and the domains."""
+    """The one rule for a valid code. Returns each leaf's DFS start in 2x2 cells, _morton of its origin, or raises
+    ValueError unless the sizes are integers (no bools), the padded w x h raster holds at most MAX_PIXELS pixels and
+    the original size, and each leaf has a known kind, a level 1..4 that matches its size, its kind's fields in range
+    and the others 0, and a 2k x 2k domain that fits, co-centered or stored; and unless the leaves tile the raster:
+    each lies inside it at a multiple of its side, the areas add up to w * h, and, taken by start, no leaf's cells
+    [start, start + (side / 2)^2) reach the next's. Phase-2 rules run first, then the other fields, the tiling and
+    the domains."""
     dims = (code.padded_w, code.padded_h, code.orig_w, code.orig_h)
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in dims):
         raise ValueError(f"original dimensions and padded ones must be integers, not bools: {dims!r}")
@@ -218,39 +203,43 @@ def check_code(code: QuadtreeCode) -> np.ndarray:
         raise ValueError(TOO_MANY_PIXELS)
     if not (0 < orig_w <= w and 0 < orig_h <= h):
         raise ValueError("original dimensions must fit inside the padded raster")
-    rows = code.leaves.rows
+    leaves, rows = code.leaves, code.leaves.rows
     if rows.min(initial=0) < -1 << 31 or rows.max(initial=0) >= 1 << 31:  # no valid field is that large
-        _reject(code.leaves, (((rows != rows.astype(np.int32)).any(axis=1), "a field past the int32 range"),))
-    fields, domains = _leaf_rules(rows.T.astype(np.int32, order="C"), w, h)
-    _reject(code.leaves, fields)
-    start = tiling_starts(code.leaves, w, h)
-    _reject(code.leaves, domains)
-    return start
-
-
-def _leaf_rules(columns: np.ndarray, w: int, h: int) -> tuple[tuple, tuple]:
-    """check_code's (bad mask, message) rules on the fields, then on the domains, which hold once the leaves
-    tile, from the columns as one contiguous (17, n) int32 copy: each pass costs half a strided one, and the
-    copy, freed before tiling_starts runs, half an int64 one (decode's peak memory is bound per pixel)."""
-    (level, kind, _, _, k, o, s_code), d, bits, (dx, dy, dk) = columns[:7], columns[7:10], columns[10:14], columns[14:]
+        _reject(leaves, (((rows != rows.astype(np.int32)).any(axis=1), "a field past the int32 range"),))
+    # the columns as one contiguous (17, n) int32 copy: each pass costs half a strided one, and the copy half an
+    # int64 one (decode's peak memory is bound per pixel)
+    columns = rows.T.astype(np.int32, order="C")
+    (level, kind, x, y, k, o, s_code), d, bits, (dx, dy, dk) = columns[:7], columns[7:10], columns[10:14], columns[14:]
     p2, search = kind == PHASE2, kind == SEARCH
+    _reject(leaves, (((kind < PHASE1) | (kind > SEARCH), "unknown leaf kind"),
+                     (p2 & ((level < 1) | (level > 3)), "phase-2 leaf outside levels 1..3"),
+                     (p2 & (np.abs(d).max(axis=0) >> MAGNITUDE_BITS.take(level, mode="clip") != 0),
+                      "phase-2 delta exceeds its level's width"),
+                     (p2 & (bits >> 1 != 0).any(axis=0), "phase-2 contrast pick other than 0 or 1"),
+                     (p2 & (o - d[0] - d[1] - d[2] >> 8 != 0), NO_IMPLIED_MEAN),  # phase2_targets' fourth mean
+                     ((level < 1) | (level > 4) | (k != 2 * ROOT_SIZE >> level.clip(1, 4)),
+                      "level outside 1..4 or not matching the leaf's size"),
+                     (o >> 8 != 0, "luminance byte out of range"),
+                     (~p2 & (s_code >> 3 != 0), "contrast code out of range"),
+                     (np.where(p2, s_code != 0, columns[7:14].any(axis=0)) | ~search & columns[14:].any(axis=0),
+                      "a field its kind does not use is not 0"),  # deltas and s_bits, s_code, the domain
+                     # the level rule made k 2, 4, 8 or 16, so (x | y) & k - 1 is 0 iff k divides x and y
+                     (((x | y) & k - 1 != 0) | (x < 0) | (y < 0) | (x > w - k) | (y > h - k),
+                      f"does not tile the {w}x{h} raster")))
+    if (area := (k * k).sum()) != w * h:
+        raise ValueError("leaf list under-fills the padded raster" if area < w * h else "excess leaf records")
+    start = _morton(x, y, w)
+    order = np.argsort(start)
+    # each gap to the next start against (side / 2)^2, in int32 like k (starts < 2^24): mixed types buffer a cast
+    over = order[1:][np.diff(start[order].astype(np.int32)) < (k[order[:-1]] // 2) ** 2]
+    if len(over):
+        raise ValueError(f"leaf {over[0]} {rows[over[0]].tolist()}: overlaps another, so the leaves do not tile")
     cramped = ~search & (2 * k > min(w, h))
     side = 2 * k[cramped.argmax()] if len(k) else 0
-    return ((((kind < PHASE1) | (kind > SEARCH), "unknown leaf kind"),
-             (p2 & ((level < 1) | (level > 3)), "phase-2 leaf outside levels 1..3"),
-             (p2 & (np.abs(d).max(axis=0) >> MAGNITUDE_BITS.take(level, mode="clip") != 0),
-              "phase-2 delta exceeds its level's width"),
-             (p2 & (bits >> 1 != 0).any(axis=0), "phase-2 contrast pick other than 0 or 1"),
-             (p2 & (o - d[0] - d[1] - d[2] >> 8 != 0), NO_IMPLIED_MEAN),  # phase2_targets' fourth mean
-             ((level < 1) | (level > 4) | (k != 2 * ROOT_SIZE >> level.clip(1, 4)),
-              "level outside 1..4 or not matching the leaf's size"),
-             (o >> 8 != 0, "luminance byte out of range"),
-             (~p2 & (s_code >> 3 != 0), "contrast code out of range"),
-             (np.where(p2, s_code != 0, columns[7:14].any(axis=0)) | ~search & columns[14:].any(axis=0),
-              "a field its kind does not use is not 0")),  # deltas and s_bits, s_code, the domain
-            ((cramped, f"no {side}x{side} domain fits the {w}x{h} raster"),
-             (search & ((dk != 2 * k) | (dx < 0) | (dy < 0) | (dx > w - dk) | (dy > h - dk)),
-              f"its stored domain is not twice its side or leaves the {w}x{h} raster")))
+    _reject(leaves, ((cramped, f"no {side}x{side} domain fits the {w}x{h} raster"),
+                     (search & ((dk != 2 * k) | (dx < 0) | (dy < 0) | (dx > w - dk) | (dy > h - dk)),
+                      f"its stored domain is not twice its side or leaves the {w}x{h} raster")))
+    return start
 
 
 def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
@@ -531,7 +520,7 @@ def encode_full_search(
     center offset per range, the raw material for the locality histograms.
     Cost is quadratic in the pool size, so this is for desk-scale images.
     """
-    if range_size not in SIZE_LEVELS:
+    if not isinstance(range_size, (int, np.integer)) or range_size not in SIZE_LEVELS:  # 8.0 == 8, yet no size
         raise ValueError(f"range size must be one of {sorted(SIZE_LEVELS)}")
     dsize = 2 * range_size
     if image.width < dsize or image.height < dsize:

@@ -60,7 +60,7 @@ class GrayImage:
 
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary PGM (magic P5, maxval 255) from bytes or any bytes-like object."""
-    data = bytes(data)  # the same object for bytes, so no copy
+    data = data if isinstance(data, bytes) else memoryview(data).tobytes()  # an int is no byte count here
     if data[:2] != b"P5":
         raise PgmFormatError(f"bad magic: expected b'P5', got {data[:2]!r}")
     header, values = _HEADER.match(data, 2), []

@@ -217,6 +217,13 @@ def test_readers_take_any_bytes_like_input(name, kind):
         read(kind(malformed))
 
 
+@pytest.mark.parametrize("data", (0, 5, 13))
+@pytest.mark.parametrize("name", READERS)
+def test_readers_reject_an_int_rather_than_read_that_many_zero_bytes(name, data):
+    with pytest.raises(TypeError):  # bytes(5) is five zero bytes
+        READERS[name][0](data)
+
+
 class TestReadErrors:
     def test_bad_magic(self):
         blob = bytearray(write_stream(level1_code()))

@@ -24,7 +24,6 @@ from mnscodec.encoder import (
     encode_full_search,
     encode_local_search,
     encode_quadtree,
-    tiling_starts,
 )
 from mnscodec.image import BlockRect, GrayImage
 from mnscodec.transform import apply_map
@@ -277,10 +276,10 @@ def test_every_encoders_codes_tile_and_each_mutation_is_rejected(name, monkeypat
     sweeps = []
     monkeypatch.setattr(decoder, "decode_step", lambda *args: sweeps.append(args))
     for code in TILING_CODES[name]():
-        starts = tiling_starts(code.leaves, code.padded_w, code.padded_h)
+        starts = check_code(code)
         assert code.mode not in MODES or (np.diff(starts) > 0).all()  # quadtree codes are in DFS order
         for bad in _tiling_mutations(code):
-            with pytest.raises(ValueError, match="tile|under-fills|excess"):  # tiling_starts' verdicts
+            with pytest.raises(ValueError, match="tile|under-fills|excess"):  # check_code's tiling verdicts
                 decode(bad)
             if code.mode in MODES:
                 with pytest.raises(ValueError, match="tile|under-fills|excess"):
@@ -303,6 +302,7 @@ def _field_mutations():
         (p1, 5, 300, "luminance"), (p1, 5, -5, "luminance"), (p1, 0, 7, level), (p1, 0, rows[p1, 0] % 4 + 1, level),
         (p2, 7, 100, "delta exceeds"), (p2, 5, total - 1 if total > 0 else 256 + total, "implied fourth quadrant mean"),
         (p1, 5, 2**32 + 100, "int32 range"),  # an int32 copy would read a byte, 100
+        *((p1, 4, size, level) for size in (0, 3, 32, -2)),  # the level rule, not the tiling, rejects a size
     ):
         bad = rows.copy()
         bad[i, column] = value

@@ -317,6 +317,15 @@ class TestFullSearch:
         with pytest.raises(ValueError, match="too small"):
             encode_full_search(img, 8, EncoderConfig())
 
+    @pytest.mark.parametrize("range_size", (3, 32, 8.0, np.float64(8), True))
+    def test_rejects_a_range_size_before_padding_or_any_search(self, range_size, monkeypatch):
+        calls = []
+        for spy in ("pad_to_multiple", "box_sums", "_search"):
+            monkeypatch.setattr(enc, spy, lambda *args, spy=spy: calls.append(spy))
+        with pytest.raises(ValueError, match=r"range size must be one of \[2, 4, 8, 16\]"):
+            encode_full_search(natural_image(64, 64), range_size, EncoderConfig())
+        assert calls == []
+
     @pytest.mark.parametrize("step", (1, 3))
     @pytest.mark.parametrize("range_size", (4, 8))
     def test_call_size_does_not_change_the_code(self, range_size, step, monkeypatch):
