@@ -20,6 +20,7 @@ leaves whose start is not a multiple of 4.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import struct
 
@@ -53,17 +54,6 @@ def _field_widths(level, phase2, mns: bool, id_elided=False) -> np.ndarray:
     return widths
 
 
-def payload_bit_width(level: int, phase2: bool) -> int:
-    """Payload bits only: 8+3 for phase 1, mean + three signed deltas + four
-    selection bits for phase 2."""
-    return int(_field_widths(level, phase2, False)[2:].sum())
-
-
-def leaf_bit_width(level: int, phase2: bool, mode: str, id_elided: bool = False) -> int:
-    """Total serialized width of one leaf under the fixed width table."""
-    return int(_field_widths(level, phase2, mode == "mns", id_elided).sum())
-
-
 def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     """Check that `code` is valid and serializes; then its leaves' (n, FIELDS) field values and bit widths."""
     if code.mode not in MODES:
@@ -77,7 +67,7 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     _reject(t, ((np.diff(start, prepend=-1) <= 0, "out of DFS order"),
                 (t.kind == SEARCH, "search-baseline records have no stream encoding"),
                 (p2 & (not mns), "phase-2 record in a no_search code")))
-    widths = _field_widths(level, p2, mns, bool(code.technique2) & (level == 4) & (start % 4 != 0))  # elided ids
+    widths = _field_widths(level, p2, mns, code.technique2 & (level == 4) & (start % 4 != 0))  # elided ids
     nbits = MAGNITUDE_BITS[level, None]
     values = np.zeros_like(widths)
     values[:, 0], values[:, 1], values[:, 2], values[:, 3] = level - 1, p2, o, s_code
@@ -116,7 +106,7 @@ def _kind_steps(mns: bool, technique2: bool) -> tuple[tuple, tuple, tuple]:
     kind = np.arange(8)
     level, siblings = kind // 2 + 1, 3 * (technique2 & (kind >= 6))  # siblings: the id-less rest of a level-4 quartet
     bits = _field_widths(level, (kind % 2 == 1) & (level < 4), mns).sum(axis=1, dtype=np.int64)
-    bits += siblings * payload_bit_width(4, False)
+    bits += siblings * int(_field_widths(4, False, mns, True).sum())
     spans = (1 + siblings) * ROOT_CELLS >> 2 * (level - 1)
     return tuple((k,) * (1 + n) for k, n in enumerate(siblings.tolist())), tuple(bits.tolist()), tuple(spans.tolist())
 
@@ -218,14 +208,6 @@ def stream_bit_count(code: QuadtreeCode) -> int:
 
 
 def level_id_bit_count(code: QuadtreeCode, technique2: bool) -> int:
-    """Bits spent on 2-bit level ids, with or without quartet sharing.
-
-    With technique 2, each level-4 quartet pays for a single id.
-    """
-    count4 = int(np.count_nonzero(code.leaves.level == 4))
-    others = len(code.leaves) - count4
-    if not technique2:
-        return 2 * (others + count4)
-    if count4 % 4:
-        raise ValueError("level-4 leaves must form complete quartets")
-    return 2 * (others + count4 // 4)
+    """Bits the writer spends on level ids with technique 2 set to `technique2`: the width table's level-id column,
+    summed, in which a level-4 quartet pays for one id. ValueError for a code that does not serialize."""
+    return int(_leaf_fields(dataclasses.replace(code, technique2=technique2))[1][:, 0].sum())

@@ -6,19 +6,8 @@ Modes:
   full_search  - one exhaustive domain pool on a fixed-size partition, shared by every range (baseline).
   local_search - a pool per 8x8 range: 81 candidates around the co-centered domain (baseline).
 
-On integer pixels with power-of-two sides and contrasts in steps of 1/8, every term of _fit's
-expanded sum of squared residuals is exact in float64, so it is rms_error's sum of squares to the
-last bit, in any order. So are the moments _fit removes the means from: a 16x16 block's domain sum
-times its range sum is at most 255 * 256 squared, about 4.3e9, in steps of 1/4, far inside
-float64's 2^53, so cross terms and norms taken from sums equal those of mean-removed copies. _fit scores u = 4s
-(steps of 1/2, |u| <= 3.5) as u^2 norm / 8 - u x; the norm and x = sum(d0 r) are under 2^22 in steps of 2^-12 and
-2^-10, so u x and u^2 norm / 8 are under 2^24 in steps of 2^-11 and 2^-17: 42 bits at most. The searches
-read every candidate's norm and sum(d) from one table of each domain origin's sum(S) and sum(S^2) over its
-box sums S, integers added in int32 (at most 256 * 1020^2 < 2^31), so the norms equal _norms of the means.
-They form sum(d r) in float32 up to 8x8 ranges, from raw box sums and quartered ranges. Counted in quarters,
-every partial sum is an integer of at most 64 * 1020 * 255 = 16,646,400 < 2^24, whether a pool row meets a
-range or, in local search, window rows meet range rows and 8 such sums are added; so each is exact in any order.
-Phase 2's contrasts are not dyadic; _rms keeps rms_error's order there.
+On integer pixels, _fit's scores and the searches' sums are exact in any order, so every mode's codes equal
+its scalar per-block fits; README's Encoding section states each bound. Phase 2 keeps rms_error's order (_rms).
 """
 
 from __future__ import annotations
@@ -52,7 +41,7 @@ CONTRAST_SETS = {1: (0.2, 0.5), 2: (0.4, 0.65), 3: (0.5, 0.9)}
 
 # Magnitude bits of a phase-2 mean offset; one sign bit comes on top.
 DELTA_MAGNITUDE_BITS = {1: 4, 2: 5, 3: 5}
-MAGNITUDE_BITS = np.array([DELTA_MAGNITUDE_BITS.get(level, 0) for level in range(5)])  # by level; 0 where none
+MAGNITUDE_BITS = np.array([DELTA_MAGNITUDE_BITS.get(level, 0) for level in range(5)], np.int32)  # by level, or 0
 
 
 def delta_limit(level: int) -> int:
@@ -176,7 +165,7 @@ def _morton(x: np.ndarray, y: np.ndarray, w: int) -> np.ndarray:
     """DFS start, in 2x2 cells, of the blocks at (x, y) of a w-wide raster: its 16x16 root's index over ceil(w / 16)
     roots a row, times 64, plus its TL/TR/BL/BR digits at sides 8, 4 and 2, which weigh 16, 4 and 1 cells; so
     bits 3, 2 and 1 of x go to bits 4, 2 and 0 of the key, and those of y to bits 5, 3 and 1."""
-    spread = np.array([0, 1, 4, 5, 16, 17, 20, 21])  # bits 2, 1 and 0 of the index, at bits 4, 2 and 0
+    spread = np.array([0, 1, 4, 5, 16, 17, 20, 21], np.int32)  # bits 2, 1 and 0 of the index, at bits 4, 2 and 0
     return (y // ROOT_SIZE * -(-w // ROOT_SIZE) + x // ROOT_SIZE) * 64 + spread[x >> 1 & 7] + 2 * spread[y >> 1 & 7]
 
 
@@ -188,16 +177,20 @@ def _reject(leaves: LeafTable, rules) -> None:
 
 
 def check_code(code: QuadtreeCode) -> np.ndarray:
-    """The one rule for a valid code. Returns each leaf's DFS start in 2x2 cells, _morton of its origin, or raises
-    ValueError unless the sizes are integers (no bools), the padded w x h raster holds at most MAX_PIXELS pixels and
-    the original size, and each leaf has a known kind, a level 1..4 that matches its size, its kind's fields in range
-    and the others 0, and a 2k x 2k domain that fits, co-centered or stored; and unless the leaves tile the raster:
-    each lies inside it at a multiple of its side, the areas add up to w * h, and, taken by start, no leaf's cells
-    [start, start + (side / 2)^2) reach the next's. Phase-2 rules run first, then the other fields, the tiling and
-    the domains."""
+    """The one rule for a valid code. Returns each leaf's int32 DFS start in 2x2 cells, _morton of its origin, or
+    raises ValueError unless technique2 is a bool, the mode a known one, the sizes integers (no bools), the padded
+    w x h raster holds at most MAX_PIXELS pixels and the original size, and each leaf has a known kind, a level 1..4
+    that matches its size, its kind's fields in range and the others 0, and a 2k x 2k domain that fits, co-centered
+    or stored; and unless the leaves tile the raster: each lies inside it at a multiple of its side, the areas add up
+    to w * h, and, taken by start, no leaf's cells [start, start + (side / 2)^2) reach the next's. Phase-2 rules run
+    first, then the other fields, the tiling and the domains."""
     dims = (code.padded_w, code.padded_h, code.orig_w, code.orig_h)
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in dims):
         raise ValueError(f"original dimensions and padded ones must be integers, not bools: {dims!r}")
+    if not isinstance(code.technique2, (bool, np.bool_)):
+        raise ValueError(f"technique2 must be a bool, not {code.technique2!r}")
+    if code.mode not in ("no_search", "mns", "full_search", "local_search"):
+        raise ValueError(f"unknown mode {code.mode!r}")
     w, h, orig_w, orig_h = map(int, dims)
     if w * h > MAX_PIXELS:
         raise ValueError(TOO_MANY_PIXELS)
@@ -230,8 +223,7 @@ def check_code(code: QuadtreeCode) -> np.ndarray:
         raise ValueError("leaf list under-fills the padded raster" if area < w * h else "excess leaf records")
     start = _morton(x, y, w)
     order = np.argsort(start)
-    # each gap to the next start against (side / 2)^2, in int32 like k (starts < 2^24): mixed types buffer a cast
-    over = order[1:][np.diff(start[order].astype(np.int32)) < (k[order[:-1]] // 2) ** 2]
+    over = order[1:][np.diff(start[order]) < (k[order[:-1]] // 2) ** 2]  # int32, like k: starts are under 2^24
     if len(over):
         raise ValueError(f"leaf {over[0]} {rows[over[0]].tolist()}: overlaps another, so the leaves do not tile")
     cramped = ~search & (2 * k > min(w, h))
@@ -298,7 +290,7 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     and sum(d), (n, c) or (c,), as _norms forms them, where d is the candidate's 2x2 means and
     d0 = d - mean(d). The cross terms sum(d0 r) are formed here from each range's sum. None is written.
     Returns each range's candidate index (ties to the first), s code, o byte (the range mean rounded
-    half up, as a float) and sum of squared residuals, exact as the module docstring says.
+    half up, as a float) and sum of squared residuals, exact as README's Encoding section shows.
     """
     kk, total = r.shape[1], r.sum(axis=1)
     mean = total / kk
@@ -384,13 +376,12 @@ def try_phase2(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     return accepted, payload, np.where(accepted, worst, np.inf)
 
 
-def _padded_shape(image: GrayImage, multiple: int) -> tuple[int, int]:
-    """(w, h) of `image` padded to a multiple of `multiple`; ValueError past MAX_PIXELS, which the
-    encoders check before they pad or fit anything."""
+def _pad(image: GrayImage, multiple: int) -> GrayImage:
+    """`image` padded to a multiple of `multiple`; ValueError past MAX_PIXELS, before anything is padded or fitted."""
     w, h = (-(-side // multiple) * multiple for side in (image.width, image.height))
     if w * h > MAX_PIXELS:
         raise ValueError(f"a padded {w}x{h} raster exceeds MAX_PIXELS ({MAX_PIXELS} pixels)")
-    return w, h
+    return pad_to_multiple(image, multiple)
 
 
 def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
@@ -406,9 +397,9 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     blocks become LeafTable rows, and one sort by their _morton start puts
     them in DFS order.
     """
-    if max(_padded_shape(image, ROOT_SIZE)) > MAX_SIDE:
+    if max(image.width, image.height) > MAX_SIDE // ROOT_SIZE * ROOT_SIZE:  # iff a padded side passes MAX_SIDE
         raise ValueError("padded dimensions exceed the 16-bit header fields")
-    padded = pad_to_multiple(image, ROOT_SIZE)
+    padded = _pad(image, ROOT_SIZE)
     w, h = padded.width, padded.height
     rows = []  # per kernel call: LeafTable rows
     band_rows = max(1, 8 * WORK_PIXELS // (ROOT_SIZE * w)) * ROOT_SIZE
@@ -436,7 +427,7 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
 def _norm_table(sums: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """_norms of the 2x2 means of the 2k x 2k domains at every origin, indexed [y, x], bit for bit: each
     domain's sum(S) and sum(S^2) over its k x k stride-2 box sums S (the uint16 `sums`), added separably in
-    int32, doubling the span each pass; both are exact, as sum(S^2) <= 256 * 1020^2 < 2^31."""
+    int32, doubling the span each pass, exactly (README's Encoding section gives the bound)."""
     s, tables = sums.astype(np.int32), []
     for t in (s, s * s):
         span = 1
@@ -467,12 +458,9 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     each takes its lowest-error 2k x 2k candidate domain, ties to the first. xs and ys hold the
     candidates' origins: (c,) for one pool shared by every range, or (n, c) for local search's 8x8
     ranges, each pool at most 8 past its first origin on each axis. Norms and sum(d) come from _norm_table;
-    sum(d r) takes raw box sums and quartered ranges, in float32 up to k = 8: a shared pool's sums are
-    gathered once and multiplied as the left factor, which OpenBLAS does in half the time, and local search
-    reads each range's 23 x 23 window through _translates. Calls split a shared pool's ranges evenly, each
-    keeping its (ranges, c) scores within WORK_PIXELS // 3 entries: with more, an op's heap peak passed
-    glibc's trim threshold and a loop of ops re-faulted its pages. Local search's calls keep their
-    (23, 9, 8) products within WORK_PIXELS."""
+    sum(d r) takes raw box sums and quartered ranges, in float32 up to k = 8, with a shared pool as the left
+    factor and local search's 23 x 23 windows through _translates. README's Encoding section says why, and
+    how calls split the ranges."""
     h, w = image.pixels.shape
     sums, c, shared = box_sums(image, np.uint16), xs.shape[-1], xs.ndim == 1
     ranges = image.pixels.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(-1, k * k)  # in raster order
@@ -525,8 +513,7 @@ def encode_full_search(
     dsize = 2 * range_size
     if image.width < dsize or image.height < dsize:
         raise ValueError(f"image too small for any {dsize}x{dsize} domain")
-    _padded_shape(image, range_size)
-    padded = pad_to_multiple(image, range_size)
+    padded = _pad(image, range_size)
     w, h, step = padded.width, padded.height, config.full_search_step
     ys, xs = np.mgrid[0 : h - dsize + 1 : step, 0 : w - dsize + 1 : step].reshape(2, -1)
     table = _search(padded, range_size, xs, ys)
@@ -545,8 +532,7 @@ def encode_local_search(image: GrayImage, config: EncoderConfig) -> QuadtreeCode
     """
     if image.width < 16 or image.height < 16:
         raise ValueError("local search needs at least a 16x16 image")
-    _padded_shape(image, 8)
-    padded = pad_to_multiple(image, 8)
+    padded = _pad(image, 8)
     w, h = padded.width, padded.height
     ry, rx = np.mgrid[0:h:8, 0:w:8].reshape(2, -1).astype(np.int32)  # flat indices stay under MAX_PIXELS < 2^31
     bx, by = co_domain_origins(rx, ry, 8, w, h)

@@ -10,7 +10,7 @@ import numpy as np
 
 from mnscodec.bitstream import (
     HEADER_BYTES,
-    leaf_bit_width,
+    _field_widths,
     level_id_bit_count,
     read_stream,
     stream_bit_count,
@@ -73,7 +73,7 @@ def code_with_level4_leaves(count4):
 
 
 def test_c01_phase1_leaf_bit_budget():
-    table = leaf_bit_width(1, phase2=False, mode="mns")
+    table = _field_widths(1, False, mns=True).sum()
     # four roots: no level-1 leaf fits a raster with a 16-pixel side
     leaves = [LeafRecord(BlockRect(x, y, 16), 1, Phase1Payload(130, 5)) for y in (0, 16) for x in (0, 16)]
     code = QuadtreeCode(table_of(leaves), 32, 32, 32, 32, "mns", True)

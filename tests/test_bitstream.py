@@ -11,9 +11,8 @@ from mnscodec.bitstream import (
     HEADER_BYTES,
     MAGIC,
     StreamFormatError,
-    leaf_bit_width,
+    _field_widths,
     level_id_bit_count,
-    payload_bit_width,
     read_stream,
     stream_bit_count,
     write_stream,
@@ -48,24 +47,24 @@ def quartet_code(mode="no_search", technique2=True):
 
 class TestWidthTable:
     def test_level1_phase1_mns_is_14_bits(self):
-        assert leaf_bit_width(1, phase2=False, mode="mns") == 14
+        assert _field_widths(1, False, mns=True).sum() == 14
 
     def test_level4_quartet_widths(self):
-        assert leaf_bit_width(4, phase2=False, mode="no_search") == 13
-        assert leaf_bit_width(4, phase2=False, mode="no_search", id_elided=True) == 11
+        assert _field_widths(4, False, mns=False).sum() == 13
+        assert _field_widths(4, False, mns=False, id_elided=True).sum() == 11
         # the phase bit never applies at level 4
-        assert leaf_bit_width(4, phase2=False, mode="mns") == 13
+        assert _field_widths(4, False, mns=True).sum() == 13
 
     def test_level2_phase2_is_33_bits(self):
-        assert leaf_bit_width(2, phase2=True, mode="mns") == 2 + 1 + 8 + 3 * 6 + 4
+        assert _field_widths(2, True, mns=True).sum() == 2 + 1 + 8 + 3 * 6 + 4
 
     def test_level1_phase2_is_30_bits(self):
-        assert leaf_bit_width(1, phase2=True, mode="mns") == 2 + 1 + 8 + 3 * 5 + 4
+        assert _field_widths(1, True, mns=True).sum() == 2 + 1 + 8 + 3 * 5 + 4
 
-    def test_payload_widths(self):
-        assert payload_bit_width(1, False) == 11
-        assert payload_bit_width(1, True) == 27
-        assert payload_bit_width(3, True) == 30
+    def test_payload_widths(self):  # the fields after the level id and the phase bit
+        assert _field_widths(1, False, mns=False)[2:].sum() == 11
+        assert _field_widths(1, True, mns=False)[2:].sum() == 27
+        assert _field_widths(3, True, mns=False)[2:].sum() == 30
 
     def test_level1_leaves_measure_14_bits_each(self):
         code = level1_code()
@@ -185,10 +184,12 @@ class TestTechnique2:
         assert level_id_bit_count(code, True) == 8
 
     def test_level_id_accounting_rejects_partial_quartets(self):
+        # one level-4 leaf does not tile its root, so no quartet rule of its own is needed: check_code rejects it
         leaf4 = LeafRecord(BlockRect(0, 0, 2), 4, Phase1Payload(0, 0))
         code = QuadtreeCode(table_of([leaf4]), 16, 16, 16, 16, "no_search", False)
-        with pytest.raises(ValueError, match="quartet"):
-            level_id_bit_count(code, technique2=True)
+        for technique2 in (True, False):
+            with pytest.raises(ValueError, match="under-fills"):
+                level_id_bit_count(code, technique2=technique2)
 
 
 # each reader with a valid input, what it decodes that input to, and a malformed input and its error

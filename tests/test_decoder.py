@@ -328,6 +328,35 @@ def test_each_malformed_field_is_rejected_before_any_plan_or_sweep(rule, code, m
     assert calls == []
 
 
+@pytest.mark.parametrize("field, value", [("technique2", v) for v in (2, "yes", 0.5, None, [1], 0, 1)]
+                         + [("mode", "bogus"), ("mode", "MNS")])
+def test_a_malformed_header_flag_is_rejected_before_any_plan(field, value, monkeypatch):
+    # such a technique2 would be written as a flag bit that reads back as a bool, so the stream would not round trip
+    code = dataclasses.replace(encode_quadtree(natural_image(64, 64), EncoderConfig()), **{field: value})
+    calls = []
+    monkeypatch.setattr(decoder, "_plan", lambda *args: calls.append(args))
+    for f in (check_code, write_stream, decode):
+        with pytest.raises(ValueError, match="technique2 must be a bool" if field == "technique2" else "bogus|MNS"):
+            f(code)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make, size, seed", [(natural_image, 512, 1), (noise_image, 128, 11), (natural_image, 1024, 7)])
+def test_check_code_peak_stays_under_97_bytes_a_leaf(make, size, seed):
+    # 2,008, 4,096 (all level 4) and 7,045 leaves. The (17, n) int32 copy is 68 bytes a leaf; int32 starts and
+    # level tables keep each pass int32 (~95 bytes a leaf), where an int64 table met by an int32 column buffered an
+    # int64 cast (~101)
+    code = encode_quadtree(make(size, size, seed=seed), EncoderConfig())
+    assert check_code(code).dtype == np.int32
+    assert traced_peak(check_code, code) <= 97 * len(code.leaves)
+
+
+def test_a_numpy_bool_technique2_is_a_valid_flag():
+    code = encode_quadtree(natural_image(64, 64), EncoderConfig(technique2=np.True_))
+    assert read_stream(write_stream(code)) == code
+    assert decode(code).pixels.shape == (64, 64)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16), st.integers(0, LeafTable.WIDTH - 1),
        st.integers(-300, 300) | st.sampled_from((-(2**40), -(2**31) - 1, 2**31, 2**32 + 5, 2**63 - 1)))

@@ -497,3 +497,18 @@ class TestMaxPixels:
         monkeypatch.setattr(enc, "MAX_PIXELS", (-(-40 // multiple) * multiple) * (-(-36 // multiple) * multiple))
         code = encode(scene_image(40, 36, seed=1))
         assert code.padded_w * code.padded_h == enc.MAX_PIXELS
+
+
+@pytest.mark.parametrize("shape", [(1, 65520), (65520, 1), (1, 65521), (65521, 1)])
+def test_quadtree_rejects_a_side_past_the_header_before_padding(shape, monkeypatch):
+    # a side pads to a multiple of 16, which passes the header's u16 (65,535) exactly when the side passes 65,520
+    class Padded(Exception):
+        pass
+
+    def pad(*args):
+        raise Padded
+
+    monkeypatch.setattr(enc, "pad_to_multiple", pad)
+    error, match = (ValueError, "16-bit header") if max(shape) > 65520 else (Padded, None)
+    with pytest.raises(error, match=match):
+        encode_quadtree(GrayImage(np.zeros(shape, np.uint8)), EncoderConfig())
