@@ -8,8 +8,7 @@ rate-distortion benchmark harness.
 A code is a QuadtreeCode: header fields plus a LeafTable, the leaves as
 int64 columns, a row per leaf. encode_quadtree(image, EncoderConfig) makes
 one; write_stream and read_stream turn it into .mns bytes and back, and
-stream_bit_count and level_id_bit_count sum the writer's field widths
-(payload_bit_width and leaf_bit_width are gone: sum bitstream._field_widths);
+stream_bit_count and level_id_bit_count sum the writer's field widths;
 decode(code, DecodeConfig) rebuilds the GrayImage. try_phase1/try_phase2
 take a RowBand and an (n, 2) array of block origins. decode_step(plan,
 raster, out) runs one sweep of the plan decoder._plan(code) builds.

@@ -6,8 +6,9 @@ Modes:
   full_search  - one exhaustive domain pool on a fixed-size partition, shared by every range (baseline).
   local_search - a pool per 8x8 range: 81 candidates around the co-centered domain (baseline).
 
-On integer pixels, _fit's scores and the searches' sums are exact in any order, so every mode's codes equal
-its scalar per-block fits; README's Encoding section states each bound. Phase 2 keeps rms_error's order (_rms).
+Every decision scores exact moments: both phases take theirs from _moments, the searches from _norm_table and
+box-sum products. _fit scores phase 1 and the searches, and phase 2 its two contrast values from the same sums, exact
+in any order on integer pixels; so each mode's codes equal its exact per-block fits (README's Encoding section).
 """
 
 from __future__ import annotations
@@ -313,16 +314,6 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     return best, codes[at] + 4, o_byte, 0.5 * u[at] + rest
 
 
-def _rms(r: np.ndarray, d0: np.ndarray, s, o) -> np.ndarray:
-    """rms_error of each last-axis row: the same operations in the same order, and a mean
-    over a contiguous last axis, which reduces each row as rms_error reduces one block."""
-    res = s * d0
-    res += o
-    np.subtract(r, res, out=res)
-    res *= res
-    return np.sqrt(res.mean(axis=-1))
-
-
 def try_phase1(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig):
     """Fit each block's co-centered domain and test the level threshold.
 
@@ -364,14 +355,19 @@ def try_phase2(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig)
     o_byte, deltas = np.floor(o_mean + 0.5), np.floor(offsets[:, :3] + 0.5)
     targets = np.stack(phase2_targets(o_byte, deltas.T), axis=1)  # the implied BR mean must stay a byte
     gates = (np.abs(offsets).max(axis=1) <= config.mean_tol) & (np.abs(deltas).max(axis=1) <= delta_limit(level))
-    ok = np.flatnonzero(gates & (targets[:, 3] >= 0) & (targets[:, 3] <= 255))
-    r, d = q[ok].astype(np.float64), _domains(band, _quadrants(xy[ok], 2 * k), k).reshape(len(ok), 4, k * k)
-    d -= d.mean(axis=2, keepdims=True)
-    rms_lo, rms_hi = (_rms(r, d, s, targets[ok, :, None]) for s in CONTRAST_SETS[level])
+    gates &= (targets[:, 3] >= 0) & (targets[:, 3] <= 255)
+    ok = np.flatnonzero(gates)
+    kk, r = k * k, q[ok].reshape(-1, k * k).astype(np.float64)  # a row per quadrant
+    dr, norms, sd = _moments(r, _domains(band, _quadrants(xy[ok], 2 * k), k)[:, None])  # columns, a row per quadrant
+    total, t = r.sum(axis=1, keepdims=True), targets[ok].reshape(-1, 1)
+    x = dr - sd * (total / kk)  # sum(d0 r), as _fit forms it; d0 sums to 0, so it is also sum(d0 (r - t))
+    a = np.einsum("ij,ij->i", r, r)[:, None] - (2.0 * total - kk * t) * t  # sum((r - t)^2), as _fit's residual
+    u = np.array([round(20 * s) for s in CONTRAST_SETS[level]])  # 20s, an integer for each set value
+    sse = (400.0 * a - 40 * u * x + u * u * norms).reshape(-1, 4, 2)  # 400 sse(s), exact: README's Encoding section
     bits, worst = np.zeros((n, 4)), np.full(n, np.inf)
-    bits[ok] = rms_hi < rms_lo
-    worst[ok] = np.minimum(rms_lo, rms_hi).max(axis=1)
-    accepted = worst <= config.threshold(level)
+    bits[ok] = sse.argmin(axis=2)  # ties to the lower value
+    worst[ok] = np.sqrt(sse.min(axis=2).max(axis=1) / (400 * kk))
+    accepted = gates & (worst <= config.threshold(level))  # an infinite threshold keeps the gates
     payload = np.concatenate([o_byte[:, None], deltas, bits], axis=1).astype(np.intp)
     return accepted, payload, np.where(accepted, worst, np.inf)
 

@@ -11,6 +11,7 @@ floor formula.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,6 +74,19 @@ def co_domain_rect(range_rect: BlockRect, img_w: int, img_h: int) -> BlockRect:
     x = min(max(range_rect.x - range_rect.size // 2, 0), img_w - d)
     y = min(max(range_rect.y - range_rect.size // 2, 0), img_h - d)
     return BlockRect(x, y, d)
+
+
+def exact_sse(r, d, s: Fraction, o: int) -> Fraction:
+    """sum((r - s (d - mean(d)) - o)^2) as a rational, with no float rounding: r an integer block, d a block
+    of 2x2 means (quarters) of its shape, s a Fraction and o an integer. Times 4 n s.denominator, n pixels,
+    each residual is the integer 4 n s.denominator (r - o) - s.numerator (n q - sum(q)), q = 4d."""
+    r, q = np.ravel(r), 4 * np.ravel(d)
+    if (r % 1).any() or (q % 1).any():
+        raise ValueError("r must hold integers and d quarters")
+    r, q = r.astype(np.int64).tolist(), q.astype(np.int64).tolist()
+    n, total, scale = len(r), sum(q), 4 * len(r) * s.denominator
+    e = [scale * (ri - o) - s.numerator * (n * qi - total) for ri, qi in zip(r, q)]
+    return Fraction(sum(v * v for v in e), scale * scale)
 
 
 def round_to_int(value: float) -> int:

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mnscodec.encoder as enc
+import mnscodec.transform as transform
 from mnscodec.encoder import (
     CONTRAST_SETS,
     PHASE1,
@@ -19,7 +21,8 @@ from mnscodec.image import BlockRect, GrayImage, downsample_mean2, pad_to_multip
 from mnscodec.transform import rms_error
 
 from records import Phase1Payload, records
-from scalar_oracle import block_mean, block_pixels, co_domain_rect, dequantize_contrast, quadrants, round_to_int
+from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse, quadrants,
+                           round_to_int)
 from util import natural_image, noise_image, scene_image
 
 
@@ -129,6 +132,12 @@ class TestPhase2:
         accepted, _, _ = one_block(try_phase2, img, BlockRect(0, 0, 16), 1, EncoderConfig(mean_tol=16.0))
         assert not accepted
 
+    @pytest.mark.parametrize("values", ((178, 100, 100, 100), (116, 100, 100, 84), (3, 3, 3, 0)))
+    def test_an_infinite_threshold_keeps_the_gates(self, values):
+        config = EncoderConfig(e1=math.inf, mean_tol=16.0)
+        accepted, _, rms = one_block(try_phase2, quadrant_image(values), BlockRect(0, 0, 16), 1, config)
+        assert not accepted and rms == math.inf
+
     def test_implied_mean_out_of_range_rejects(self):
         img = quadrant_image((3, 3, 3, 0))
         accepted, _, _ = one_block(try_phase2, img, BlockRect(0, 0, 16), 1, EncoderConfig())
@@ -163,6 +172,17 @@ class TestPhase2:
     def test_level4_is_invalid(self, constant_64):
         with pytest.raises(ValueError, match="levels 1..3"):
             one_block(try_phase2, constant_64, BlockRect(0, 0, 2), 4, EncoderConfig())
+
+    def test_an_exact_tie_goes_to_the_lower_contrast(self):
+        # the TL quadrant of this level-2 block scores 622/5 at both of level 2's contrasts; an RMS taken in
+        # floats for each contrast rounds the two apart, and picked 0.65
+        image, rect = pad_to_multiple(natural_image(500, 375, seed=2), 16), BlockRect(336, 216, 8)
+        accepted, payload, _ = one_block(try_phase2, image, rect, 2, EncoderConfig(e1=2, e2=3, e3=5, mean_tol=40))
+        assert accepted and payload == [170, -5, -2, 5, 0, 0, 0, 1]
+        quad = quadrants(rect)[0]
+        r, d = block_pixels(image, quad), downsample_mean2(image, co_domain_rect(quad, image.width, image.height))
+        sse = [exact_sse(r, d, Fraction(round(20 * s), 20), 165) for s in CONTRAST_SETS[2]]  # TL's target is 170 - 5
+        assert sse == [Fraction(622, 5)] * 2
 
 
 class TestQuadtree:
@@ -287,6 +307,25 @@ class TestQuadtree:
         # a baseline mode is no EncoderConfig mode, so it cannot reach encode_quadtree
         with pytest.raises(ValueError, match="unknown mode"):
             encode_quadtree(constant_64, EncoderConfig(mode="full_search"))
+
+
+@pytest.mark.parametrize("mode", ("no_search", "mns", "full_search", "local_search"))
+def test_no_encoder_mode_calls_rms_error(mode, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rms_error called")
+
+    monkeypatch.setattr(enc, "rms_error", refuse)
+    monkeypatch.setattr(transform, "rms_error", refuse)
+    image = natural_image(64, 48, seed=4)
+    if mode == "full_search":
+        code, _ = encode_full_search(image, 8, EncoderConfig(full_search_step=4))
+    elif mode == "local_search":
+        code = encode_local_search(image, EncoderConfig())
+    else:
+        code = encode_quadtree(image, EncoderConfig(e1=6, e2=6, e3=6, mean_tol=24, mode=mode))
+    assert code.mode == mode and len(code.leaves)
+    if mode == "mns":
+        assert code.phase2_count()  # phase 2 ran and kept leaves
 
 
 class TestFullSearch:

@@ -1,16 +1,18 @@
 """encode_quadtree against the scalar per-block recursion it replaced, code for code.
 
 The oracle fits one block at a time (co_domain_rect, downsample_mean2,
-fit_affine, the scalar quantize_contrast of scalar_oracle, rms_error) and
-recurses depth first, so it fixes the leaf order, the tie rules and the
-reduction order of every RMS that the level-at-a-time encoder must reproduce.
+fit_affine, the scalar quantize_contrast of scalar_oracle, rms_error for
+phase 1, and exact_sse's rationals for phase 2's picks) and recurses depth
+first, so it fixes the leaf order, the tie rules and every RMS value that
+the level-at-a-time encoder must reproduce.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mnscodec import encoder, transform
@@ -32,7 +34,8 @@ from mnscodec.image import BlockRect, GrayImage, box_sums, downsample_mean2, pad
 from mnscodec.transform import fit_affine, rms_error
 
 from records import LeafRecord, Phase1Payload, Phase2Payload, records, table_of
-from scalar_oracle import block_mean, block_pixels, co_domain_rect, dequantize_contrast, quadrants, quantize_contrast, round_to_int
+from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse, quadrants,
+                           quantize_contrast, round_to_int)
 from util import gradient_image, natural_image, noise_image, scene_image
 
 
@@ -61,16 +64,16 @@ def oracle_phase2(image, rect, level, config):
     targets = phase2_targets(o_byte, deltas)
     if max(abs(d) for d in deltas) > delta_limit(level) or not 0 <= targets[3] <= 255:
         return rejected
-    s_lo, s_hi = CONTRAST_SETS[level]
+    s_lo, s_hi = (Fraction(round(20 * s), 20) for s in CONTRAST_SETS[level])
     tol = config.threshold(level)
     bits = []
     worst = 0.0
     for quad, target in zip(quads, targets):
         d = downsample_mean2(image, co_domain_rect(quad, image.width, image.height))
         r = block_pixels(image, quad)
-        rms_lo = rms_error(r, d, s_lo, float(target))
-        rms_hi = rms_error(r, d, s_hi, float(target))
-        bit, rms = (0, rms_lo) if rms_lo <= rms_hi else (1, rms_hi)
+        sse_lo, sse_hi = exact_sse(r, d, s_lo, target), exact_sse(r, d, s_hi, target)
+        bit, sse = (0, sse_lo) if sse_lo <= sse_hi else (1, sse_hi)
+        rms = math.sqrt(float(sse / r.size))
         if rms > tol:
             return rejected
         bits.append(bit)
@@ -180,6 +183,39 @@ def test_random_images_match_scalar_oracle(w, h, seed, kind, e, tol, mode):
         image = GrayImage((rng.integers(0, 3, (h, w)) * 100).astype(np.uint8))
     config = EncoderConfig(e1=e, e2=e * 1.5, e3=e * 2, mean_tol=tol, mode=mode)
     assert encode_quadtree(image, config) == oracle_encode(image, config)
+
+
+def test_contrast_set_values_are_twentieths():
+    # phase 2 scores 400 sse(s) from 20s as an integer; a set value off the 1/20 grid would be rounded onto it
+    values = [s for pair in CONTRAST_SETS.values() for s in pair]
+    assert all(abs(20 * s - round(20 * s)) < 1e-12 for s in values)
+
+
+PALETTES = {"zeros": [0], "full": [255], "extremes": [0, 255], "dark": [0, 1, 2, 3, 9],
+            "bright": [246, 252, 254, 255], "any": list(range(256))}
+
+
+@given(st.sampled_from((1, 2, 3)), st.sampled_from((1, 2, 4, 8, 16)), st.sampled_from(sorted(PALETTES)),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, "extremes", 0).via("0/255 noise")
+@example(2, 8, "zeros", 0).via("flat domains, all-0 ranges, targets 0")
+@example(3, 16, "full", 0).via("flat domains, all-255 ranges, targets 255")
+@settings(max_examples=60, deadline=None)
+def test_phase2_scores_match_rationals_at_the_extremes(level, cell, palette, seed):
+    # 3x3 blocks of constant cells: all-0 and all-255 ranges, flat domains, targets 0 and 255, and 0/255 pixels,
+    # whose sums reach README's bound; with no mean gate or threshold, every block whose deltas and implied mean fit
+    # is scored, and each quadrant's pick and the worst quadrant's RMS must be the rationals' to the last bit
+    size, rng = LEVEL_SIZES[level], np.random.default_rng(seed)
+    values = rng.choice(PALETTES[palette], (-(-3 * size // cell),) * 2).astype(np.uint8)
+    image = GrayImage(np.kron(values, np.ones((cell, cell), np.uint8))[: 3 * size, : 3 * size])
+    config = EncoderConfig(e1=math.inf, e2=math.inf, e3=math.inf, mean_tol=255.0)
+    rects = [BlockRect(x, y, size) for y in range(0, 3 * size, size) for x in range(0, 3 * size, size)]
+    xy, band = np.array([(rect.x, rect.y) for rect in rects]), encoder._band(image, 0, image.height)
+    accepted, payload, rms = try_phase2(band, xy, level, config)
+    expected = [oracle_phase2(image, rect, level, config) for rect in rects]
+    assert rms.tolist() == [value for _, value in expected]
+    got = records(LeafTable(encoder._rows(xy[accepted], level, payload[accepted])))
+    assert got == [record for record, _ in expected if record]
 
 
 def oracle_fit(r, pool):

@@ -1,5 +1,7 @@
 """The scalar oracle helpers against the spec and against the array kernels they stand in for."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from mnscodec.transform import CONTRAST_VALUES
 from mnscodec.transform import dequantize_contrast as kernel_dequantize
 from mnscodec.transform import quantize_contrast as kernel_quantize
 
-from scalar_oracle import dequantize_contrast, quadrants, quantize_contrast, round_to_int
+from scalar_oracle import dequantize_contrast, exact_sse, quadrants, quantize_contrast, round_to_int
 
 EDGES = np.arange(-12, 13) / 8  # bin edges and centers, in and outside [-1, 1]
 
@@ -46,6 +48,19 @@ def test_dequantizers_agree():
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="outside"):
             dequantize_contrast(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 4, 8)), st.fractions(-1, 1, max_denominator=20),
+       st.integers(-300, 300))
+def test_exact_sse_is_the_sum_in_fractions(seed, k, s, o):
+    rng = np.random.default_rng(seed)
+    r, d = rng.integers(0, 256, (k, k)), rng.integers(0, 1021, (k, k)) / 4
+    rs, ds = [Fraction(int(v)) for v in r.ravel()], [Fraction(v) for v in d.ravel().tolist()]
+    mean = sum(ds) / len(ds)
+    assert exact_sse(r, d, s, o) == sum((ri - o - s * (di - mean)) ** 2 for ri, di in zip(rs, ds))
+    with pytest.raises(ValueError, match="quarters"):
+        exact_sse(r, d + 1 / 8, s, o)
 
 
 def test_round_to_int_sends_halves_up():
