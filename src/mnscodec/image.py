@@ -166,12 +166,6 @@ def flat_windows(a: np.ndarray, k: int) -> np.ndarray:
     return np.ndarray(((h - k) * w + w - k + 1, k, k), a.dtype, a, 0, (a.itemsize, a.strides[0], a.itemsize))
 
 
-def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
-    """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k)
-    array: the stride-2 samples of each (2k-1)-window of the box_sums raster `sums`, quartered exactly."""
-    return flat_windows(sums, 2 * k - 1)[y * sums.shape[1] + x, ::2, ::2] * 0.25
-
-
 def co_domain_origins(x, y, k, img_w: int, img_h: int) -> tuple[np.ndarray, np.ndarray]:
     """Origins (x, y) of the 2k x 2k domains centered on the k x k ranges at x, y, each shifted per axis
     by the least amount that keeps it in bounds; k may be one side."""

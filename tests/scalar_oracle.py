@@ -1,8 +1,8 @@
 """Scalar, one-block-at-a-time forms of the codec's geometry and quantizer, for the oracles.
 
 mnscodec runs these jobs only as array kernels: co_domain_origins, the
-stride-2 domain gathers, encoder._quadrants and the numpy contrast
-quantizer. The oracles in tests/ rebuild every code and sweep from the
+stride-2 domain gathers and their moments, encoder._quadrants and the numpy
+contrast quantizer. The oracles in tests/ rebuild every code and sweep from the
 helpers here instead, so they check those kernels without sharing them.
 The quantizer is written from the spec, bin by bin, not from the kernels'
 floor formula.
@@ -87,6 +87,22 @@ def exact_sse(r, d, s: Fraction, o: int) -> Fraction:
     n, total, scale = len(r), sum(q), 4 * len(r) * s.denominator
     e = [scale * (ri - o) - s.numerator * (n * qi - total) for ri, qi in zip(r, q)]
     return Fraction(sum(v * v for v in e), scale * scale)
+
+
+def domain_means(sums: np.ndarray, x, y, k: int) -> np.ndarray:
+    """2x2 means of the 2k x 2k domains at origins x, y, index arrays of one shape, as a float64 (..., k, k) array:
+    each domain's stride-2 samples of the box_sums raster `sums`, sliced one origin at a time and quartered."""
+    x, y = np.broadcast_arrays(x, y)
+    means = np.empty((*x.shape, k, k))
+    for i in np.ndindex(x.shape):
+        means[i] = sums[y[i] : y[i] + 2 * k - 1 : 2, x[i] : x[i] + 2 * k - 1 : 2] * 0.25
+    return means
+
+
+def mean_removed_norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Over the last axis of d: the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, d0 = d - mean(d), and sum(d)."""
+    sd = d.sum(axis=-1, dtype=np.float64)
+    return np.einsum("...k,...k->...", d, d, dtype=np.float64) - sd * sd / d.shape[-1], sd
 
 
 def round_to_int(value: float) -> int:

@@ -21,8 +21,8 @@ from mnscodec.image import BlockRect, GrayImage, downsample_mean2, pad_to_multip
 from mnscodec.transform import rms_error
 
 from records import Phase1Payload, records
-from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse, quadrants,
-                           round_to_int)
+from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse,
+                           mean_removed_norms, quadrants, round_to_int)
 from util import natural_image, noise_image, scene_image
 
 
@@ -68,9 +68,9 @@ def passes_phase2_gates(image, rect, level, config):
 
 
 def gathered_domains(monkeypatch):
-    """A list that collects the number of domains each encoder call of domain_means gathers."""
-    counts, real = [], enc.domain_means
-    monkeypatch.setattr(enc, "domain_means", lambda sums, x, y, k: counts.append(np.size(x)) or real(sums, x, y, k))
+    """A list that collects the number of domains each encoder call of _domains gathers."""
+    counts, real = [], enc._domains
+    monkeypatch.setattr(enc, "_domains", lambda band, xy, k: counts.append(len(xy)) or real(band, xy, k))
     return counts
 
 
@@ -183,6 +183,51 @@ class TestPhase2:
         r, d = block_pixels(image, quad), downsample_mean2(image, co_domain_rect(quad, image.width, image.height))
         sse = [exact_sse(r, d, Fraction(round(20 * s), 20), 165) for s in CONTRAST_SETS[2]]  # TL's target is 170 - 5
         assert sse == [Fraction(622, 5)] * 2
+
+
+class TestKernelLayout:
+    @pytest.mark.parametrize("dtype", (np.uint8, np.uint16, np.float64))
+    @pytest.mark.parametrize("step", (1, 2))
+    @pytest.mark.parametrize("k", (2, 4, 8, 16))
+    def test_plane_and_window_gathers_agree(self, k, step, dtype):
+        # k x k ranges on all four edges of a 96 x 80 raster in its top band (lo = 0) and its bottom one (lo = 48);
+        # at step 2, their co-centered domains, clamped at each edge, from the band's box sums
+        image = natural_image(96, 80, seed=4)
+        for y0 in (0, 64):
+            band = enc._band(image, y0, y0 + 16)
+            xy = np.array([(x, y) for x in (0, 48, 96 - k) for y in (y0, y0 + 16 - k)])
+            x, y = xy.T if step == 1 else enc.co_domain_origins(xy[:, 0], xy[:, 1], k, 96, 80)
+            a, y, span = (band.pixels if step == 1 else band.sums).astype(dtype), y - band.lo, step * (k - 1) + 1
+            at = y * a.shape[1] + x
+            expected = np.stack([a[j : j + span : step, i : i + span : step].ravel() for i, j in zip(x, y)], axis=1)
+            for gather in (enc._plane_gather, enc._window_gather):
+                got = gather(a, at, k, step)
+                assert got.dtype == dtype and np.array_equal(got, expected), (y0, gather.__name__)
+
+    @pytest.mark.parametrize("level", (1, 2, 3, 4))
+    def test_empty_and_all_gated_out_batches(self, level):
+        # 0/255 cells of a quadrant's side: every block's quadrants are 0, 255, 255, 0, far past any mean gate.
+        # A batch of no blocks, and one that phase 2 gates out whole, keep a full batch's shapes and dtypes
+        half = enc.LEVEL_SIZES[level] // 2
+        image = GrayImage((np.indices((64, 64)) // half).sum(axis=0) % 2 * 255)
+        ys, xs = np.mgrid[0:64 : 2 * half, 0:64 : 2 * half].reshape(2, -1)
+        xy, band, config = np.stack([xs, ys], axis=1), enc._band(image, 0, 64), EncoderConfig()
+        for phase, width in ((try_phase1, 2), (try_phase2, 8))[: 1 if level == 4 else 2]:
+            for batch in (xy[:0], xy):
+                accepted, payload, rms = phase(band, batch, level, config)
+                assert (accepted.dtype, payload.dtype, rms.dtype) == (np.bool_, np.intp, np.float64)
+                assert accepted.shape == rms.shape == (len(batch),) and payload.shape == (len(batch), width)
+                if phase is try_phase2:
+                    assert not accepted.any() and (rms == math.inf).all() and not payload[:, 4:].any()
+
+    def test_small_blocks_never_gather_through_windows(self, monkeypatch):
+        # ranges and domains of sides up to 4 gather as pixel planes; windows are for sides 8 and 16, whose ranges
+        # take 8 x 8 or 16 x 16 windows and whose domains 15 x 15 or 31 x 31 ones
+        sides, real = [], enc.flat_windows
+        monkeypatch.setattr(enc, "flat_windows", lambda a, k: sides.append(k) or real(a, k))
+        code = encode_quadtree(noise_image(64, 64, seed=3), EncoderConfig())
+        assert code.level_counts()[3] > 0  # blocks reached level 4
+        assert sorted(set(sides)) == [8, 15, 16, 31]
 
 
 class TestQuadtree:
@@ -388,10 +433,10 @@ class TestFullSearch:
         rng, (n, c) = np.random.default_rng(5), (13, 2401)
         pool = rng.integers(0, 1021, (c, 64)).astype(np.float32)
         r = rng.integers(0, 256, (n, 64)).astype(np.float64)
-        norms, sd = enc._norms(pool * 0.25)
+        norms, sd = mean_removed_norms(pool * 0.25)
         dr = (r * np.float32(0.25)).astype(np.float32) @ pool.T
-        enc._fit(r, dr, norms, sd)  # numpy's first-call set-up is not the kernel's
-        assert traced_peak(enc._fit, r, dr, norms, sd) <= 2 * 8 * n * c + 5 * n * c
+        enc._fit(r.T, dr, norms, sd)  # numpy's first-call set-up is not the kernel's
+        assert traced_peak(enc._fit, r.T, dr, norms, sd) <= 2 * 8 * n * c + 5 * n * c
 
     def test_offsets_are_center_differences(self, constant_64):
         _, samples = encode_full_search(constant_64, 8, EncoderConfig())
@@ -406,8 +451,8 @@ class TestLocalSearch:
         calls = []
         real = enc._fit
 
-        def counting(r, dr, norms, sd):  # sum(d r), the norm and sum(d) of every candidate
-            calls.append((len(r), [m.shape for m in (dr, norms, sd)]))
+        def counting(r, dr, norms, sd):  # a range per column of r; sum(d r), the norm and sum(d) of every candidate
+            calls.append((r.shape[1], [m.shape for m in (dr, norms, sd)]))
             return real(r, dr, norms, sd)
 
         monkeypatch.setattr(enc, "_fit", counting)

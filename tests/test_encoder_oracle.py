@@ -255,14 +255,14 @@ def test_fit_matches_scalar_oracle(k, n, c, seed, kind):
     pool = d[0]  # also shared by every range, as full search shares its pool
     sd = pool.sum(axis=1)
     inputs = {  # moments as the callers form them: phase 1 and local search per range, full search shared
-        "per range": encoder._moments(r, d),
+        "per range": [np.stack(m, axis=1) for m in zip(*(encoder._moments(r.T, d[:, j].T) for j in range(c)))],
         "shared": (r @ pool.T, np.einsum("ck,ck->c", pool, pool) - sd * sd / (k * k), sd),
     }
     for name, moments in inputs.items():
         pools = [pool] * n if name == "shared" else list(d)
         expected = [oracle_fit(r[i], pools[i]) for i in range(n)]
         kept = [a.copy() for a in (r, *moments)]
-        got = encoder._fit(r, *moments)
+        got = encoder._fit(r.T, *moments)  # a range per column
         assert all(np.array_equal(a, b) for a, b in zip((r, *moments), kept)), name  # nothing written
         assert [tuple(column[i].item() for column in got) for i in range(n)] == expected, name
 
@@ -276,7 +276,7 @@ def test_fit_bins_equal_quantize_contrast(pairs):
     x, norm = np.array(pairs, dtype=np.float64).T
     x = np.concatenate([x, np.multiply.outer(np.arange(-4, 5) / 4, norm).ravel()])
     norm = np.tile(norm, 10)
-    _, codes, _, _ = encoder._fit(np.zeros((len(x), 1)), x[:, None], norm[:, None], np.zeros((len(x), 1)))
+    _, codes, _, _ = encoder._fit(np.zeros((1, len(x))), x[:, None], norm[:, None], np.zeros((len(x), 1)))
     assert codes.tolist() == transform.quantize_contrast(x / norm).tolist()
     assert codes.tolist() == [quantize_contrast(s) for s in (x / norm).tolist()]
 

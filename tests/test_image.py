@@ -12,7 +12,6 @@ from mnscodec.image import (
     PgmFormatError,
     box_sums,
     co_domain_origins,
-    domain_means,
     downsample_mean2,
     flat_windows,
     load_pgm,
@@ -21,7 +20,7 @@ from mnscodec.image import (
     save_pgm,
 )
 
-from scalar_oracle import block_mean, co_domain_rect
+from scalar_oracle import block_mean, co_domain_rect, domain_means
 
 
 class TestPgm:
@@ -243,7 +242,7 @@ class TestBlockOps:
 
     @pytest.mark.parametrize("dtype", (np.uint16, np.float64))
     def test_domain_means_equal_downsample(self, dtype):
-        # the encoder gathers from uint16 sums of its pixels, the decoder from float64 sums of its raster
+        # the oracles' domain gather, from uint16 box sums as the encoder's and float64 ones as the decoder's
         raster = np.random.default_rng(5).integers(0, 256, (24, 20), dtype=np.uint8)
         sums = box_sums(raster, dtype)
         x, y = np.array([[0, 3, 12], [4, 4, 0]]), np.array([[0, 8, 1], [16, 15, 0]])  # any index shape

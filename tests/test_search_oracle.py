@@ -11,11 +11,12 @@ import pytest
 
 import mnscodec.encoder as encoder
 from mnscodec.encoder import SIZE_LEVELS, EncoderConfig, encode_full_search, encode_local_search
-from mnscodec.image import BlockRect, GrayImage, box_sums, domain_means, downsample_mean2, pad_to_multiple
+from mnscodec.image import BlockRect, GrayImage, box_sums, downsample_mean2, pad_to_multiple
 from mnscodec.transform import fit_affine, rms_error
 
 from records import BaselinePayload, LeafRecord, table_of
-from scalar_oracle import block_pixels, co_domain_rect, dequantize_contrast, quantize_contrast, round_to_int
+from scalar_oracle import (block_pixels, co_domain_rect, dequantize_contrast, domain_means, mean_removed_norms,
+                           quantize_contrast, round_to_int)
 from util import gradient_image, noise_image
 
 W, H = 28, 20  # neither side a multiple of 8, so local search and 8-pixel ranges pad
@@ -127,8 +128,8 @@ def test_full_search_scores_equal_the_float64_product(pixels, range_size, monkey
     pool = domain_means(box_sums(image), xs, ys, range_size).reshape(len(xs), -1)  # float64 2x2 means
     scored, fit = [], encoder._fit
 
-    def spy(r, dr, norms, sd):
-        scored.append((r, dr))
+    def spy(r, dr, norms, sd):  # r holds a range per column
+        scored.append((r.T, dr))
         return fit(r, dr, norms, sd)
 
     monkeypatch.setattr(encoder, "_fit", spy)
@@ -142,8 +143,8 @@ def test_local_search_scores_equal_the_float64_product(pixels, monkeypatch):
     # every call's sum(d r), against the float64 2x2 means of each range's 81 clamped translates
     image, scored, fit = GrayImage(pixels.astype(np.uint8)), [], encoder._fit
 
-    def spy(r, dr, norms, sd):
-        scored.append((r, dr))
+    def spy(r, dr, norms, sd):  # r holds a range per column
+        scored.append((r.T, dr))
         return fit(r, dr, norms, sd)
 
     monkeypatch.setattr(encoder, "_fit", spy)
@@ -163,6 +164,6 @@ def test_local_search_scores_equal_the_float64_product(pixels, monkeypatch):
 def test_norm_table_equals_the_norms_of_gathered_means(pixels, k):
     image = GrayImage(pixels.astype(np.uint8))
     ys, xs = np.mgrid[0 : image.height - 2 * k + 1, 0 : image.width - 2 * k + 1]
-    expected = encoder._norms(domain_means(box_sums(image), xs, ys, k).reshape(*xs.shape, k * k))
+    expected = mean_removed_norms(domain_means(box_sums(image), xs, ys, k).reshape(*xs.shape, k * k))
     got = encoder._norm_table(box_sums(image, np.uint16), k)
     assert all(a.dtype == np.float64 and np.array_equal(a, b) for a, b in zip(got, expected))
