@@ -6,12 +6,13 @@ an iterative contractive decoder, exhaustive/local search baselines, and a
 rate-distortion benchmark harness.
 
 A code is a QuadtreeCode: header fields plus a LeafTable, the leaves as
-int64 columns, a row per leaf. encode_quadtree(image, EncoderConfig) makes
-one; write_stream and read_stream turn it into .mns bytes and back, and
-stream_bit_count and level_id_bit_count sum the writer's field widths;
-decode(code, DecodeConfig) rebuilds the GrayImage. try_phase1/try_phase2
-take a RowBand and an (n, 2) array of block origins. decode_step(plan,
-raster, out) runs one sweep of the plan decoder._plan(code) builds.
+int64 columns, a row per leaf, defined with check_code in mnscodec.code.
+encode_quadtree(image, EncoderConfig) makes one; write_stream and
+read_stream turn it into .mns bytes and back, and stream_bit_count and
+level_id_bit_count sum the writer's field widths; decode(code,
+DecodeConfig) rebuilds the GrayImage. try_phase1/try_phase2 take a RowBand
+and an (n, 2) array of block origins. decode_step(plan, raster, out) runs
+one sweep of the plan decoder._plan(code) builds.
 """
 
 from .bench import OffsetHistogram, RdPoint, histogram_csv, offset_histogram, rd_csv, rd_sweep
@@ -22,12 +23,10 @@ from .bitstream import (
     stream_bit_count,
     write_stream,
 )
+from .code import CONTRAST_SETS, LeafTable, QuadtreeCode
 from .decoder import DecodeConfig, decode, decode_step
 from .encoder import (
-    CONTRAST_SETS,
     EncoderConfig,
-    LeafTable,
-    QuadtreeCode,
     RowBand,
     encode_full_search,
     encode_local_search,

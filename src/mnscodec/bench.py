@@ -46,14 +46,16 @@ def rd_sweep(image: GrayImage, modes, threshold_grid, technique2_options=(True,)
     """Encode, serialize, decode, and measure every config combination.
 
     threshold_grid entries are either one real RMS value (numpy scalars too) applied to all three
-    splittable levels or an (E1, E2, E3) triple; ValueError names any other before any encode. Rows
+    splittable levels or an (E1, E2, E3) triple; ValueError names any other, or an empty input, before any encode.
+    Each of modes, threshold_grid and technique2_options may be any iterable, a generator or an array too. Rows
     come out in grid order (modes outer, thresholds, then technique-2 options) and, timing aside,
     are a pure function of the inputs. Each layer has its own timer: encode_quadtree,
     write_stream, read_stream and decode; the exact bit count is taken off the clock.
     PSNR is taken against the original image, so padding pixels never count.
     """
-    if not modes or not threshold_grid:
-        raise ValueError("rd_sweep needs at least one mode and one threshold entry")
+    modes, threshold_grid, technique2_options = list(modes), list(threshold_grid), list(technique2_options)
+    if not modes or not threshold_grid or not technique2_options:
+        raise ValueError("rd_sweep needs at least one mode, one threshold entry and one technique-2 option")
     points: list[RdPoint] = []
     grid = [(e,) * 3 if isinstance(e, Real) else tuple(e) if hasattr(e, "__iter__") else () for e in threshold_grid]
     for entry, triple in zip(threshold_grid, grid):  # every entry is checked before any encode

@@ -7,15 +7,15 @@ With technique 2 set, the 2nd..4th members of each level-4 sibling quartet
 drop their level ids; the quartet is implied by the first member. A raster
 with a 16-pixel side has no level-1 leaves, since no 32x32 domain fits it.
 
-Writer and reader work on a code's LeafTable columns. A leaf's Morton start
-counts 2x2-pixel cells in DFS order: a level-L leaf covers 4 ** (4 - L)
-cells, a root 64. The writer takes the starts from encoder.check_code, the
+Writer and reader work on a code's LeafTable columns and take every shared
+rule from code. A leaf's Morton start counts 2x2-pixel cells in DFS order
+(code.level_cells). The writer takes the starts from code.check_code, the
 one rule for a valid code, and adds the stream's own six: a quadtree mode,
 sides that are multiples of 16 up to MAX_SIDE, starts that increase (DFS
 order), no search leaf and no phase 2 in a no_search code. The reader's
-starts are the total area of the leaves before each, and a leaf's (x, y) is
-its start de-interleaved. The quartet siblings are the level-4
-leaves whose start is not a multiple of 4.
+starts are the total area of the leaves before each, code.morton_origin
+turns them into (x, y) and code.leaf_rows into rows. The quartet siblings
+are the level-4 leaves whose start is not a multiple of 4.
 """
 
 from __future__ import annotations
@@ -26,15 +26,15 @@ import struct
 
 import numpy as np
 
-from .encoder import MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, MODES, NO_IMPLIED_MEAN, PHASE2, ROOT_SIZE, SEARCH
-from .encoder import TOO_MANY_PIXELS, LeafTable, QuadtreeCode, _reject, check_code, phase2_targets
+from .code import LEVEL_SIZES, MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, MODES, NO_IMPLIED_MEAN, PHASE2, ROOT_CELLS
+from .code import ROOT_SIZE, SEARCH, TOO_MANY_PIXELS, LeafTable, QuadtreeCode, check_code, leaf_rows, level_cells
+from .code import morton_origin, phase2_targets, reject
 
 MAGIC = b"MNS1"
 HEADER_BYTES = 13
 HEADER_BITS = 8 * HEADER_BYTES
 FLAG_MNS = 0x01
 FLAG_TECHNIQUE2 = 0x02
-ROOT_CELLS = 64  # 2x2-pixel cells per 16x16 root
 FIELDS = 8  # per leaf: level id, phase bit, o byte, s code, three sign-and-magnitude deltas, the four s bits
 NO_LEVEL1 = "level-1 leaf in a raster with a 16-pixel side, where no 32x32 domain fits"
 
@@ -64,9 +64,9 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     if code.padded_w > MAX_SIDE or code.padded_h > MAX_SIDE:
         raise ValueError("dimensions exceed the 16-bit header fields")
     level, p2, o, s_code, d, bits = t.level, t.kind == PHASE2, t.o_byte, t.s_code, t.deltas, t.s_bits
-    _reject(t, ((np.diff(start, prepend=-1) <= 0, "out of DFS order"),
-                (t.kind == SEARCH, "search-baseline records have no stream encoding"),
-                (p2 & (not mns), "phase-2 record in a no_search code")))
+    reject(t, ((np.diff(start, prepend=-1) <= 0, "out of DFS order"),
+               (t.kind == SEARCH, "search-baseline records have no stream encoding"),
+               (p2 & (not mns), "phase-2 record in a no_search code")))
     widths = _field_widths(level, p2, mns, code.technique2 & (level == 4) & (start % 4 != 0))  # elided ids
     nbits = MAGNITUDE_BITS[level, None]
     values = np.zeros_like(widths)
@@ -80,7 +80,7 @@ def write_stream(code: QuadtreeCode) -> bytes:
     """Serialize a no_search/mns code into .mns container bytes.
 
     Every check and field works on the code's columns at once: validity, the tiling among it, is
-    encoder.check_code's rule, and each leaf's fields are packed into one word, then placed by bit offset.
+    code.check_code's rule, and each leaf's fields are packed into one word, then placed by bit offset.
     """
     values, widths = _leaf_fields(code)
     word = np.zeros(len(values), dtype=np.int64)  # a leaf's fields MSB first: at most 33 bits
@@ -107,7 +107,7 @@ def _kind_steps(mns: bool, technique2: bool) -> tuple[tuple, tuple, tuple]:
     level, siblings = kind // 2 + 1, 3 * (technique2 & (kind >= 6))  # siblings: the id-less rest of a level-4 quartet
     bits = _field_widths(level, (kind % 2 == 1) & (level < 4), mns).sum(axis=1, dtype=np.int64)
     bits += siblings * int(_field_widths(4, False, mns, True).sum())
-    spans = (1 + siblings) * ROOT_CELLS >> 2 * (level - 1)
+    spans = (1 + siblings) * level_cells(level)
     return tuple((k,) * (1 + n) for k, n in enumerate(siblings.tolist())), tuple(bits.tolist()), tuple(spans.tolist())
 
 
@@ -126,7 +126,7 @@ def _scan(data: bytes, mns: bool, technique2: bool, total: int) -> tuple[list[in
         three = ((data[i] << 8 | data[i + 1]) >> (13 - (pos & 7))) & 7
         kind = three & keep[three >> 1]
         if start % spans[kind & 6]:
-            node = next(level for level, cells in ((1, 64), (2, 16), (3, 4), (4, 1)) if start % cells == 0)
+            node = next(level for level in LEVEL_SIZES if start % level_cells(level) == 0)
             raise StreamFormatError(f"level-{kind // 2 + 1} leaf cannot appear inside a level-{node} node")
         kinds += runs[kind]
         pos += steps[kind]
@@ -172,13 +172,8 @@ def read_stream(data: bytes) -> QuadtreeCode:
     level, p2 = kind // 2 + 1, kind % 2 == 1
     if min(padded_w, padded_h) < 2 * ROOT_SIZE and (level == 1).any():
         raise StreamFormatError(NO_LEVEL1)
-    cells = ROOT_CELLS >> 2 * (level - 1)
+    cells = level_cells(level)
     start = np.cumsum(cells) - cells  # each leaf's Morton start, which _scan kept a multiple of its area
-    root, m = np.divmod(start, ROOT_CELLS)
-    x, y = root % (padded_w // ROOT_SIZE) * ROOT_SIZE, root // (padded_w // ROOT_SIZE) * ROOT_SIZE
-    for shift in (4, 2, 0):  # the start de-interleaved: the TL/TR/BL/BR digits of sides 8, 4 and 2
-        digit, side = (m >> shift) & 3, 2 << shift // 2
-        x, y = x + (digit & 1) * side, y + (digit >> 1) * side
     widths = _field_widths(level, p2, mns, technique2 & (level == 4) & (start % 4 != 0)).ravel()
     # a field lies in the 16-bit window from its first byte; past one int64 offset, it is gathered narrow
     offset = np.cumsum(widths, dtype=np.int64)
@@ -190,16 +185,15 @@ def read_stream(data: bytes) -> QuadtreeCode:
     del offset  # the int64 offsets go before the table is built
     fields = fields.reshape(-1, FIELDS)
     nbits = MAGNITUDE_BITS.astype(np.int16)[level, None]  # with uint16 fields, int32 signs and magnitudes
-    sign, mag = fields[:, 4:7] >> nbits, fields[:, 4:7] & (1 << nbits) - 1
-    if (sign & (mag == 0)).any():
+    sign, deltas = fields[:, 4:7] >> nbits, fields[:, 4:7] & (1 << nbits) - 1
+    if (sign & (deltas == 0)).any():
         raise StreamFormatError("non-canonical negative-zero delta")
-    rows = np.zeros((len(kind), LeafTable.WIDTH), dtype=np.int64)
-    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = level, PHASE2 * p2, x, y, 2 * ROOT_SIZE >> level
-    rows[:, 5:7], rows[:, 7:10] = fields[:, 2:4], np.where(sign == 1, -mag, mag)
-    rows[:, 10:14] = fields[:, 7:] >> (3, 2, 1, 0) & 1
-    if (phase2_targets(rows[:, 5], rows[:, 7:10].T)[3] >> 8).any():  # a phase-1 leaf's deltas are 0: its o byte
+    np.negative(deltas, out=deltas, where=sign == 1)
+    s_bits = fields[:, 7:] >> np.arange(3, -1, -1, dtype=np.uint16) & 1
+    t = LeafTable(leaf_rows(level, PHASE2 * p2, *morton_origin(start, padded_w), *fields.T[2:4], deltas, s_bits))
+    if (phase2_targets(t.o_byte, t.deltas.T)[3] >> 8).any():  # a phase-1 leaf's deltas are 0: its o byte
         raise StreamFormatError(NO_IMPLIED_MEAN)
-    return QuadtreeCode(LeafTable(rows), padded_w, padded_h, orig_w, orig_h, "mns" if mns else "no_search", technique2)
+    return QuadtreeCode(t, padded_w, padded_h, orig_w, orig_h, "mns" if mns else "no_search", technique2)
 
 
 def stream_bit_count(code: QuadtreeCode) -> int:

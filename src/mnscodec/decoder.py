@@ -12,7 +12,7 @@ test codes decode within one gray of a float64 decode. Blocks are addressed by
 flat origins. Every run of blocks is mapped by one apply_map call and written
 by _paint, which writes a 2x2 run as four flat pixel planes, since fancy
 indexing costs ~50 ns per block on a window view, more than a 2x2 block's map.
-decode checks each code with encoder.check_code, as the writer does, first.
+decode first checks each code with code.check_code, as the writer does.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import CONTRAST_SETS, PHASE2, SEARCH, QuadtreeCode, _quadrants, check_code, phase2_targets
-from .image import GrayImage, co_domain_origins, flat_windows, parity_sums
+from .code import CONTRAST_SETS, PHASE2, SEARCH, QuadtreeCode, check_code, co_domain_origins, phase2_targets, quadrants
+from .image import GrayImage, flat_windows, parity_sums
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
@@ -60,14 +60,14 @@ class _Plan(NamedTuple):
 
 def _plan(code: QuadtreeCode) -> _Plan:
     """Plan every painted block, one per phase-1 or search leaf and four per phase-2 leaf, of a code that
-    encoder.check_code accepts, as decode checks it."""
+    code.check_code accepts, as decode checks it."""
     w, h, t = code.padded_w, code.padded_h, code.leaves
     p2 = t.kind == PHASE2
     pairs = np.array([CONTRAST_SETS[level] for level in (1, 2, 3)])
-    xyk, domain = t.rows[:, 2:5].astype(np.int32), t.domain[:, :2].astype(np.int32)  # a valid code's values fit
-    qx, qy = _quadrants(xyk[p2, :2], xyk[p2, 2]).T
-    x, y = np.concatenate([xyk[~p2, 0], qx], dtype=np.int32), np.concatenate([xyk[~p2, 1], qy], dtype=np.int32)
-    k = np.concatenate([xyk[~p2, 2], (xyk[p2, 2] // 2).repeat(4)])
+    xy, k, domain = (a.astype(np.int32) for a in (t.xy, t.size, t.domain[:, :2]))  # a valid code's values fit
+    qx, qy = quadrants(xy[p2], k[p2]).T
+    x, y = np.concatenate([xy[~p2, 0], qx], dtype=np.int32), np.concatenate([xy[~p2, 1], qy], dtype=np.int32)
+    k = np.concatenate([k[~p2], (k[p2] // 2).repeat(4)])
     s = np.concatenate([dequantize_contrast(t.s_code[~p2]), pairs[t.level[p2, None] - 1, t.s_bits[p2]].ravel()])
     o = np.concatenate([t.o_byte[~p2], np.stack(phase2_targets(t.o_byte[p2], t.deltas[p2].T), axis=1).ravel()])
     dx, dy = np.concatenate([domain[~p2], np.zeros((len(qx), 2), np.int32)]).T
@@ -156,7 +156,7 @@ def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
     to each block's o, clamped into [0, 255], so painting that is decode_step's sweep bit for bit.
     The sweeps alternate between two float32 rasters, and one more buffer takes each sweep's change and then
     the rounding, so the last sweep's input and output are left as they were. Only a sweep whose change on
-    every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code that encoder.check_code
+    every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code that code.check_code
     rejects raises its ValueError first, before the plan or any raster."""
     cfg = config if config is not None else DecodeConfig()
     check_code(code)

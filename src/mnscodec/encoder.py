@@ -24,40 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, box_sums, co_domain_origins, flat_windows, pad_to_multiple
+from .code import CONTRAST_SETS, LEVEL_SIZES, MAX_PIXELS, MAX_SIDE, MODES, PHASE1, PHASE2, QUADRANT_STEPS, ROOT_SIZE
+from .code import SEARCH, SIZE_LEVELS, TOO_MANY_PIXELS, LeafTable, QuadtreeCode, co_domain_origins, delta_limit
+from .code import leaf_rows, morton_start, phase2_targets, quadrants
+from .image import GrayImage, box_sums, flat_windows, pad_to_multiple
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import contrast_bins
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
 
-MODES = ("no_search", "mns")  # the quadtree modes; the search baselines take only full_search_step
-
-ROOT_SIZE = 16
-MAX_SIDE = 0xFFFF  # largest padded side: the .mns header stores each dimension as a u16
-MAX_PIXELS = 1 << 26  # largest padded raster the stream reader and writer and the decoder take: decode's three
-# float32 rasters then need 768 MB, where the header alone would admit 65520 x 65520 and 3 x 17 GB
-TOO_MANY_PIXELS = f"padded raster over the MAX_PIXELS ({MAX_PIXELS}) pixel limit"
-NO_IMPLIED_MEAN = "phase-2 leaf whose implied fourth quadrant mean, o_byte minus the deltas, is not a byte"
-LEVEL_SIZES = {1: 16, 2: 8, 3: 4, 4: 2}
-SIZE_LEVELS = {size: level for level, size in LEVEL_SIZES.items()}
 WORK_PIXELS = 1 << 16  # range pixels per kernel call; a band holds up to 8x as many pixels (one root row at least)
-QUADRANT_STEPS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])  # (dx, dy) of TL, TR, BL, BR, in quadrant sides
-
-# Two-element contrast sets searched per quadrant in phase 2, one per level.
-CONTRAST_SETS = {1: (0.2, 0.5), 2: (0.4, 0.65), 3: (0.5, 0.9)}
-
-# Magnitude bits of a phase-2 mean offset; one sign bit comes on top.
-DELTA_MAGNITUDE_BITS = {1: 4, 2: 5, 3: 5}
-MAGNITUDE_BITS = np.array([DELTA_MAGNITUDE_BITS.get(level, 0) for level in range(5)], np.int32)  # by level, or 0
-
-
-def delta_limit(level: int) -> int:
-    """Largest sub-block mean offset encodable at this level."""
-    return (1 << DELTA_MAGNITUDE_BITS[level]) - 1
-
-
-def phase2_targets(o_byte: int, deltas: tuple[int, int, int]) -> tuple[int, int, int, int]:
-    """Reconstructed TL, TR, BL, BR quadrant means; the BR mean is implied by the block mean."""
-    return (o_byte + deltas[0], o_byte + deltas[1], o_byte + deltas[2], o_byte - sum(deltas))
 
 
 @dataclass(frozen=True)
@@ -92,67 +67,6 @@ class EncoderConfig:
         return (self.e1, self.e2, self.e3)[level - 1]
 
 
-PHASE1, PHASE2, SEARCH = 0, 1, 2  # leaf kinds: co-centered fit, sub-block means, stored search domain
-
-
-class LeafTable:
-    """A code's leaves as int64 columns of one read-only (n, 17) array, a row per leaf in code order.
-
-    Columns: level, kind (PHASE1, PHASE2 or SEARCH), the block's x, y and size, o_byte, s_code,
-    then the (n, 3) deltas, the (n, 4) s_bits and the search domain's (n, 3) x, y and size.
-    It keeps any values; check_code requires, among others, that fields a kind does not use are 0.
-    An int64 `rows` array is kept as it is and made read-only. Its repr lists every row in full.
-    """
-
-    WIDTH = 17
-
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.WIDTH)
-        self.rows.flags.writeable = False
-        self.level, self.kind, self.x, self.y, self.size, self.o_byte, self.s_code = self.rows.T[:7]
-        self.deltas, self.s_bits, self.domain = self.rows[:, 7:10], self.rows[:, 10:14], self.rows[:, 14:]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __repr__(self) -> str:
-        return f"LeafTable({self.rows.tolist()})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LeafTable):
-            return NotImplemented
-        return np.array_equal(self.rows, other.rows)
-
-    def __hash__(self) -> int:
-        return hash(self.rows.tobytes())
-
-
-@dataclass(frozen=True)
-class QuadtreeCode:
-    """Leaves tiling the padded raster, plus header metadata; check_code says whether a code is valid.
-
-    Leaf order: DFS in quadtree codes (16x16 roots in raster order, children TL, TR, BL, BR), raster in search codes.
-    """
-
-    leaves: LeafTable
-    padded_w: int
-    padded_h: int
-    orig_w: int
-    orig_h: int
-    mode: str
-    technique2: bool
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.leaves, LeafTable):
-            raise TypeError(f"leaves must be a LeafTable, not {type(self.leaves).__name__}")
-
-    def level_counts(self) -> tuple[int, int, int, int]:
-        return tuple(np.bincount(self.leaves.level, minlength=5)[1:5].tolist())
-
-    def phase2_count(self) -> int:
-        return int(np.count_nonzero(self.leaves.kind == PHASE2))
-
-
 @dataclass(frozen=True)
 class RowBand:
     """Rows lo.. of a padded raster with their 2x2 box sums: what the phase kernels read.
@@ -165,79 +79,6 @@ class RowBand:
     lo: int
     width: int
     height: int
-
-
-def _morton(x: np.ndarray, y: np.ndarray, w: int) -> np.ndarray:
-    """DFS start, in 2x2 cells, of the blocks at (x, y) of a w-wide raster: its 16x16 root's index over ceil(w / 16)
-    roots a row, times 64, plus its TL/TR/BL/BR digits at sides 8, 4 and 2, which weigh 16, 4 and 1 cells; so
-    bits 3, 2 and 1 of x go to bits 4, 2 and 0 of the key, and those of y to bits 5, 3 and 1."""
-    spread = np.array([0, 1, 4, 5, 16, 17, 20, 21], np.int32)  # bits 2, 1 and 0 of the index, at bits 4, 2 and 0
-    return (y // ROOT_SIZE * -(-w // ROOT_SIZE) + x // ROOT_SIZE) * 64 + spread[x >> 1 & 7] + 2 * spread[y >> 1 & 7]
-
-
-def _reject(leaves: LeafTable, rules) -> None:
-    """ValueError naming the first leaf that breaks the first (bad mask, message) rule that any leaf breaks."""
-    for bad, what in rules:
-        if bad.any():
-            raise ValueError(f"leaf {bad.argmax()} {leaves.rows[bad.argmax()].tolist()}: {what}")
-
-
-def check_code(code: QuadtreeCode) -> np.ndarray:
-    """The one rule for a valid code. Returns each leaf's int32 DFS start in 2x2 cells, _morton of its origin, or
-    raises ValueError unless technique2 is a bool, the mode a known one, the sizes integers (no bools), the padded
-    w x h raster holds at most MAX_PIXELS pixels and the original size, and each leaf has a known kind, a level 1..4
-    that matches its size, its kind's fields in range and the others 0, and a 2k x 2k domain that fits, co-centered
-    or stored; and unless the leaves tile the raster: each lies inside it at a multiple of its side, the areas add up
-    to w * h, and, taken by start, no leaf's cells [start, start + (side / 2)^2) reach the next's. Phase-2 rules run
-    first, then the other fields, the tiling and the domains."""
-    dims = (code.padded_w, code.padded_h, code.orig_w, code.orig_h)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in dims):
-        raise ValueError(f"original dimensions and padded ones must be integers, not bools: {dims!r}")
-    if not isinstance(code.technique2, (bool, np.bool_)):
-        raise ValueError(f"technique2 must be a bool, not {code.technique2!r}")
-    if code.mode not in ("no_search", "mns", "full_search", "local_search"):
-        raise ValueError(f"unknown mode {code.mode!r}")
-    w, h, orig_w, orig_h = map(int, dims)
-    if w * h > MAX_PIXELS:
-        raise ValueError(TOO_MANY_PIXELS)
-    if not (0 < orig_w <= w and 0 < orig_h <= h):
-        raise ValueError("original dimensions must fit inside the padded raster")
-    leaves, rows = code.leaves, code.leaves.rows
-    if rows.min(initial=0) < -1 << 31 or rows.max(initial=0) >= 1 << 31:  # no valid field is that large
-        _reject(leaves, (((rows != rows.astype(np.int32)).any(axis=1), "a field past the int32 range"),))
-    # the columns as one contiguous (17, n) int32 copy: each pass costs half a strided one, and the copy half an
-    # int64 one (decode's peak memory is bound per pixel)
-    columns = rows.T.astype(np.int32, order="C")
-    (level, kind, x, y, k, o, s_code), d, bits, (dx, dy, dk) = columns[:7], columns[7:10], columns[10:14], columns[14:]
-    p2, search = kind == PHASE2, kind == SEARCH
-    _reject(leaves, (((kind < PHASE1) | (kind > SEARCH), "unknown leaf kind"),
-                     (p2 & ((level < 1) | (level > 3)), "phase-2 leaf outside levels 1..3"),
-                     (p2 & (np.abs(d).max(axis=0) >> MAGNITUDE_BITS.take(level, mode="clip") != 0),
-                      "phase-2 delta exceeds its level's width"),
-                     (p2 & (bits >> 1 != 0).any(axis=0), "phase-2 contrast pick other than 0 or 1"),
-                     (p2 & (o - d[0] - d[1] - d[2] >> 8 != 0), NO_IMPLIED_MEAN),  # phase2_targets' fourth mean
-                     ((level < 1) | (level > 4) | (k != 2 * ROOT_SIZE >> level.clip(1, 4)),
-                      "level outside 1..4 or not matching the leaf's size"),
-                     (o >> 8 != 0, "luminance byte out of range"),
-                     (~p2 & (s_code >> 3 != 0), "contrast code out of range"),
-                     (np.where(p2, s_code != 0, columns[7:14].any(axis=0)) | ~search & columns[14:].any(axis=0),
-                      "a field its kind does not use is not 0"),  # deltas and s_bits, s_code, the domain
-                     # the level rule made k 2, 4, 8 or 16, so (x | y) & k - 1 is 0 iff k divides x and y
-                     (((x | y) & k - 1 != 0) | (x < 0) | (y < 0) | (x > w - k) | (y > h - k),
-                      f"does not tile the {w}x{h} raster")))
-    if (area := (k * k).sum()) != w * h:
-        raise ValueError("leaf list under-fills the padded raster" if area < w * h else "excess leaf records")
-    start = _morton(x, y, w)
-    order = np.argsort(start)
-    over = order[1:][np.diff(start[order]) < (k[order[:-1]] // 2) ** 2]  # int32, like k: starts are under 2^24
-    if len(over):
-        raise ValueError(f"leaf {over[0]} {rows[over[0]].tolist()}: overlaps another, so the leaves do not tile")
-    cramped = ~search & (2 * k > min(w, h))
-    side = 2 * k[cramped.argmax()] if len(k) else 0
-    _reject(leaves, ((cramped, f"no {side}x{side} domain fits the {w}x{h} raster"),
-                     (search & ((dk != 2 * k) | (dx < 0) | (dy < 0) | (dx > w - dk) | (dy > h - dk)),
-                      f"its stored domain is not twice its side or leaves the {w}x{h} raster")))
-    return start
 
 
 def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
@@ -289,19 +130,12 @@ def _moments(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return np.einsum("kn,kn->n", d, r), np.einsum("kn,kn->n", d, d) - sd * sd / len(d), sd
 
 
-def _quadrants(xy: np.ndarray, size) -> np.ndarray:
-    """Origins of the four quadrants, TL, TR, BL, BR, of each block at origins xy; size is one side or one per block."""
-    return (xy[:, None, :] + QUADRANT_STEPS * np.reshape(size // 2, (-1, 1, 1))).reshape(-1, 2)
-
-
 def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     """LeafTable rows of the blocks at origins xy from payload rows: (o_byte, s_code) for
     phase 1, or (o_byte, three deltas, four s_bits) for phase 2."""
-    rows = np.zeros((len(xy), LeafTable.WIDTH), dtype=np.int64)
-    p2 = payload.shape[1] == 8
-    rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4] = level, PHASE2 if p2 else PHASE1, xy, LEVEL_SIZES[level]
-    rows[:, [5, *range(7, 14)] if p2 else [5, 6]] = payload
-    return rows
+    if payload.shape[1] == 8:
+        return leaf_rows(level, PHASE2, *xy.T, payload[:, 0], 0, payload[:, 1:4], payload[:, 4:])
+    return leaf_rows(level, PHASE1, *xy.T, *payload.T)
 
 
 def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
@@ -398,7 +232,7 @@ def _pad(image: GrayImage, multiple: int) -> GrayImage:
     """`image` padded to a multiple of `multiple`; ValueError past MAX_PIXELS, before anything is padded or fitted."""
     w, h = (-(-side // multiple) * multiple for side in (image.width, image.height))
     if w * h > MAX_PIXELS:
-        raise ValueError(f"a padded {w}x{h} raster exceeds MAX_PIXELS ({MAX_PIXELS} pixels)")
+        raise ValueError(TOO_MANY_PIXELS)
     return pad_to_multiple(image, multiple)
 
 
@@ -412,7 +246,7 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     8 * WORK_PIXELS pixels (one root row at least), so one band's box sums and
     one call's float64 arrays bound the memory; 512x512 is one band. Blocks are
     fitted one by one, so calls and bands do not change the code. Accepted
-    blocks become LeafTable rows, and one sort by their _morton start puts
+    blocks become LeafTable rows, and one sort by their morton_start puts
     them in DFS order.
     """
     if max(image.width, image.height) > MAX_SIDE // ROOT_SIZE * ROOT_SIZE:  # iff a padded side passes MAX_SIDE
@@ -435,11 +269,11 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
                     rows.append(_rows(xy[i : i + step][accepted], level, payload[accepted]))
                     live[i : i + step] = ~accepted
                 xy = xy[live]
-            xy = _quadrants(xy, size)
-    table = np.concatenate(rows)
+            xy = quadrants(xy, size)
+    table = LeafTable(np.concatenate(rows))
     rows.clear()  # the parts go before the sort copies the table
-    table = table[np.argsort(_morton(table[:, 2], table[:, 3], w))]
-    return QuadtreeCode(LeafTable(table), w, h, image.width, image.height, config.mode, config.technique2)
+    table = LeafTable(table.rows[np.argsort(morton_start(table.x, table.y, w))])
+    return QuadtreeCode(table, w, h, image.width, image.height, config.mode, config.technique2)
 
 
 def _norm_table(sums: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -496,21 +330,20 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
         cells = (ys - v[:, None]) * 9 + xs - u[:, None] + 81 * (np.arange(len(ranges)) % step)[:, None]
         at = ys * norms.shape[1] + xs  # each candidate's flat index into the per-origin tables
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
-    rows = np.zeros((len(ranges), LeafTable.WIDTH), dtype=np.int64)
-    rows[:, 0], rows[:, 1], rows[:, 4], rows[:, 16] = SIZE_LEVELS[k], SEARCH, k, 2 * k
-    rows[:, 3], rows[:, 2] = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)
+    o_byte, s_code, dx, dy = np.zeros((4, len(ranges)), dtype=np.int64)  # each range's fit and domain origin
     for i in range(0, len(ranges), step):
         part = slice(i, i + step)
         r, r4 = ranges[part].astype(np.float64), ranges[part] * dtype(0.25)
         if shared:
-            best, rows[part, 6], rows[part, 5], _ = _fit(r.T, (pool @ r4.T).T, pool_norms, pool_sd)
+            best, s_code[part], o_byte[part], _ = _fit(r.T, (pool @ r4.T).T, pool_norms, pool_sd)
         else:
             g = _translates(flat_windows(sums, 23)[v[part] * sums.shape[1] + u[part]], r4.reshape(-1, 8, 8))
             dr, near = g.take(cells[part]), at[part]
-            best, rows[part, 6], rows[part, 5], _ = _fit(r.T, dr, norms.take(near), sd.take(near))
+            best, s_code[part], o_byte[part], _ = _fit(r.T, dr, norms.take(near), sd.take(near))
         won = np.arange(i, i + len(best)), best
-        rows[part, 14], rows[part, 15] = xs[won], ys[won]
-    return LeafTable(rows)
+        dx[part], dy[part] = xs[won], ys[won]
+    y, x = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)
+    return LeafTable(leaf_rows(SIZE_LEVELS[k], SEARCH, x, y, o_byte, s_code, domain=(dx, dy)))
 
 
 def encode_full_search(
@@ -535,7 +368,7 @@ def encode_full_search(
     w, h, step = padded.width, padded.height, config.full_search_step
     ys, xs = np.mgrid[0 : h - dsize + 1 : step, 0 : w - dsize + 1 : step].reshape(2, -1)
     table = _search(padded, range_size, xs, ys)
-    offsets = table.domain[:, :2] - table.rows[:, 2:4] + range_size - range_size // 2  # domain center - range center
+    offsets = table.domain[:, :2] - table.xy + range_size - range_size // 2  # domain center - range center
     return QuadtreeCode(table, w, h, image.width, image.height, "full_search", False), list(zip(*offsets.T.tolist()))
 
 

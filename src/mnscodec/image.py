@@ -165,13 +165,3 @@ def flat_windows(a: np.ndarray, k: int) -> np.ndarray:
     h, w = a.shape
     return np.ndarray(((h - k) * w + w - k + 1, k, k), a.dtype, a, 0, (a.itemsize, a.strides[0], a.itemsize))
 
-
-def co_domain_origins(x, y, k, img_w: int, img_h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Origins (x, y) of the 2k x 2k domains centered on the k x k ranges at x, y, each shifted per axis
-    by the least amount that keeps it in bounds; k may be one side."""
-    if np.any(k % 2):
-        raise ValueError("range size must be even")
-    if np.any(2 * k > min(img_w, img_h)):
-        raise ValueError(f"no {2 * np.max(k)}x{2 * np.max(k)} domain fits a {img_w}x{img_h} image")
-    # np.clip would cost the encoder's many small calls a few µs each
-    return np.minimum(np.maximum(x - k // 2, 0), img_w - 2 * k), np.minimum(np.maximum(y - k // 2, 0), img_h - 2 * k)

@@ -6,13 +6,10 @@ import math
 
 import numpy as np
 
-from .image import _raster
-
 
 def mse(a, b) -> float:
-    """Mean squared pixel difference."""
-    pa = _raster(a).astype(np.float64)
-    pb = _raster(b).astype(np.float64)
+    """Mean squared pixel difference of two GrayImages (anything with `pixels`) or arrays."""
+    pa, pb = (np.asarray(getattr(x, "pixels", x), np.float64) for x in (a, b))
     if pa.shape != pb.shape:
         raise ValueError(f"image dimensions differ: {pa.shape} vs {pb.shape}")
     diff = pa - pb

@@ -13,7 +13,7 @@ import struct
 
 from mnscodec.bitstream import FLAG_MNS, FLAG_TECHNIQUE2, HEADER_BYTES, MAGIC, NO_IMPLIED_MEAN, NO_LEVEL1, StreamFormatError
 from mnscodec.bitstream import TOO_MANY_PIXELS
-from mnscodec.encoder import DELTA_MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, ROOT_SIZE, QuadtreeCode, delta_limit
+from mnscodec.code import DELTA_MAGNITUDE_BITS, MAX_PIXELS, MAX_SIDE, ROOT_SIZE, QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from mnscodec.encoder import PHASE1, PHASE2, SEARCH, LeafTable
+from mnscodec.code import PHASE1, PHASE2, SEARCH, LeafTable
 from mnscodec.image import BlockRect
 
 

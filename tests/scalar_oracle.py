@@ -1,7 +1,7 @@
 """Scalar, one-block-at-a-time forms of the codec's geometry and quantizer, for the oracles.
 
 mnscodec runs these jobs only as array kernels: co_domain_origins, the
-stride-2 domain gathers and their moments, encoder._quadrants and the numpy
+stride-2 domain gathers and their moments, code.quadrants and the numpy
 contrast quantizer. The oracles in tests/ rebuild every code and sweep from the
 helpers here instead, so they check those kernels without sharing them.
 The quantizer is written from the spec, bin by bin, not from the kernels'

@@ -16,8 +16,9 @@ from mnscodec.bitstream import (
     stream_bit_count,
     write_stream,
 )
+from mnscodec.code import PHASE2, QuadtreeCode
 from mnscodec.decoder import _plan, decode
-from mnscodec.encoder import PHASE2, EncoderConfig, QuadtreeCode, encode_full_search, encode_quadtree
+from mnscodec.encoder import EncoderConfig, encode_full_search, encode_quadtree
 from mnscodec.image import BlockRect
 from mnscodec.metrics import psnr
 from mnscodec.transform import fit_affine, rms_error

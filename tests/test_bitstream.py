@@ -17,8 +17,9 @@ from mnscodec.bitstream import (
     stream_bit_count,
     write_stream,
 )
+from mnscodec.code import QuadtreeCode
 from mnscodec.decoder import decode
-from mnscodec.encoder import EncoderConfig, QuadtreeCode, encode_quadtree
+from mnscodec.encoder import EncoderConfig, encode_quadtree
 from mnscodec.image import BlockRect, GrayImage, PgmFormatError, load_pgm, save_pgm
 
 import bitstream_oracle as oracle

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import bitstream_oracle as oracle
 from mnscodec.bitstream import HEADER_BYTES, MAGIC, StreamFormatError, read_stream, stream_bit_count, write_stream
+from mnscodec.code import MAX_PIXELS, LeafTable, QuadtreeCode
 from mnscodec.decoder import decode
-from mnscodec.encoder import MAX_PIXELS, EncoderConfig, LeafTable, QuadtreeCode, encode_quadtree
+from mnscodec.encoder import EncoderConfig, encode_quadtree
 from mnscodec.image import BlockRect
 
 from records import LeafRecord, records, table_of

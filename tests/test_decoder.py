@@ -11,20 +11,9 @@ from hypothesis import strategies as st
 
 from mnscodec import decoder
 from mnscodec.bitstream import read_stream, write_stream
+from mnscodec.code import MAX_PIXELS, MODES, PHASE1, PHASE2, LeafTable, QuadtreeCode, check_code
 from mnscodec.decoder import START_VALUE, STOP_SAMPLE_ROWS, DecodeConfig, _plan, decode, decode_step
-from mnscodec.encoder import (
-    MAX_PIXELS,
-    MODES,
-    PHASE1,
-    PHASE2,
-    EncoderConfig,
-    LeafTable,
-    QuadtreeCode,
-    check_code,
-    encode_full_search,
-    encode_local_search,
-    encode_quadtree,
-)
+from mnscodec.encoder import EncoderConfig, encode_full_search, encode_local_search, encode_quadtree
 from mnscodec.image import BlockRect, GrayImage
 from mnscodec.transform import apply_map
 

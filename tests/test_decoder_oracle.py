@@ -10,17 +10,9 @@ arbitrary start may.
 import numpy as np
 import pytest
 
+from mnscodec.code import CONTRAST_SETS, QuadtreeCode, check_code, phase2_targets
 from mnscodec.decoder import _plan, decode
-from mnscodec.encoder import (
-    CONTRAST_SETS,
-    EncoderConfig,
-    QuadtreeCode,
-    check_code,
-    encode_full_search,
-    encode_local_search,
-    encode_quadtree,
-    phase2_targets,
-)
+from mnscodec.encoder import EncoderConfig, encode_full_search, encode_local_search, encode_quadtree
 from mnscodec.image import BlockRect, downsample_mean2
 from mnscodec.transform import apply_map
 

@@ -7,9 +7,8 @@ import pytest
 
 import mnscodec.encoder as enc
 import mnscodec.transform as transform
+from mnscodec.code import CONTRAST_SETS, PHASE1
 from mnscodec.encoder import (
-    CONTRAST_SETS,
-    PHASE1,
     EncoderConfig,
     encode_full_search,
     encode_local_search,

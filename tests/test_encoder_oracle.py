@@ -16,20 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mnscodec import encoder, transform
-from mnscodec.encoder import (
-    CONTRAST_SETS,
-    LEVEL_SIZES,
-    ROOT_SIZE,
-    EncoderConfig,
-    LeafTable,
-    QuadtreeCode,
-    RowBand,
-    delta_limit,
-    encode_quadtree,
-    phase2_targets,
-    try_phase1,
-    try_phase2,
-)
+from mnscodec.code import CONTRAST_SETS, LEVEL_SIZES, ROOT_SIZE, LeafTable, QuadtreeCode, delta_limit, phase2_targets
+from mnscodec.encoder import EncoderConfig, RowBand, encode_quadtree, try_phase1, try_phase2
 from mnscodec.image import BlockRect, GrayImage, box_sums, downsample_mean2, pad_to_multiple
 from mnscodec.transform import fit_affine, rms_error
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnscodec.code import co_domain_origins
 from mnscodec.image import (
     BlockRect,
     GrayImage,
     PgmFormatError,
     box_sums,
-    co_domain_origins,
     downsample_mean2,
     flat_windows,
     load_pgm,

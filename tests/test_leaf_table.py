@@ -9,18 +9,9 @@ import pytest
 
 from mnscodec import bench, bitstream
 from mnscodec.bench import RD_CSV_COLUMNS, rd_csv, rd_sweep
+from mnscodec.code import PHASE1, PHASE2, SEARCH, LeafTable, QuadtreeCode
 from mnscodec.decoder import decode
-from mnscodec.encoder import (
-    PHASE1,
-    PHASE2,
-    SEARCH,
-    EncoderConfig,
-    LeafTable,
-    QuadtreeCode,
-    encode_full_search,
-    encode_local_search,
-    encode_quadtree,
-)
+from mnscodec.encoder import EncoderConfig, encode_full_search, encode_local_search, encode_quadtree
 from mnscodec.image import BlockRect
 
 from records import BaselinePayload, LeafRecord, Phase1Payload, Phase2Payload, records, table_of

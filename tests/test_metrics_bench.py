@@ -137,6 +137,24 @@ class TestRdSweep:
             rd_sweep(constant_64, modes, grid, technique2)
         assert encodes == []
 
+    @pytest.mark.parametrize("modes, grid, technique2", [([], [8.0], (True,)), (["mns"], [], (True,)),
+                                                         (["mns"], [8.0], ()), (["mns"], [8.0], iter(()))],
+                             ids=["modes", "threshold_grid", "technique2_options", "an_empty_iterator"])
+    def test_rejects_an_empty_input_before_any_encode(self, constant_64, modes, grid, technique2, monkeypatch):
+        encodes = []
+        monkeypatch.setattr(bench, "encode_quadtree", lambda *args: encodes.append(args))
+        with pytest.raises(ValueError, match="at least one mode, one threshold entry and one technique-2 option"):
+            rd_sweep(constant_64, modes, grid, technique2)
+        assert encodes == []
+
+    def test_iterators_and_arrays_give_the_rows_of_lists(self, constant_64):
+        rows = strip_time(rd_sweep(constant_64, ["no_search", "mns"], [8.0, 6.0], [True, False]))
+        assert len(rows) == 8
+        assert strip_time(rd_sweep(constant_64, iter(["no_search", "mns"]), iter([8.0, 6.0]), iter([True, False]))) == rows
+        assert strip_time(rd_sweep(constant_64, ["no_search", "mns"], np.array([8.0, 6.0]), [True, False])) == rows
+        with pytest.raises(ValueError, match="threshold entry 'x' is neither"):
+            rd_sweep(constant_64, ["mns"], iter([8.0, "x"]))
+
     def test_serializes_each_point_once(self, natural_128, monkeypatch):
         codes = []
         serialize = bitstream.write_stream

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnscodec import encoder
+from mnscodec import code
 from mnscodec.image import BlockRect
 from mnscodec.transform import CONTRAST_VALUES
 from mnscodec.transform import dequantize_contrast as kernel_dequantize
@@ -73,8 +73,8 @@ def test_quadrants_match_the_encoders():
     rects = [BlockRect(x, y, size) for size in (16, 8, 4, 2) for x, y in ((0, 0), (48, 16), (6, 10))]
     expected = [(q.x, q.y) for rect in rects for q in quadrants(rect)]
     xy = np.array([(r.x, r.y) for r in rects])
-    assert encoder._quadrants(xy, np.array([r.size for r in rects])).tolist() == [list(q) for q in expected]
+    assert code.quadrants(xy, np.array([r.size for r in rects])).tolist() == [list(q) for q in expected]
     for size in (16, 8, 4, 2):  # one side for every block, as the encoder passes it
         same = [r for r in rects if r.size == size]
-        got = encoder._quadrants(np.array([(r.x, r.y) for r in same]), size)
+        got = code.quadrants(np.array([(r.x, r.y) for r in same]), size)
         assert got.tolist() == [[q.x, q.y] for r in same for q in quadrants(r)]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import mnscodec.encoder as encoder
-from mnscodec.encoder import SIZE_LEVELS, EncoderConfig, encode_full_search, encode_local_search
+from mnscodec.code import SIZE_LEVELS
+from mnscodec.encoder import EncoderConfig, encode_full_search, encode_local_search
 from mnscodec.image import BlockRect, GrayImage, box_sums, downsample_mean2, pad_to_multiple
 from mnscodec.transform import fit_affine, rms_error
 

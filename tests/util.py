@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from mnscodec.code import QuadtreeCode, delta_limit
 from mnscodec.decoder import START_VALUE, DecodeConfig, _plan, decode_step
-from mnscodec.encoder import QuadtreeCode, delta_limit
 from mnscodec.image import BlockRect, GrayImage
 
 from records import LeafRecord, Phase1Payload, Phase2Payload, table_of
