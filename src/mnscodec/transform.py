@@ -13,6 +13,8 @@ import numpy as np
 
 CONTRAST_CODES = 8
 CONTRAST_VALUES = tuple(-0.875 + 0.25 * k for k in range(CONTRAST_CODES))
+_CONTRASTS = np.array(CONTRAST_VALUES)  # read-only, so dequantize_contrast converts no tuple per call
+_CONTRASTS.flags.writeable = False
 
 
 class AffineParams(NamedTuple):
@@ -64,7 +66,7 @@ def dequantize_contrast(code: int | np.ndarray) -> np.ndarray:
     codes = np.asarray(code)
     if codes.size and not (0 <= codes.min() and codes.max() < CONTRAST_CODES):
         raise ValueError(f"contrast code {code} outside [0, {CONTRAST_CODES - 1}]")
-    return np.take(CONTRAST_VALUES, codes)
+    return _CONTRASTS.take(codes)
 
 
 def apply_map(block_d, s, o, out: np.ndarray | None = None) -> np.ndarray:

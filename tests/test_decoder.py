@@ -20,6 +20,7 @@ from mnscodec.transform import apply_map
 from records import BaselinePayload, LeafRecord, Phase1Payload, table_of
 from test_bitstream_oracle import traced_peak
 from test_decoder_oracle import IMAGES, _rasters, oracle_step
+from test_workload_digests import WORKLOADS
 from util import natural_image, noise_image, random_code, reference_decode, scene_image, sweep
 
 
@@ -75,19 +76,12 @@ class TestDecodeStep:
             assert later <= earlier + 1e-9
 
     def test_plane_mean_adds_in_np_means_order(self):
-        # decode_step gathers a 2x2 run's four sum planes into a (4, n) array and maps its (n, 2, 2) view
-        # p.T.reshape(n, 2, 2); apply_map of that strided view must give the pixels it gives for the
-        # contiguous stack, which holds while numpy adds the view's four terms in a contiguous block's
-        # order, ((a + b) + c) + d, so a change of numpy's order fails here first
-        rng = np.random.default_rng(16)
-        n = 100_000
-        blocks = np.concatenate([
-            rng.uniform(0.0, 1020.0, (n, 2, 2)),  # sums of four in-range pixels
-            rng.uniform(-800.0, 2000.0, (n, 2, 2)),  # sums an early sweep of any start may hold
-            rng.choice((-1.0, 1.0), (n, 2, 2)) * 10.0 ** rng.uniform(-4.0, 6.0, (n, 2, 2)),  # mixed magnitudes
-        ]).astype(np.float32)
-        s = rng.uniform(-0.25, 0.25, (len(blocks), 1, 1)).astype(np.float32)  # quartered, as _plan stores s
-        o = rng.uniform(0.0, 255.0, (len(blocks), 1, 1)).astype(np.float32)
+        # apply_map of an (n, 2, 2) view of four pixel planes, p.T.reshape(n, 2, 2), gives the pixels it
+        # gives for the contiguous stack while numpy adds the view's four terms in a contiguous block's
+        # order, ((a + b) + c) + d. decode_step maps no such view: a run that sweeps as pixel planes
+        # sums its rows in numpy's order itself, which test_plane_sums_add_in_np_add_reduces_order
+        # checks at every side
+        blocks, s, o = _plane_test_blocks(2)
         expected = apply_map(blocks, s, o)
         p = np.ascontiguousarray(blocks.reshape(-1, 4).T)  # the TL, TR, BL and BR planes
         view = p.T.reshape(-1, 2, 2)
@@ -100,6 +94,44 @@ class TestDecodeStep:
             assert np.count_nonzero(other != ((a + b) + c) + d) > 0.2 * len(blocks)
             mapped = np.clip((blocks - (other * np.float32(0.25))[:, None, None]) * s + o, 0.0, 255.0)
             assert np.count_nonzero((mapped != expected).any(axis=(1, 2))) > 0.1 * len(blocks)
+
+    @pytest.mark.parametrize("k", (2, 4, 8, 16))
+    def test_plane_sums_add_in_np_add_reduces_order(self, k):
+        # a run that sweeps as pixel planes sums each block over its k * k plane rows in the order
+        # np.add.reduce adds a contiguous k x k float32 block, which apply_map's mean uses: numpy's
+        # pairwise sum, so a numpy whose order differs fails here first, not only in the digests
+        blocks, s, o = _plane_test_blocks(k, n=80_000 // (k * k))  # 240,000 values
+        planes = np.ascontiguousarray(blocks.reshape(-1, k * k).T)
+        expected = np.add.reduce(blocks, axis=(-2, -1))
+        assert decoder._reduce_order(planes).tobytes() == expected.tobytes()
+        mapped = decoder._map_planes(planes.copy(), s.ravel(), o.ravel())  # in place
+        assert mapped.T.tobytes() == apply_map(blocks, s, o).tobytes()
+        # the kernel's order on the rows rolled by one, halves added recursively, or, from k = 4, one by one
+        # differs on a fifth of these sums or more (measured 24% or more), so the data tell orders apart;
+        # at k = 2 numpy adds one by one
+        one_by_one = np.cumsum(planes, axis=0, dtype=np.float32)[-1]
+        assert (one_by_one.tobytes() == expected.tobytes()) == (k == 2)
+        others = (decoder._reduce_order(np.roll(planes, 1, axis=0)), _halves(planes)) + ((one_by_one,) if k > 2 else ())
+        for other in others:
+            assert np.count_nonzero(other != expected) > 0.2 * len(expected)
+
+
+def _plane_test_blocks(k, n=100_000):
+    """3n float32 k x k blocks, n of each family, with quartered contrasts and offsets as _plan stores them."""
+    rng = np.random.default_rng(16)
+    blocks = np.concatenate([
+        rng.uniform(0.0, 1020.0, (n, k, k)),  # sums of four in-range pixels
+        rng.uniform(-800.0, 2000.0, (n, k, k)),  # sums an early sweep of any start may hold
+        rng.choice((-1.0, 1.0), (n, k, k)) * 10.0 ** rng.uniform(-4.0, 6.0, (n, k, k)),  # mixed magnitudes
+    ]).astype(np.float32)
+    s = rng.uniform(-0.25, 0.25, (len(blocks), 1, 1)).astype(np.float32)  # quartered, as _plan stores s
+    o = rng.uniform(0.0, 255.0, (len(blocks), 1, 1)).astype(np.float32)
+    return blocks, s, o
+
+
+def _halves(rows):
+    """The sum of the rows, each half added recursively and then the two halves."""
+    return rows[0] if len(rows) == 1 else _halves(rows[: len(rows) // 2]) + _halves(rows[len(rows) // 2 :])
 
 
 class TestDecode:
@@ -434,7 +466,7 @@ class TestPlanOnce:
 
 def test_decode_peak_memory_stays_under_five_rasters():
     # the plan keeps block and domain origins, not per-pixel indices, and no sweep holds the
-    # previous sweep's difference raster; the traced peak is about 4.3 float32 rasters
+    # previous sweep's difference raster; the traced peak is about 4.3 float32 rasters (4.31 measured)
     code = encode_quadtree(natural_image(512, 512), EncoderConfig())
     tracemalloc.start()
     try:
@@ -447,7 +479,7 @@ def test_decode_peak_memory_stays_under_five_rasters():
 
 def test_decode_peak_stays_linear_in_the_padded_pixels():
     # a = 28 bytes per padded pixel and b = 64 KiB, from measurement: over these 40 codes (768 to
-    # 36,864 padded pixels) the traced peak reached 0.77 of the bound. Random codes are mostly
+    # 36,864 padded pixels) the traced peak reached 0.75 of the bound. Random codes are mostly
     # small blocks, so the plan's per-block int32 columns weigh beside decode's three float32 rasters
     rng = np.random.default_rng(7)
     for _ in range(40):
@@ -480,10 +512,20 @@ def test_decoded_pixels_match_pinned_digests(name):
     assert hashlib.sha256(decode(encode()).pixels.tobytes()).hexdigest() == digest
 
 
+def _run_kinds(code):
+    """(side, where the run gathers its domains' sums, how it sweeps) of each run of the code's plan."""
+    return {(k, "raster" if source is None else "sums", "planes" if decoder._as_planes(k, len(t)) else "windows")
+            for k, source, t, *_ in _plan(code).runs}
+
+
 def test_noise128_digest_covers_the_pixel_plane_path():
-    # decode_step maps a 2x2 run gathered from half-size sums as pixel planes; noise128's code has one
-    plan = _plan(PINNED_DECODES["noise128_mns"][0]())
-    assert any(k == 2 and source is not None for k, source, *_ in plan.runs)
+    # a pinned digest covers every kind of run the sweeps take: noise128's code here, and roundtrip_texture's
+    # seed-1 codes in tests/test_workload_digests.py, whose natural256_a code has a 919-block side-4 run
+    items = WORKLOADS["roundtrip_texture"].setup(1)
+    texture = [encode_quadtree(GrayImage(item.original), item.config) for item in items]
+    kinds = set().union(_run_kinds(PINNED_DECODES["noise128_mns"][0]()), *map(_run_kinds, texture))
+    assert {(2, "sums", "planes"), (4, "sums", "planes"), (2, "raster", "planes"), (2, "raster", "windows"),
+            (4, "sums", "windows"), (8, "sums", "windows"), (16, "sums", "windows")} <= kinds
 
 
 @pytest.mark.parametrize("name", PINNED_DECODES)
@@ -558,3 +600,53 @@ def test_a_code_whose_every_o_is_128_stops_after_the_dc_paint(monkeypatch):
     monkeypatch.setattr(decoder, "decode_step", lambda *args: calls.append(args))
     assert decode(code) == GrayImage(np.full((40, 48), 128, np.uint8))
     assert calls == []
+
+
+def _ulps(x, toward, count=64):
+    """The float32 values x and the count float32 values after each toward `toward`, flattened."""
+    steps = [np.float32(x)]
+    for _ in range(count):
+        steps.append(np.nextafter(steps[-1], np.float32(toward)))
+    return np.concatenate(steps, axis=None)
+
+
+def test_rounding_is_floor_of_x_plus_a_half_clipped_to_a_byte(monkeypatch):
+    # decode rounds with (x + 0.5).astype(uint8), which equals clip(floor(x + 0.5), 0, 255) on [0, 255],
+    # every pixel's range: checked on every float32 within 64 ulps of each k + 0.5, and at 0 and 255
+    halves = np.arange(255) + 0.5
+    values = np.concatenate([_ulps(halves, np.inf), _ulps(halves, -np.inf), _ulps([0.0, -0.0], 1.0), _ulps(255.0, 0.0)])
+    assert values.min() == 0.0 and values.max() == 255.0 and len(np.unique(values)) == 255 * 129 + 65 + 65
+    code = encode_quadtree(GrayImage(np.zeros((256, 256), np.uint8)), EncoderConfig())
+    raster = np.resize(values, (256, 256))  # the last sweep leaves these values
+
+    def last_sweep(plan, current, out):
+        out[...] = raster
+        return out
+
+    monkeypatch.setattr(decoder, "decode_step", last_sweep)
+    expected = np.clip(np.floor(raster + np.float32(0.5)), 0.0, 255.0).astype(np.uint8)
+    assert np.array_equal(decode(code, DecodeConfig(max_iters=2, stop_delta=-1.0)).pixels, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.1, 0.95), st.sampled_from(MODES), st.booleans())
+def test_every_painted_and_swept_pixel_lies_in_a_byte(seed, roots, split_p, mode, technique2):
+    # the premise of decode's rounding, which does not clip: the DC paint and every sweep write [0, 255],
+    # whatever the code and whatever finite raster a sweep reads
+    rng = np.random.default_rng(seed)
+    code = random_code(rng, mode=mode, technique2=technique2, max_roots=roots, split_p=split_p)
+    written = []
+    step = decoder.decode_step
+
+    def traced(plan, current, out):
+        written.append(current.copy())  # the first sweep reads the DC paint
+        return step(plan, current, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "decode_step", traced)
+        decode(code, DecodeConfig(max_iters=4, stop_delta=-1.0))
+    plan = _plan(code)
+    for scale in (255.0, 1e4):
+        written.append(sweep(plan, rng.uniform(-scale, 2 * scale, plan.shape)))
+    for raster in written:
+        assert raster.min() >= 0.0 and raster.max() <= 255.0

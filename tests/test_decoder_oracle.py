@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mnscodec.code import CONTRAST_SETS, QuadtreeCode, check_code, phase2_targets
-from mnscodec.decoder import _plan, decode
+from mnscodec.decoder import _as_planes, _plan, decode
 from mnscodec.encoder import EncoderConfig, encode_full_search, encode_local_search, encode_quadtree
 from mnscodec.image import BlockRect, downsample_mean2
 from mnscodec.transform import apply_map
@@ -98,9 +98,10 @@ def test_search_codes_match_oracle():
     for range_size in (2, 4, 8):
         codes.append(encode_full_search(img, range_size, EncoderConfig(full_search_step=3))[0])
     # between them the codes gather from half-size sums of every (dy % 2, dx % 2), and the 2x2 code,
-    # whose runs decode_step maps as pixel planes, from each of the four
+    # whose runs are long enough for decode_step to sweep them as pixel planes, from each of the four
     assert set().union(*(_plan(code).parities for code in codes)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert {source for k, source, *_ in _plan(codes[1]).runs if k == 2} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert all(_as_planes(k, len(t)) for k, _, t, *_ in _plan(codes[1]).runs)
     for code in codes:
         _assert_matches(code)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnscodec import transform
 from mnscodec.transform import (
     CONTRAST_VALUES,
     apply_map,
@@ -125,6 +126,15 @@ class TestContrastQuantizer:
             dequantize_contrast(8)
         with pytest.raises(ValueError):
             dequantize_contrast(-1)
+
+    def test_dequantize_reads_one_read_only_table(self, monkeypatch):
+        # the centers are one module array, not the tuple converted on every call
+        table = transform._CONTRASTS
+        assert not table.flags.writeable and table.tolist() == list(CONTRAST_VALUES)
+        monkeypatch.setattr(transform, "CONTRAST_VALUES", None)
+        codes = np.arange(8)
+        centers = dequantize_contrast(codes)
+        assert centers.tolist() == list(table) and centers.flags.writeable and not np.shares_memory(centers, table)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-3, 3, allow_nan=False))
