@@ -10,9 +10,9 @@ int64 columns, a row per leaf, defined with check_code in mnscodec.code.
 encode_quadtree(image, EncoderConfig) makes one; write_stream and
 read_stream turn it into .mns bytes and back, and stream_bit_count and
 level_id_bit_count sum the writer's field widths; decode(code,
-DecodeConfig) rebuilds the GrayImage. try_phase1/try_phase2 take a RowBand
-and an (n, 2) array of block origins. decode_step(plan, raster, out) runs
-one sweep of the plan decoder._plan(code) builds.
+DecodeConfig) rebuilds the GrayImage. try_phase1/try_phase2 score the
+moments encoder._block_moments gathers, level and config by keyword.
+decode_step(plan, raster, out) runs one sweep of a decoder._plan(code).
 """
 
 from .bench import OffsetHistogram, RdPoint, histogram_csv, offset_histogram, rd_csv, rd_sweep

@@ -58,7 +58,7 @@ def _leaf_fields(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
     """Check that `code` is valid and serializes; then its leaves' (n, FIELDS) field values and bit widths."""
     if code.mode not in MODES:
         raise ValueError(f"only no_search/mns codes serialize, not {code.mode!r}")
-    start, t, mns = check_code(code), code.leaves, code.mode == "mns"
+    (_, start), t, mns = check_code(code), code.leaves, code.mode == "mns"
     if code.padded_w % ROOT_SIZE or code.padded_h % ROOT_SIZE:
         raise ValueError("padded dimensions must be multiples of 16")
     if code.padded_w > MAX_SIDE or code.padded_h > MAX_SIDE:

@@ -159,14 +159,14 @@ def reject(leaves: LeafTable, rules) -> None:
             raise ValueError(f"leaf {bad.argmax()} {leaves.rows[bad.argmax()].tolist()}: {what}")
 
 
-def check_code(code: QuadtreeCode) -> np.ndarray:
-    """The one rule for a valid code. Returns each leaf's int32 DFS start in 2x2 cells, morton_start of its origin, or
-    raises ValueError unless technique2 is a bool, the mode a known one, the sizes integers (no bools), the padded
-    w x h raster holds at most MAX_PIXELS pixels and the original size, and each leaf has a known kind, a level 1..4
-    that matches its size, its kind's fields in range and the others 0, and a 2k x 2k domain that fits, co-centered
-    or stored; and unless the leaves tile the raster: each lies inside it at a multiple of its side, the areas add up
-    to w * h, and, taken by start, no leaf's cells [start, start + (side / 2)^2) reach the next's. Phase-2 rules run
-    first, then the other fields, the tiling and the domains."""
+def check_code(code: QuadtreeCode) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for a valid code. Returns the leaves' columns, a contiguous (17, n) int32 copy, and each leaf's
+    int32 DFS start in 2x2 cells, morton_start of its origin; or raises ValueError unless technique2 is a bool, the
+    mode a known one, the sizes integers (no bools), the padded w x h raster holds at most MAX_PIXELS pixels and the
+    original size, and each leaf has a known kind, a level 1..4 that matches its size, its kind's fields in range
+    and the others 0, and a 2k x 2k domain that fits, co-centered or stored; and unless the leaves tile the raster:
+    each lies inside it at a multiple of its side, the areas add up to w * h, and, taken by start, no leaf's cells
+    [start, start + (side / 2)^2) reach the next's. Phase-2 rules run first, then the fields, tiling and domains."""
     dims = (code.padded_w, code.padded_h, code.orig_w, code.orig_h)
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in dims):
         raise ValueError(f"original dimensions and padded ones must be integers, not bools: {dims!r}")
@@ -214,4 +214,4 @@ def check_code(code: QuadtreeCode) -> np.ndarray:
     reject(leaves, ((cramped, f"no {side}x{side} domain fits the {w}x{h} raster"),
                     (search & ((dk != 2 * k) | (dx < 0) | (dy < 0) | (dx > w - dk) | (dy > h - dk)),
                      f"its stored domain is not twice its side or leaves the {w}x{h} raster")))
-    return start
+    return columns, start

@@ -63,20 +63,21 @@ class _Plan(NamedTuple):
     runs: list[tuple]
 
 
-def _plan(code: QuadtreeCode) -> _Plan:
-    """Plan every painted block, one per phase-1 or search leaf and four per phase-2 leaf, of a code that
-    code.check_code accepts, as decode checks it."""
-    w, h, t = code.padded_w, code.padded_h, code.leaves
-    x, y, k, dx, dy = (a.astype(np.int32) for a in (t.x, t.y, t.size, *t.domain[:, :2].T))  # a valid code's values fit
-    s, o, co = dequantize_contrast(t.s_code), t.o_byte, t.kind != SEARCH  # co: co-centered domains
-    if (p2 := t.kind == PHASE2).any():  # a phase-2 leaf paints its four quadrants, each co-centered
-        q, pairs = ~p2, np.array([CONTRAST_SETS[level] for level in (1, 2, 3)])
-        qx, qy = quadrants(t.xy[p2], t.size[p2]).T
+def _plan(code: QuadtreeCode, columns: np.ndarray | None = None) -> _Plan:
+    """Plan every painted block, one per phase-1 or search leaf and four per phase-2 leaf, of a valid code from its
+    int32 columns as code.check_code returns them (decode's own check; without them, _plan checks the code)."""
+    w, h = code.padded_w, code.padded_h
+    (level, kind, x, y, k, o_byte, s_code), deltas, s_bits, (dx, dy, _) = np.split(
+        check_code(code)[0] if columns is None else columns, [7, 10, 14])
+    s, o, co = dequantize_contrast(s_code), o_byte, kind != SEARCH  # co: co-centered domains
+    if (p2 := kind == PHASE2).any():  # a phase-2 leaf paints its four quadrants, each co-centered
+        q, pairs = ~p2, np.array([CONTRAST_SETS[i] for i in (1, 2, 3)])
+        qx, qy = quadrants(np.stack([x[p2], y[p2]], axis=1), k[p2]).T
         none = np.zeros(len(qx), np.int32)  # the quadrants store no domain
         x, y, dx, dy = (np.concatenate([a[q], b], dtype=np.int32) for a, b in zip((x, y, dx, dy), (qx, qy, none, none)))
         k = np.concatenate([k[q], (k[p2] // 2).repeat(4)])
-        s = np.concatenate([s[q], pairs[t.level[p2, None] - 1, t.s_bits[p2]].ravel()])
-        o = np.concatenate([o[q], np.stack(phase2_targets(t.o_byte[p2], t.deltas[p2].T), axis=1).ravel()])
+        s = np.concatenate([s[q], pairs[level[p2, None] - 1, s_bits[:, p2].T].ravel()])
+        o = np.concatenate([o[q], np.stack(phase2_targets(o_byte[p2], deltas[:, p2]), axis=1).ravel()])
         co = np.concatenate([co[q], np.ones(len(qx), bool)])
     dx, dy = (np.where(co, c, stored) for c, stored in zip(co_domain_origins(x, y, k, w, h), (dx, dy)))
     # s is quartered, which commutes with every rounding in the map, so sweeps map 2x2 sums as means
@@ -215,8 +216,7 @@ def decode(code: QuadtreeCode, config: DecodeConfig | None = None) -> GrayImage:
     every STOP_SAMPLE_ROWS-th row is under stop_delta takes the whole change. A code that code.check_code
     rejects raises its ValueError first, before the plan or any raster."""
     cfg = config if config is not None else DecodeConfig()
-    check_code(code)
-    plan = _plan(code)
+    plan = _plan(code, check_code(code)[0])
     current = np.full(plan.shape, START_VALUE, np.float32)
     nxt, diff = current.copy(), np.empty_like(current)
     for k, _, t, _, _, o in plan.runs:  # sweep 1, the DC paint: a flat raster maps every domain to 0 * s + o

@@ -6,9 +6,10 @@ Modes:
   full_search  - one exhaustive domain pool on a fixed-size partition, shared by every range (baseline).
   local_search - a pool per 8x8 range: 81 candidates around the co-centered domain (baseline).
 
-Every decision scores exact moments: both phases take theirs from _moments, the searches from _norm_table and
-box-sum products. _fit scores phase 1 and the searches, and phase 2 its two contrast values from the same sums, exact
-in any order on integer pixels; so each mode's codes equal its exact per-block fits (README's Encoding section).
+Every decision scores exact moments: both phases take theirs from _block_moments, which gathers each visited block
+once, the searches from _norm_table and box-sum products. _fit scores phase 1 and the searches, and phase 2 its two
+contrast values from the same sums, exact in any order on integer pixels; so each mode's codes equal its exact
+per-block fits (README's Encoding section).
 
 The kernels put the block axis last: _gather gives (kk, n) pixels, a row per pixel position and a column per block,
 and phase 2 keeps (4, n) quadrant rows. So each per-block sum adds whole rows of n, where an (n, kk) layout sums
@@ -26,7 +27,7 @@ import numpy as np
 
 from .code import CONTRAST_SETS, LEVEL_SIZES, MAX_PIXELS, MAX_SIDE, MODES, PHASE1, PHASE2, QUADRANT_STEPS, ROOT_SIZE
 from .code import SEARCH, SIZE_LEVELS, TOO_MANY_PIXELS, LeafTable, QuadtreeCode, co_domain_origins, delta_limit
-from .code import leaf_rows, morton_start, phase2_targets, quadrants
+from .code import leaf_rows, morton_start, phase2_targets
 from .image import GrayImage, box_sums, flat_windows, pad_to_multiple
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import contrast_bins
@@ -111,23 +112,22 @@ def _window_gather(a: np.ndarray, at: np.ndarray, k: int, step: int) -> np.ndarr
     return flat_windows(a, step * (k - 1) + 1)[at, ::step, ::step].reshape(len(at), k * k).T
 
 
-def _ranges(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
-    """Pixels of the k x k ranges at origins xy, uint8, (k * k, n)."""
-    return _gather(band.pixels, xy[:, 0], xy[:, 1] - band.lo, k, 1)
-
-
-def _domains(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
-    """2x2 means of the co-centered domains of the k x k ranges at origins xy, (k * k, n): the stride-2 samples of
-    each domain's box sums, quartered exactly."""
+def _block_moments(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
+    """The moments both phases score from, of the k x k ranges at origins xy and their co-centered domains, as
+    (5, n) float64 rows: sum(d r), the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, sum(d), sum(r) and sum(r^2), where
+    d holds a domain's 2x2 means (the stride-2 samples of its box sums, quartered exactly) and d0 = d - mean(d)."""
     dx, dy = co_domain_origins(xy[:, 0], xy[:, 1], k, band.width, band.height)
-    return _gather(band.sums, dx, dy - band.lo, k, 2) * 0.25
+    r = _gather(band.pixels, xy[:, 0], xy[:, 1] - band.lo, k, 1).astype(np.float64)
+    d = _gather(band.sums, dx, dy - band.lo, k, 2) * 0.25
+    sd, (dr, dd, rr) = d.sum(axis=0), (np.einsum("kn,kn->n", a, b) for a, b in ((d, r), (d, d), (r, r)))
+    return np.stack([dr, dd - sd * sd / (k * k), sd, r.sum(axis=0), rr])
 
 
-def _moments(r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_fit's moments of one candidate domain per range, over axis 0 of the (kk, n) domain 2x2 means d and range
-    pixels r: sum(d r), the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, d0 = d - mean(d), and sum(d), each (n,)."""
-    sd = d.sum(axis=0)
-    return np.einsum("kn,kn->n", d, r), np.einsum("kn,kn->n", d, d) - sd * sd / len(d), sd
+def _level_moments(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
+    """_block_moments of the k x k blocks at origins xy, in calls of up to WORK_PIXELS range pixels."""
+    step = max(1, WORK_PIXELS // (k * k))
+    parts = [_block_moments(band, xy[i : i + step], k) for i in range(0, len(xy), step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
@@ -138,16 +138,15 @@ def _rows(xy: np.ndarray, level: int, payload: np.ndarray) -> np.ndarray:
     return leaf_rows(level, PHASE1, *xy.T, *payload.T)
 
 
-def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
+def _fit(kk: int, total: np.ndarray, sq: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     """Each range's lowest-error candidate domain under its quantized least-squares contrast.
 
-    r holds (kk, n) range pixels, a range per column, summed over axis 0; dr each candidate's sum(d r), (n, c),
-    and norms and sd its sum(d0^2) and sum(d), (n, c) or (c,), as _moments forms them, where d is the candidate's
-    2x2 means and d0 = d - mean(d). The cross terms sum(d0 r) are formed here from each range's sum. None is written.
-    Returns each range's candidate index (ties to the first), s code, o byte (the range mean rounded
+    Each range has kk pixels, whose sum(r) and sum(r^2) are total and sq, (n,); dr holds each candidate's sum(d r),
+    (n, c), and norms and sd its sum(d0^2) and sum(d), (n, c) or (c,), as _block_moments forms them, where d is the
+    candidate's 2x2 means and d0 = d - mean(d). The cross terms sum(d0 r) are formed here from each range's sum.
+    None is written. Returns each range's candidate index (ties to the first), s code, o byte (the range mean rounded
     half up, as a float) and sum of squared residuals, exact as README's Encoding section shows.
     """
-    kk, total = len(r), r.sum(axis=0)
     mean = total / kk
     o_byte = np.floor(mean + 0.5)  # halves round up
     # a shared pool's (c,) sd as an outer product, which skips the buffered broadcast's copies of the operand
@@ -165,64 +164,53 @@ def _fit(r: np.ndarray, dr: np.ndarray, norms: np.ndarray, sd: np.ndarray):
     u -= x
     best = u.argmin(axis=1) if u.shape[1] > 1 else np.zeros(len(u), np.intp)  # argmin pays per row, so c = 1 skips it
     at = np.arange(len(best)) * u.shape[1] + best  # each range's winner, flat in u and codes
-    rest = np.einsum("kn,kn->n", r, r) - (2.0 * total - kk * o_byte) * o_byte  # sum((r - o)^2)
+    rest = sq - (2.0 * total - kk * o_byte) * o_byte  # sum((r - o)^2)
     return best, codes.take(at) + 4, o_byte, 0.5 * u.take(at) + rest
 
 
-def try_phase1(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig):
+def try_phase1(m: np.ndarray, *, level: int, config: EncoderConfig):
     """Fit each block's co-centered domain and test the level threshold.
 
-    xy holds the (n, 2) (x, y) origins of level-sized blocks inside the band.
-    _fit takes each block's one candidate as raw moments, with no mean-removed
-    copy of the range or the domain. The acceptance RMS is
-    re-evaluated with the quantized contrast code and rounded mean, so the
-    decision matches what the decoder reconstructs. Level 4 accepts
-    unconditionally. Returns (accepted mask, (n, 2) rows of (o_byte, s_code), rms).
+    m holds the (5, n) _block_moments of n level-sized blocks, from which _fit takes each block's one candidate:
+    no pixel is read. The acceptance RMS is re-evaluated with the quantized contrast code and rounded mean, so the
+    decision matches what the decoder reconstructs. Level 4 accepts unconditionally. Returns (accepted mask,
+    (n, 2) rows of (o_byte, s_code), rms).
     """
-    r = _ranges(band, xy, LEVEL_SIZES[level]).astype(np.float64)
-    dr, norms, sd = _moments(r, _domains(band, xy, LEVEL_SIZES[level]))
-    _, s_code, o_byte, sse = _fit(r, dr[:, None], norms[:, None], sd[:, None])  # one candidate per block
-    rms = np.sqrt(sse / len(r))
-    accepted = np.full(len(xy), True) if level == 4 else rms <= config.threshold(level)
+    (dr, norms, sd, total, sq), kk = m, LEVEL_SIZES[level] ** 2
+    _, s_code, o_byte, sse = _fit(kk, total, sq, dr[:, None], norms[:, None], sd[:, None])  # one candidate per block
+    rms = np.sqrt(sse / kk)
+    accepted = np.full(len(rms), True) if level == 4 else rms <= config.threshold(level)
     return accepted, np.stack([o_byte.astype(np.intp), s_code], axis=1), rms
 
 
-def try_phase2(band: RowBand, xy: np.ndarray, level: int, config: EncoderConfig):
+def try_phase2(m: np.ndarray, *, level: int, config: EncoderConfig):
     """Code each block through its quadrant means with 1-bit contrast picks.
 
-    Applicable at levels 1..3 when every quadrant mean lies within mean_tol
-    of the block mean, every coded offset fits the level's bit width, and the
-    implied fourth mean stays a byte. Each quadrant keeps its luminance fixed
-    to the reconstructed quadrant mean and only chooses between the two set
-    values, ties going to the lower; all four quadrants must meet the level
-    threshold. The three gates run first, on the quadrant pixels alone; only
-    the blocks that pass them gather domains and measure RMS. xy is as for
-    try_phase1. Returns (accepted mask, (n, 8) rows of (o_byte, three deltas,
-    four s_bits, 0 where a gate fails), worst quadrant rms or inf on rejection).
+    m holds the (5, 4n) _block_moments of the quadrants of n level-sized blocks, quadrant-major: every TL quadrant,
+    then every TR, BL and BR one. Applicable at levels 1..3 when every quadrant mean lies within mean_tol of the
+    block mean, every coded offset fits the level's bit width, and the implied fourth mean stays a byte. Each
+    quadrant keeps its luminance fixed to the reconstructed quadrant mean and only chooses between the two set
+    values, ties going to the lower; all four quadrants must meet the level threshold. The gates read the
+    quadrants' sum(r), and the scores all five moments: no pixel is read. Returns (accepted mask, (n, 8) rows of
+    (o_byte, three deltas, four s_bits, 0 where a gate fails), worst quadrant rms or inf on rejection).
     """
     if level not in CONTRAST_SETS:
         raise ValueError("phase 2 exists only at levels 1..3")
-    n, k = len(xy), LEVEL_SIZES[level] // 2
-    kk, quads = k * k, xy + k * QUADRANT_STEPS[:, None]  # (4, n, 2): every TL quadrant, then TR, BL, BR
-    q = _ranges(band, quads.reshape(-1, 2), k).reshape(kk, 4, n)  # pixel, quadrant, block
-    quad_means = q.sum(axis=0, dtype=np.int32) / kk  # exact, and so is their mean, the block mean
+    kk = (LEVEL_SIZES[level] // 2) ** 2
+    dr, norms, sd, total, sq = m.reshape(5, 4, -1)  # moment, quadrant, block
+    quad_means = total / kk  # exact, and so is their mean, the block mean
     o_mean = quad_means.mean(axis=0)
     offsets = quad_means - o_mean
     o_byte, deltas = np.floor(o_mean + 0.5), np.floor(offsets[:3] + 0.5)
-    targets = np.stack(phase2_targets(o_byte, deltas))  # the implied BR mean must stay a byte
+    t = np.stack(phase2_targets(o_byte, deltas))  # the implied BR mean must stay a byte
     gates = (np.abs(offsets).max(axis=0) <= config.mean_tol) & (np.abs(deltas).max(axis=0) <= delta_limit(level))
-    gates &= (targets[3] >= 0) & (targets[3] <= 255)
-    ok = np.flatnonzero(gates)
-    r = q[:, :, ok].reshape(kk, -1).astype(np.float64)  # the gated blocks' quadrants, still quadrant-major
-    dr, norms, sd = (m.reshape(4, -1) for m in _moments(r, _domains(band, quads[:, ok].reshape(-1, 2), k)))
-    total, t = r.sum(axis=0).reshape(4, -1), targets[:, ok]
-    x = dr - sd * (total / kk)  # sum(d0 r), as _fit forms it; d0 sums to 0, so it is also sum(d0 (r - t))
-    a = np.einsum("kn,kn->n", r, r).reshape(4, -1) - (2.0 * total - kk * t) * t  # sum((r - t)^2), as _fit's rest
+    gates &= (t[3] >= 0) & (t[3] <= 255)
+    x = dr - sd * quad_means  # sum(d0 r), as _fit forms it; d0 sums to 0, so it is also sum(d0 (r - t))
+    a = sq - (2.0 * total - kk * t) * t  # sum((r - t)^2), as _fit's rest
     u = np.array([round(20 * s) for s in CONTRAST_SETS[level]])[:, None, None]  # 20s, an integer for each set value
-    sse = 400.0 * a - 40 * u * x + u * u * norms  # (2, 4, m) 400 sse(s), exact: README's Encoding section
-    bits, worst = np.zeros((4, n)), np.full(n, np.inf)
-    bits[:, ok] = sse[1] < sse[0]  # ties to the lower value
-    worst[ok] = np.sqrt(sse.min(axis=0).max(axis=0) / (400 * kk))
+    sse = 400.0 * a - 40 * u * x + u * u * norms  # (2, 4, n) 400 sse(s), exact: README's Encoding section
+    bits = (sse[1] < sse[0]) & gates  # ties to the lower value
+    worst = np.sqrt(sse.min(axis=0).max(axis=0) / (400 * kk))
     accepted = gates & (worst <= config.threshold(level))  # an infinite threshold keeps the gates
     payload = np.concatenate([o_byte[None], deltas, bits]).T.astype(np.intp)
     return accepted, payload, np.where(accepted, worst, np.inf)
@@ -236,40 +224,51 @@ def _pad(image: GrayImage, multiple: int) -> GrayImage:
     return pad_to_multiple(image, multiple)
 
 
-def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
-    """No-search / MNS quadtree encode over 16x16 roots, one level at a time.
+def _walk(band: RowBand, xy: np.ndarray, config: EncoderConfig, level1: bool):
+    """Yield the LeafTable rows of the quadtrees of the roots at origins xy in `band`, one level at a time, from level
+    1 unless level1 is false (a 16-wide raster: no level-1 domain fits), each phase call's accepted blocks at once.
 
-    Phase 1 takes a level's live blocks in calls of up to WORK_PIXELS range
-    pixels; in mns mode phase 2 takes what it rejects, likewise; what both
-    reject splits into TL, TR, BL, BR children. Level-4 blocks always
-    terminate through phase 1. Bands of whole root rows hold at most
-    8 * WORK_PIXELS pixels (one root row at least), so one band's box sums and
-    one call's float64 arrays bound the memory; 512x512 is one band. Blocks are
-    fitted one by one, so calls and bands do not change the code. Accepted
-    blocks become LeafTable rows, and one sort by their morton_start puts
-    them in DFS order.
+    Each visited block's moments are gathered once, by _level_moments: the roots', then the four children of each
+    block phase 1 rejects, TL, TR, BL, BR, quadrant-major. In mns mode phase 2 scores the children; the children of
+    each block it rejects (in no_search mode, of each block phase 1 rejects) are the next level's live blocks, their
+    moments in hand. Level-4 blocks always terminate through phase 1.
+    """
+    m = _level_moments(band, xy, ROOT_SIZE) if level1 else None
+    for level, size in LEVEL_SIZES.items():
+        if m is not None and len(xy):
+            accepted, payload, _ = try_phase1(m, level=level, config=config)
+            yield _rows(xy[accepted], level, payload[accepted])
+            xy = xy[~accepted]
+        if level == 4 or not len(xy):  # phase 1 accepts every level-4 block, so phase 2 never runs at level 4
+            return
+        kids = (xy + size // 2 * QUADRANT_STEPS[:, None]).reshape(-1, 2)  # every TL child, then TR, BL, BR
+        kid_moments = _level_moments(band, kids, size // 2)
+        if config.mode == "mns" and m is not None:
+            accepted, payload, _ = try_phase2(kid_moments, level=level, config=config)
+            yield _rows(xy[accepted], level, payload[accepted])
+            live = np.tile(~accepted, 4)
+            kids, kid_moments = kids[live], kid_moments[:, live]
+        xy, m = kids, kid_moments
+
+
+def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
+    """No-search / MNS quadtree encode over 16x16 roots, one level at a time (_walk).
+
+    Bands of whole root rows hold at most 8 * WORK_PIXELS pixels (one root row at least), so one band's box sums,
+    one gather call's float64 ranges and domains, and the moments and phase-call arrays of a level's live blocks
+    bound the memory beside the leaves; 512x512 is one band. Blocks are fitted one by one, so calls and bands do not
+    change the code. Accepted blocks become LeafTable rows, and one sort by their morton_start puts them in DFS order.
     """
     if max(image.width, image.height) > MAX_SIDE // ROOT_SIZE * ROOT_SIZE:  # iff a padded side passes MAX_SIDE
         raise ValueError("padded dimensions exceed the 16-bit header fields")
     padded = _pad(image, ROOT_SIZE)
     w, h = padded.width, padded.height
-    rows = []  # per kernel call: LeafTable rows
+    rows = []  # per phase call: LeafTable rows
     band_rows = max(1, 8 * WORK_PIXELS // (ROOT_SIZE * w)) * ROOT_SIZE
     for y0 in range(0, h, band_rows):
-        band = _band(padded, y0, min(y0 + band_rows, h))
         ys, xs = np.mgrid[y0 : min(y0 + band_rows, h) : ROOT_SIZE, 0:w:ROOT_SIZE].reshape(2, -1)
-        xy = np.stack([xs, ys], axis=1)
-        for level, size in LEVEL_SIZES.items():
-            step = max(1, WORK_PIXELS // size**2)  # blocks per kernel call
-            # phase 1 accepts every level-4 block, so phase 2 never runs at level 4
-            for phase in (try_phase1, try_phase2) if config.mode == "mns" else (try_phase1,):
-                live = np.ones(len(xy), dtype=bool)
-                for i in range(0, len(xy) if 2 * size <= min(w, h) else 0, step):  # a 16-wide raster: no level 1
-                    accepted, payload, _ = phase(band, xy[i : i + step], level, config)
-                    rows.append(_rows(xy[i : i + step][accepted], level, payload[accepted]))
-                    live[i : i + step] = ~accepted
-                xy = xy[live]
-            xy = quadrants(xy, size)
+        band = _band(padded, y0, min(y0 + band_rows, h))
+        rows.extend(_walk(band, np.stack([xs, ys], axis=1), config, 2 * ROOT_SIZE <= min(w, h)))
     table = LeafTable(np.concatenate(rows))
     rows.clear()  # the parts go before the sort copies the table
     table = LeafTable(table.rows[np.argsort(morton_start(table.x, table.y, w))])
@@ -277,9 +276,9 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
 
 
 def _norm_table(sums: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_moments' norm and sum(d) of the 2x2 means of the 2k x 2k domains at every origin, indexed [y, x], bit for
-    bit: each domain's sum(S) and sum(S^2) over its k x k stride-2 box sums S (the uint16 `sums`), added separably
-    in int32, doubling the span each pass, exactly (README's Encoding section gives the bound)."""
+    """_block_moments' norm and sum(d) of the 2x2 means of the 2k x 2k domains at every origin, indexed [y, x], bit
+    for bit: each domain's sum(S) and sum(S^2) over its k x k stride-2 box sums S (the uint16 `sums`), added
+    separably in int32, doubling the span each pass, exactly (README's Encoding section gives the bound)."""
     s, tables = sums.astype(np.int32), []
     for t in (s, s * s):
         span = 1
@@ -331,15 +330,16 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
         at = ys * norms.shape[1] + xs  # each candidate's flat index into the per-origin tables
     xs, ys = np.broadcast_to(xs, (len(ranges), c)), np.broadcast_to(ys, (len(ranges), c))
     o_byte, s_code, dx, dy = np.zeros((4, len(ranges)), dtype=np.int64)  # each range's fit and domain origin
+    total, sq = ranges.sum(axis=1, dtype=np.int64), np.einsum("nk,nk->n", ranges, ranges, dtype=np.int64)
     for i in range(0, len(ranges), step):
         part = slice(i, i + step)
-        r, r4 = ranges[part].astype(np.float64), ranges[part] * dtype(0.25)
+        r4, r_sums = ranges[part] * dtype(0.25), (k * k, total[part], sq[part])
         if shared:
-            best, s_code[part], o_byte[part], _ = _fit(r.T, (pool @ r4.T).T, pool_norms, pool_sd)
+            best, s_code[part], o_byte[part], _ = _fit(*r_sums, (pool @ r4.T).T, pool_norms, pool_sd)
         else:
             g = _translates(flat_windows(sums, 23)[v[part] * sums.shape[1] + u[part]], r4.reshape(-1, 8, 8))
             dr, near = g.take(cells[part]), at[part]
-            best, s_code[part], o_byte[part], _ = _fit(r.T, dr, norms.take(near), sd.take(near))
+            best, s_code[part], o_byte[part], _ = _fit(*r_sums, dr, norms.take(near), sd.take(near))
         won = np.arange(i, i + len(best)), best
         dx[part], dy[part] = xs[won], ys[won]
     y, x = np.mgrid[0:h:k, 0:w:k].reshape(2, -1)

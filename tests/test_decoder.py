@@ -297,7 +297,7 @@ def test_every_encoders_codes_tile_and_each_mutation_is_rejected(name, monkeypat
     sweeps = []
     monkeypatch.setattr(decoder, "decode_step", lambda *args: sweeps.append(args))
     for code in TILING_CODES[name]():
-        starts = check_code(code)
+        _, starts = check_code(code)
         assert code.mode not in MODES or (np.diff(starts) > 0).all()  # quadtree codes are in DFS order
         for bad in _tiling_mutations(code):
             with pytest.raises(ValueError, match="tile|under-fills|excess"):  # check_code's tiling verdicts
@@ -368,7 +368,7 @@ def test_check_code_peak_stays_under_97_bytes_a_leaf(make, size, seed):
     # level tables keep each pass int32 (~95 bytes a leaf), where an int64 table met by an int32 column buffered an
     # int64 cast (~101)
     code = encode_quadtree(make(size, size, seed=seed), EncoderConfig())
-    assert check_code(code).dtype == np.int32
+    assert [a.dtype for a in check_code(code)] == [np.int32, np.int32]  # the columns, then the starts
     assert traced_peak(check_code, code) <= 97 * len(code.leaves)
 
 
@@ -412,7 +412,7 @@ class TestPlanOnce:
         code = encode_quadtree(natural_128, EncoderConfig(mode="mns"))
         planned, sweeps = [], []
         plan, step = decoder._plan, decoder.decode_step
-        monkeypatch.setattr(decoder, "_plan", lambda c: planned.append(c) or plan(c))
+        monkeypatch.setattr(decoder, "_plan", lambda c, columns: planned.append(c) or plan(c, columns))
         monkeypatch.setattr(decoder, "decode_step", lambda p, *args: sweeps.append(p) or step(p, *args))
         decode(code, DecodeConfig(max_iters=9, stop_delta=0.0))
         assert len(sweeps) == 9 - 1  # sweep 1 is the DC paint

@@ -7,7 +7,7 @@ import pytest
 
 import mnscodec.encoder as enc
 import mnscodec.transform as transform
-from mnscodec.code import CONTRAST_SETS, PHASE1
+from mnscodec.code import CONTRAST_SETS, PHASE1, PHASE2
 from mnscodec.encoder import (
     EncoderConfig,
     encode_full_search,
@@ -22,7 +22,7 @@ from mnscodec.transform import rms_error
 from records import Phase1Payload, records
 from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse,
                            mean_removed_norms, quadrants, round_to_int)
-from util import natural_image, noise_image, scene_image
+from util import natural_image, noise_image, run_phase, scene_image
 
 
 def traced_peak(f, *args):
@@ -66,16 +66,43 @@ def passes_phase2_gates(image, rect, level, config):
             and 0 <= round_to_int(o_mean) - sum(deltas) <= 255)
 
 
-def gathered_domains(monkeypatch):
-    """A list that collects the number of domains each encoder call of _domains gathers."""
-    counts, real = [], enc._domains
-    monkeypatch.setattr(enc, "_domains", lambda band, xy, k: counts.append(len(xy)) or real(band, xy, k))
-    return counts
+def gathered_blocks(monkeypatch):
+    """A list that collects (x, y, level) of every block whose range and co-centered domain the encoder gathers,
+    through _block_moments; a gather while phase 2 runs fails the test."""
+    blocks, in_phase2, gather, phase2 = [], [], enc._block_moments, enc.try_phase2
+
+    def spy(band, xy, k):
+        assert not in_phase2, "phase 2 gathered pixels"
+        blocks.extend((x, y, enc.SIZE_LEVELS[k]) for x, y in xy.tolist())
+        return gather(band, xy, k)
+
+    def watched(*args, **kwargs):
+        in_phase2.append(True)
+        try:
+            return phase2(*args, **kwargs)
+        finally:
+            in_phase2.pop()
+
+    monkeypatch.setattr(enc, "_block_moments", spy)
+    monkeypatch.setattr(enc, "try_phase2", watched)
+    return blocks
+
+
+def visited_blocks(code):
+    """(x, y, level) of every block an encode of `code` must score: each level's blocks that lie in no phase-1 leaf
+    of a lower level and in no phase-2 leaf above their parent's level, whose quadrants phase 2 scored, as the leaf
+    over a block's first pixel tells; a raster with a 16-pixel side has no level 1."""
+    w, h, reach = code.padded_w, code.padded_h, np.zeros((code.padded_h, code.padded_w), int)
+    for level, kind, x, y, size in code.leaves.rows[:, :5].tolist():
+        reach[y : y + size, x : x + size] = level + (kind == PHASE2)  # the deepest level scored there
+    return sorted((x, y, level) for level, size in enc.LEVEL_SIZES.items() if level > 1 or min(w, h) >= 32
+                  for y in range(0, h, size) for x in range(0, w, size) if reach[y, x] >= level)
 
 
 def one_block(phase, image, rect, level, config):
     """A kernel call on a batch of one: whether it accepts the block, its payload row and its rms."""
-    accepted, payload, rms = phase(enc._band(image, 0, image.height), np.array([[rect.x, rect.y]]), level, config)
+    accepted, payload, rms = run_phase(phase, enc._band(image, 0, image.height), np.array([[rect.x, rect.y]]),
+                                       level, config)
     return bool(accepted[0]), payload[0].tolist(), float(rms[0])
 
 
@@ -150,27 +177,39 @@ class TestPhase2:
         ((3, 3, 3, 0), None),  # implied mean
     ])
     def test_gathers_domains_only_when_the_gates_pass(self, values, payload, monkeypatch):
-        gathered = gathered_domains(monkeypatch)
-        accepted, got, rms = one_block(try_phase2, quadrant_image(values), BlockRect(0, 0, 16), 1, EncoderConfig())
-        assert sum(gathered) == (4 if payload else 0)  # one domain per quadrant of a gated-in block
+        # phase 2 reads its quadrants' moments, gathered once before it runs, and gathers nothing itself, whether
+        # or not the gates pass
+        gathered = gathered_blocks(monkeypatch)
+        accepted, got, rms = one_block(enc.try_phase2, quadrant_image(values), BlockRect(0, 0, 16), 1,
+                                       EncoderConfig())
+        assert gathered == [(0, 0, 2), (8, 0, 2), (0, 8, 2), (8, 8, 2)]  # each quadrant once, TL, TR, BL, BR
         assert accepted == (payload is not None)
         assert (got == payload) if payload else (rms == math.inf)
 
     @pytest.mark.parametrize("level", (1, 2, 3))
     @pytest.mark.parametrize("mean_tol", (0.0, 8.0, 40.0))
-    def test_gathers_domains_for_gated_blocks_of_a_batch(self, level, mean_tol, monkeypatch):
-        image, config = natural_image(96, 64, seed=3), EncoderConfig(mean_tol=mean_tol)
-        size = enc.LEVEL_SIZES[level]
+    def test_gathers_domains_for_gated_blocks_of_a_batch(self, level, mean_tol, noise_64, monkeypatch):
+        # with no threshold, phase 2 accepts a level's blocks exactly where the scalar gates pass. A whole encode
+        # gathers the range and domain of every block it visits exactly once, and phase 2 none: it scores the
+        # children whose moments the next level's phase 1 reads. The level's threshold is tightened there, so each
+        # parameter walks its own tree
+        image, size = natural_image(96, 64, seed=3), enc.LEVEL_SIZES[level]
+        config = EncoderConfig(e1=math.inf, e2=math.inf, e3=math.inf, mean_tol=mean_tol)
         rects = [BlockRect(x, y, size) for y in range(0, 64, size) for x in range(0, 96, size)]
-        gated = [passes_phase2_gates(image, rect, level, config) for rect in rects]
-        gathered = gathered_domains(monkeypatch)
-        accepted, _, rms = try_phase2(enc._band(image, 0, 64), np.array([(r.x, r.y) for r in rects]), level, config)
-        assert sum(gathered) == 4 * sum(gated)
-        assert not (accepted & ~np.array(gated)).any() and (rms[~accepted] == math.inf).all()
+        xy = np.array([(r.x, r.y) for r in rects])
+        accepted, payload, rms = run_phase(try_phase2, enc._band(image, 0, 64), xy, level, config)
+        assert accepted.tolist() == [passes_phase2_gates(image, rect, level, config) for rect in rects]
+        assert (rms[~accepted] == math.inf).all() and not payload[~accepted, 4:].any()
+        config = EncoderConfig(mean_tol=mean_tol, **{f"e{level}": 3.0})
+        for image in (image, noise_64):
+            gathered = gathered_blocks(monkeypatch)
+            code = encode_quadtree(image, config)
+            monkeypatch.undo()
+            assert sorted(gathered) == visited_blocks(code)
 
-    def test_level4_is_invalid(self, constant_64):
+    def test_level4_is_invalid(self):
         with pytest.raises(ValueError, match="levels 1..3"):
-            one_block(try_phase2, constant_64, BlockRect(0, 0, 2), 4, EncoderConfig())
+            try_phase2(np.zeros((5, 4)), level=4, config=EncoderConfig())
 
     def test_an_exact_tie_goes_to_the_lower_contrast(self):
         # the TL quadrant of this level-2 block scores 622/5 at both of level 2's contrasts; an RMS taken in
@@ -213,7 +252,7 @@ class TestKernelLayout:
         xy, band, config = np.stack([xs, ys], axis=1), enc._band(image, 0, 64), EncoderConfig()
         for phase, width in ((try_phase1, 2), (try_phase2, 8))[: 1 if level == 4 else 2]:
             for batch in (xy[:0], xy):
-                accepted, payload, rms = phase(band, batch, level, config)
+                accepted, payload, rms = run_phase(phase, band, batch, level, config)
                 assert (accepted.dtype, payload.dtype, rms.dtype) == (np.bool_, np.intp, np.float64)
                 assert accepted.shape == rms.shape == (len(batch),) and payload.shape == (len(batch), width)
                 if phase is try_phase2:
@@ -312,22 +351,21 @@ class TestQuadtree:
         assert sum(code.level_counts()) == len(code.leaves) > 0
 
     def test_oversize_image_fails_before_any_fit(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("phase 1 ran on an image the stream header cannot hold")
+        def never(*args, **kwargs):
+            raise AssertionError("a block was gathered or fitted on an image the stream header cannot hold")
 
+        monkeypatch.setattr(enc, "_block_moments", never)
         monkeypatch.setattr(enc, "try_phase1", never)
         img = GrayImage(np.zeros((1, 65521), dtype=np.uint8))  # pads to 65536 columns
         with pytest.raises(ValueError, match="16-bit"):
             encode_quadtree(img, EncoderConfig())
 
     def test_kernel_calls_are_sized_by_pixels(self, monkeypatch):
-        # a 512x512 raster is one band, and a call takes up to WORK_PIXELS range pixels of a
-        # level's live blocks: a quarter of level 1 per call, not one call per band of root rows
-        calls = []
-        for name in ("try_phase1", "try_phase2"):
-            kernel = getattr(enc, name)
-            monkeypatch.setattr(enc, name, lambda band, xy, level, config, kernel=kernel:
-                                calls.append(len(xy) * enc.LEVEL_SIZES[level] ** 2) or kernel(band, xy, level, config))
+        # a 512x512 raster is one band, and a gather takes up to WORK_PIXELS range pixels of a
+        # level's blocks: a quarter of level 1 per call, not one call per band of root rows
+        calls, gather = [], enc._block_moments
+        monkeypatch.setattr(enc, "_block_moments",
+                            lambda band, xy, k: calls.append(len(xy) * k * k) or gather(band, xy, k))
         encode_quadtree(natural_image(512, 512), EncoderConfig())
         assert len(calls) <= 16
         assert max(calls) == enc.WORK_PIXELS  # range pixels in a call
@@ -434,8 +472,9 @@ class TestFullSearch:
         r = rng.integers(0, 256, (n, 64)).astype(np.float64)
         norms, sd = mean_removed_norms(pool * 0.25)
         dr = (r * np.float32(0.25)).astype(np.float32) @ pool.T
-        enc._fit(r.T, dr, norms, sd)  # numpy's first-call set-up is not the kernel's
-        assert traced_peak(enc._fit, r.T, dr, norms, sd) <= 2 * 8 * n * c + 5 * n * c
+        args = (64, r.sum(axis=1), np.einsum("nk,nk->n", r, r), dr, norms, sd)  # each range's sum(r) and sum(r^2)
+        enc._fit(*args)  # numpy's first-call set-up is not the kernel's
+        assert traced_peak(enc._fit, *args) <= 2 * 8 * n * c + 5 * n * c
 
     def test_offsets_are_center_differences(self, constant_64):
         _, samples = encode_full_search(constant_64, 8, EncoderConfig())
@@ -450,9 +489,9 @@ class TestLocalSearch:
         calls = []
         real = enc._fit
 
-        def counting(r, dr, norms, sd):  # a range per column of r; sum(d r), the norm and sum(d) of every candidate
-            calls.append((r.shape[1], [m.shape for m in (dr, norms, sd)]))
-            return real(r, dr, norms, sd)
+        def counting(kk, total, sq, dr, norms, sd):  # range sums; sum(d r), the norm and sum(d) of every candidate
+            calls.append((len(total), [m.shape for m in (dr, norms, sd)]))
+            return real(kk, total, sq, dr, norms, sd)
 
         monkeypatch.setattr(enc, "_fit", counting)
         encode_local_search(img, EncoderConfig())
@@ -568,8 +607,8 @@ class TestMaxPixels:
         encode, multiple = ENCODERS[name]
         img, calls = scene_image(40, 36, seed=1), []
         monkeypatch.setattr(enc, "MAX_PIXELS", (-(-40 // multiple) * multiple) * (-(-36 // multiple) * multiple) - 1)
-        for spy in ("pad_to_multiple", "try_phase1", "_search"):
-            monkeypatch.setattr(enc, spy, lambda *args, spy=spy: calls.append(spy))
+        for spy in ("pad_to_multiple", "_block_moments", "try_phase1", "_search"):
+            monkeypatch.setattr(enc, spy, lambda *args, spy=spy, **kwargs: calls.append(spy))
         with pytest.raises(ValueError, match="MAX_PIXELS"):
             encode(img)
         assert calls == []

@@ -22,9 +22,9 @@ from mnscodec.image import BlockRect, GrayImage, box_sums, downsample_mean2, pad
 from mnscodec.transform import fit_affine, rms_error
 
 from records import LeafRecord, Phase1Payload, Phase2Payload, records, table_of
-from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse, quadrants,
-                           quantize_contrast, round_to_int)
-from util import gradient_image, natural_image, noise_image, scene_image
+from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse,
+                           mean_removed_norms, quadrants, quantize_contrast, round_to_int)
+from util import gradient_image, natural_image, noise_image, run_phase, scene_image
 
 
 def oracle_phase1(image, rect, level, config):
@@ -199,7 +199,7 @@ def test_phase2_scores_match_rationals_at_the_extremes(level, cell, palette, see
     config = EncoderConfig(e1=math.inf, e2=math.inf, e3=math.inf, mean_tol=255.0)
     rects = [BlockRect(x, y, size) for y in range(0, 3 * size, size) for x in range(0, 3 * size, size)]
     xy, band = np.array([(rect.x, rect.y) for rect in rects]), encoder._band(image, 0, image.height)
-    accepted, payload, rms = try_phase2(band, xy, level, config)
+    accepted, payload, rms = run_phase(try_phase2, band, xy, level, config)
     expected = [oracle_phase2(image, rect, level, config) for rect in rects]
     assert rms.tolist() == [value for _, value in expected]
     got = records(LeafTable(encoder._rows(xy[accepted], level, payload[accepted])))
@@ -241,17 +241,17 @@ def test_fit_matches_scalar_oracle(k, n, c, seed, kind):
         r = rng.integers(0, 3, r.shape) * 100.0
     r[rng.random(n) < 0.2], r[rng.random(n) < 0.2] = 0.0, 255.0
     pool = d[0]  # also shared by every range, as full search shares its pool
-    sd = pool.sum(axis=1)
     inputs = {  # moments as the callers form them: phase 1 and local search per range, full search shared
-        "per range": [np.stack(m, axis=1) for m in zip(*(encoder._moments(r.T, d[:, j].T) for j in range(c)))],
-        "shared": (r @ pool.T, np.einsum("ck,ck->c", pool, pool) - sd * sd / (k * k), sd),
+        "per range": (np.einsum("nk,nck->nc", r, d), *mean_removed_norms(d)),
+        "shared": (r @ pool.T, *mean_removed_norms(pool)),
     }
     for name, moments in inputs.items():
         pools = [pool] * n if name == "shared" else list(d)
         expected = [oracle_fit(r[i], pools[i]) for i in range(n)]
-        kept = [a.copy() for a in (r, *moments)]
-        got = encoder._fit(r.T, *moments)  # a range per column
-        assert all(np.array_equal(a, b) for a, b in zip((r, *moments), kept)), name  # nothing written
+        args = (k * k, r.sum(axis=1), np.einsum("nk,nk->n", r, r), *moments)  # each range's sum(r) and sum(r^2)
+        kept = [np.copy(a) for a in args]
+        got = encoder._fit(*args)
+        assert all(np.array_equal(a, b) for a, b in zip(args, kept)), name  # nothing written
         assert [tuple(column[i].item() for column in got) for i in range(n)] == expected, name
 
 
@@ -264,7 +264,8 @@ def test_fit_bins_equal_quantize_contrast(pairs):
     x, norm = np.array(pairs, dtype=np.float64).T
     x = np.concatenate([x, np.multiply.outer(np.arange(-4, 5) / 4, norm).ravel()])
     norm = np.tile(norm, 10)
-    _, codes, _, _ = encoder._fit(np.zeros((1, len(x))), x[:, None], norm[:, None], np.zeros((len(x), 1)))
+    zeros = np.zeros(len(x))
+    _, codes, _, _ = encoder._fit(1, zeros, zeros, x[:, None], norm[:, None], zeros[:, None])
     assert codes.tolist() == transform.quantize_contrast(x / norm).tolist()
     assert codes.tolist() == [quantize_contrast(s) for s in (x / norm).tolist()]
 
@@ -272,7 +273,7 @@ def test_fit_bins_equal_quantize_contrast(pairs):
 def kernel_alone(kernel, image, rect, level, config):
     """A kernel call on `rect` alone, in the oracle's terms: (record, or None on rejection, and rms)."""
     xy = np.array([(rect.x, rect.y)])
-    accepted, payload, rms = kernel(encoder._band(image, 0, image.height), xy, level, config)
+    accepted, payload, rms = run_phase(kernel, encoder._band(image, 0, image.height), xy, level, config)
     return (records(LeafTable(encoder._rows(xy, level, payload)))[0] if accepted[0] else None), float(rms[0])
 
 
@@ -290,7 +291,7 @@ def test_kernels_match_scalar_oracle_block_by_block(name, level):
     phases = ((try_phase1, oracle_phase1), (try_phase2, oracle_phase2))
     for kernel, oracle in phases[: 2 if level < 4 else 1]:
         expected = [oracle(image, rect, level, config) for rect in rects]
-        accepted, _, rms = kernel(band, xy, level, config)
+        accepted, _, rms = run_phase(kernel, band, xy, level, config)
         assert accepted.tolist() == [record is not None for record, _ in expected]
         assert rms.tolist() == [value for _, value in expected]
         assert [kernel_alone(kernel, image, rect, level, config) for rect in rects] == expected

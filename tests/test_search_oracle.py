@@ -128,36 +128,39 @@ def test_full_search_scores_equal_the_float64_product(pixels, range_size, monkey
     ys, xs = np.mgrid[0 : image.height - dsize + 1, 0 : image.width - dsize + 1].reshape(2, -1)
     pool = domain_means(box_sums(image), xs, ys, range_size).reshape(len(xs), -1)  # float64 2x2 means
     scored, fit = [], encoder._fit
-
-    def spy(r, dr, norms, sd):  # r holds a range per column
-        scored.append((r.T, dr))
-        return fit(r, dr, norms, sd)
-
-    monkeypatch.setattr(encoder, "_fit", spy)
+    monkeypatch.setattr(encoder, "_fit", lambda *args: scored.append(args[1:4]) or fit(*args))
     encode_full_search(image, range_size, EncoderConfig())
-    assert sum(len(r) for r, _ in scored) == (image.width // range_size) * (image.height // range_size)
-    assert all(np.array_equal(dr, r @ pool.T) for r, dr in scored)
+    rects = [BlockRect(x, y, range_size) for y in range(0, image.height, range_size)
+             for x in range(0, image.width, range_size)]
+    assert_range_sums_and_cross_moments(image, rects, scored, lambda i, row: pool @ row)
+
+
+def assert_range_sums_and_cross_moments(image, rects, scored, cross):
+    """The (sum(r), sum(r^2), sum(d r)) that each _fit call scored, joined over the calls: one row per range of
+    `rects`, in order, with its pixels' sums and the float64 products cross(i, pixels) of range i."""
+    total, sq, dr = (np.concatenate(column) for column in zip(*scored))
+    ranges = [block_pixels(image, rect).ravel() for rect in rects]
+    assert len(total) == len(rects)
+    assert total.tolist() == [r.sum() for r in ranges] and sq.tolist() == [(r * r).sum() for r in ranges]
+    assert all(np.array_equal(dr[i], cross(i, r)) for i, r in enumerate(ranges))
 
 
 @pytest.mark.parametrize("pixels", [ALL_255, BRIGHT_NOISE], ids=["all_255", "bright_noise"])
 def test_local_search_scores_equal_the_float64_product(pixels, monkeypatch):
     # every call's sum(d r), against the float64 2x2 means of each range's 81 clamped translates
     image, scored, fit = GrayImage(pixels.astype(np.uint8)), [], encoder._fit
-
-    def spy(r, dr, norms, sd):  # r holds a range per column
-        scored.append((r.T, dr))
-        return fit(r, dr, norms, sd)
-
-    monkeypatch.setattr(encoder, "_fit", spy)
+    monkeypatch.setattr(encoder, "_fit", lambda *args: scored.append(args[1:4]) or fit(*args))
     encode_local_search(image, EncoderConfig())
     w, h, sums = image.width, image.height, box_sums(image)
     rects = [BlockRect(rx, ry, 8) for ry in range(0, h, 8) for rx in range(0, w, 8)]
-    assert sum(len(r) for r, _ in scored) == len(rects)
     dy, dx = np.indices((9, 9)).reshape(2, 81) - 4  # (dy, dx) scan order
-    for rect, row, sums_dr in zip(rects, *(np.concatenate(arrays) for arrays in zip(*scored))):
-        base = co_domain_rect(rect, w, h)
+
+    def cross(i, row):
+        base = co_domain_rect(rects[i], w, h)
         xs, ys = np.clip(base.x + dx, 0, w - 16), np.clip(base.y + dy, 0, h - 16)
-        assert np.array_equal(sums_dr, domain_means(sums, xs, ys, 8).reshape(81, 64) @ row)
+        return domain_means(sums, xs, ys, 8).reshape(81, 64) @ row
+
+    assert_range_sums_and_cross_moments(image, rects, scored, cross)
 
 
 @pytest.mark.parametrize("k", (2, 4, 8, 16))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from mnscodec.code import QuadtreeCode, delta_limit
+from mnscodec import encoder
+from mnscodec.code import LEVEL_SIZES, QUADRANT_STEPS, QuadtreeCode, delta_limit
 from mnscodec.decoder import START_VALUE, DecodeConfig, _plan, decode_step
 from mnscodec.image import BlockRect, GrayImage
 
@@ -70,6 +71,15 @@ def gradient_image(width: int, height: int) -> GrayImage:
     xs = np.linspace(0, 255, width)
     ys = np.linspace(0, 255, height)
     return GrayImage(((xs[None, :] + ys[:, None]) / 2).astype(np.uint8))
+
+
+def run_phase(phase, band, xy, level, config):
+    """An encoder phase on the level-sized blocks at origins xy of `band`, from the moments the encoder gives it:
+    phase 1 each block's, phase 2 its four quadrants', every TL quadrant, then every TR, BL and BR one."""
+    side = LEVEL_SIZES[level]
+    if phase is encoder.try_phase2:
+        xy, side = (xy + side // 2 * QUADRANT_STEPS[:, None]).reshape(-1, 2), side // 2
+    return phase(encoder._block_moments(band, xy, side), level=level, config=config)
 
 
 def sweep(plan, raster) -> np.ndarray:
