@@ -7,9 +7,9 @@ Modes:
   local_search - a pool per 8x8 range: 81 candidates around the co-centered domain (baseline).
 
 Every decision scores exact moments: both phases take theirs from _block_moments, which gathers each visited block
-once, the searches from _norm_table and box-sum products. _fit scores phase 1 and the searches, and phase 2 its two
-contrast values from the same sums, exact in any order on integer pixels; so each mode's codes equal its exact
-per-block fits (README's Encoding section).
+once and adds in int32, the searches from _norm_table and box-sum products. _fit scores phase 1 and the searches,
+and phase 2 its two contrast values from the same sums, exact in any order on integer pixels; so each mode's codes
+equal its exact per-block fits (README's Encoding section).
 
 The kernels put the block axis last: _gather gives (kk, n) pixels, a row per pixel position and a column per block,
 and phase 2 keeps (4, n) quadrant rows. So each per-block sum adds whole rows of n, where an (n, kk) layout sums
@@ -115,12 +115,12 @@ def _window_gather(a: np.ndarray, at: np.ndarray, k: int, step: int) -> np.ndarr
 def _block_moments(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
     """The moments both phases score from, of the k x k ranges at origins xy and their co-centered domains, as
     (5, n) float64 rows: sum(d r), the norm sum(d0^2) = sum(d^2) - sum(d)^2 / kk, sum(d), sum(r) and sum(r^2), where
-    d holds a domain's 2x2 means (the stride-2 samples of its box sums, quartered exactly) and d0 = d - mean(d)."""
+    d = S / 4, S a domain's stride-2 box sums, and d0 = d - mean(d): exact int32 einsums of S and r, then scaled."""
     dx, dy = co_domain_origins(xy[:, 0], xy[:, 1], k, band.width, band.height)
-    r = _gather(band.pixels, xy[:, 0], xy[:, 1] - band.lo, k, 1).astype(np.float64)
-    d = _gather(band.sums, dx, dy - band.lo, k, 2) * 0.25
-    sd, (dr, dd, rr) = d.sum(axis=0), (np.einsum("kn,kn->n", a, b) for a, b in ((d, r), (d, d), (r, r)))
-    return np.stack([dr, dd - sd * sd / (k * k), sd, r.sum(axis=0), rr])
+    r = _gather(band.pixels, xy[:, 0], xy[:, 1] - band.lo, k, 1).astype(np.int32)
+    s = _gather(band.sums, dx, dy - band.lo, k, 2).astype(np.int32)
+    sd, (sr, ss, rr) = np.einsum("kn->n", s) * 0.25, (np.einsum("kn,kn->n", a, b) for a, b in ((s, r), (s, s), (r, r)))
+    return np.stack([sr * 0.25, ss * 0.0625 - sd * sd / (k * k), sd, np.einsum("kn->n", r), rr])
 
 
 def _level_moments(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
@@ -255,9 +255,9 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
     """No-search / MNS quadtree encode over 16x16 roots, one level at a time (_walk).
 
     Bands of whole root rows hold at most 8 * WORK_PIXELS pixels (one root row at least), so one band's box sums,
-    one gather call's float64 ranges and domains, and the moments and phase-call arrays of a level's live blocks
+    one gather call's int32 ranges and domains, and the moments and phase-call arrays of a level's live blocks
     bound the memory beside the leaves; 512x512 is one band. Blocks are fitted one by one, so calls and bands do not
-    change the code. Accepted blocks become LeafTable rows, and one sort by their morton_start puts them in DFS order.
+    change the code. Accepted blocks become LeafTable rows; a stable sort of their morton_start puts them in DFS order.
     """
     if max(image.width, image.height) > MAX_SIDE // ROOT_SIZE * ROOT_SIZE:  # iff a padded side passes MAX_SIDE
         raise ValueError("padded dimensions exceed the 16-bit header fields")
@@ -271,7 +271,7 @@ def encode_quadtree(image: GrayImage, config: EncoderConfig) -> QuadtreeCode:
         rows.extend(_walk(band, np.stack([xs, ys], axis=1), config, 2 * ROOT_SIZE <= min(w, h)))
     table = LeafTable(np.concatenate(rows))
     rows.clear()  # the parts go before the sort copies the table
-    table = LeafTable(table.rows[np.argsort(morton_start(table.x, table.y, w))])
+    table = LeafTable(table.rows[np.argsort(morton_start(table.x, table.y, w), kind="stable")])
     return QuadtreeCode(table, w, h, image.width, image.height, config.mode, config.technique2)
 
 

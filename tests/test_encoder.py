@@ -16,11 +16,11 @@ from mnscodec.encoder import (
     try_phase1,
     try_phase2,
 )
-from mnscodec.image import BlockRect, GrayImage, downsample_mean2, pad_to_multiple
+from mnscodec.image import BlockRect, GrayImage, box_sums, downsample_mean2, pad_to_multiple
 from mnscodec.transform import rms_error
 
 from records import Phase1Payload, records
-from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, exact_sse,
+from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, domain_means, exact_sse,
                            mean_removed_norms, quadrants, round_to_int)
 from util import natural_image, noise_image, run_phase, scene_image
 
@@ -242,6 +242,39 @@ class TestKernelLayout:
                 got = gather(a, at, k, step)
                 assert got.dtype == dtype and np.array_equal(got, expected), (y0, gather.__name__)
 
+    @pytest.mark.parametrize("k", (2, 4, 8, 16))
+    def test_block_moments_equal_the_float64_oracle_bit_for_bit(self, k):
+        # the int32 sums at their bound: an all-255 band's sum(S^2) at k = 16 is 256 * 1020^2 = 266,342,400 < 2^31.
+        # Rows 512..544 of a 1024-wide raster are its second band (lo > 0), whose domains clamp at the bottom edge
+        rng = np.random.default_rng(k)
+        cases = {
+            "random": (rng.integers(0, 256, (64, 64)), 0),
+            "all 255": (np.full((64, 64), 255), 0),
+            "checkerboard": (np.indices((64, 64)).sum(axis=0) % 2 * 255, 0),
+            "second band": (rng.integers(0, 256, (544, 1024)), 512),
+        }
+        for name, (pixels, y0) in cases.items():
+            image = GrayImage(pixels.astype(np.uint8))
+            band = enc._band(image, y0, image.height)
+            assert band.lo == (504 if y0 else 0)
+            ys, xs = np.mgrid[y0 : image.height : k, 0 : image.width : k].reshape(2, -1)
+            dx, dy = enc.co_domain_origins(xs, ys, k, image.width, image.height)
+            r = np.stack([image.pixels[y : y + k, x : x + k].ravel() for x, y in zip(xs, ys)]).astype(np.float64)
+            d = domain_means(box_sums(image), dx, dy, k).reshape(len(xs), k * k)
+            expected = np.stack([np.einsum("nk,nk->n", d, r), *mean_removed_norms(d), r.sum(axis=1),
+                                 np.einsum("nk,nk->n", r, r)])
+            got = enc._block_moments(band, np.stack([xs, ys], axis=1), k)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("k", (8, 16))
+    def test_a_gather_call_holds_int32_ranges_and_domains(self, k):
+        # one call of WORK_PIXELS range pixels holds its two int32 gathers, their uint8 and uint16 sources and the
+        # (5, n) float64 rows; float64 gathers alone would take 2 * 8 * WORK_PIXELS bytes (~1.25 MB traced)
+        band, n = enc._band(natural_image(512, 512), 0, 512), enc.WORK_PIXELS // (k * k)
+        ys, xs = np.mgrid[0:512:k, 0:512:k].reshape(2, -1)[:, :n]
+        bound = 2 * 4 * enc.WORK_PIXELS + (1 + 2) * enc.WORK_PIXELS + 5 * 8 * n
+        assert traced_peak(enc._block_moments, band, np.stack([xs, ys], axis=1), k) < bound
+
     @pytest.mark.parametrize("level", (1, 2, 3, 4))
     def test_empty_and_all_gated_out_batches(self, level):
         # 0/255 cells of a quadrant's side: every block's quadrants are 0, 255, 255, 0, far past any mean gate.
@@ -373,7 +406,7 @@ class TestQuadtree:
     def test_traced_peak_stays_below_a_whole_image_copy(self):
         # a float64 copy of this raster alone is 8 MB; a band holds at most 8 * WORK_PIXELS
         # pixels (here 32 root rows) and a call WORK_PIXELS range pixels, so the peak is one
-        # band's uint16 box sums, one call's float64 ranges and domains, and the returned leaves (3.21 MB)
+        # band's uint16 box sums, one call's int32 ranges and domains, and the returned leaves (3.08 MB)
         assert traced_peak(encode_quadtree, natural_image(1024, 1024, seed=7), EncoderConfig()) < 3_500_000
 
     def test_transposed_pixels_encode_as_their_copy(self, monkeypatch):
