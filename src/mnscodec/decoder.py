@@ -10,11 +10,12 @@ block's o, and the stop test samples rows first. Rasters, contrasts and offsets
 are float32, which halves the bytes each memory-bound sweep moves; the pinned
 test codes decode within one gray of a float64 decode. Blocks are addressed by
 flat origins. A run of blocks of side 4 or less holding at least PLANE_RUN
-blocks per pixel of a block sweeps as pixel planes, the block axis last: a take,
-a map over (n,) rows and a write per pixel of a block, since fancy indexing costs
-~50 ns per block on a window view, more than a small block's map. Any other run
-is gathered, mapped by one apply_map call and written through windows. decode
-first checks each code with code.check_code, as the writer does.
+blocks per pixel of a block sweeps as pixel planes, the block axis last: a take
+(image.gather_planes), a map over (n,) rows and a write per pixel of a block,
+since fancy indexing costs ~50 ns per block on a window view, more than a small
+block's map. Any other run is gathered, mapped by one apply_map call and written
+through windows (image.flat_windows). decode first checks each code with
+code.check_code, as the writer does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .code import CONTRAST_SETS, PHASE2, SEARCH, QuadtreeCode, check_code, co_domain_origins, phase2_targets, quadrants
-from .image import GrayImage, flat_windows, parity_sums
+from .image import GrayImage, flat_windows, gather_planes, parity_sums, pixel_planes
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import apply_map, dequantize_contrast
 
@@ -114,7 +115,7 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray
 
     Each domain-origin parity the plan names gets one half-size raster of the 2x2 sums of `current`
     (image.parity_sums). A run that _as_planes names sweeps as pixel planes, the block axis last: its
-    domains' sums are k * k rows of n, one `take` at f per pixel of the parity's raster (or the windows'
+    domains' sums are k * k rows of n, image.gather_planes at f on the parity's raster (or the windows'
     sums on `current`, transposed, for a run with no parity), mapped by _map_planes and written back by
     _paint a row per pixel. Any other run gathers its domains' sums into a fresh (n, k, k) array, as
     windows of the parity's raster or the windows' sums on `current`, maps it in place with one apply_map
@@ -134,9 +135,7 @@ def decode_step(plan: _Plan, current: np.ndarray, out: np.ndarray) -> np.ndarray
             d = parity_sums(flat_windows(cur, 2 * k)[f], 0, 0)
             d = d.reshape(len(f), -1).T if planes else d
         elif planes:
-            d = np.empty((k * k, len(f)), np.float32)
-            for plane, row in zip(_pixel_planes(sums[source], k), d):
-                plane.take(f, out=row, mode="clip")  # f lies in the plane: "clip" only spares take's copy of out
+            d = gather_planes(sums[source], f, k)
         else:
             d = flat_windows(sums[source], k)[f]
         _paint(out, k, t, _map_planes(d, s, o) if planes else apply_map(d, s[:, None, None], o[:, None, None], d))
@@ -189,15 +188,8 @@ def _paint(out: np.ndarray, k: int, t: np.ndarray, v: np.ndarray) -> None:
     if not planes:
         flat_windows(out, k)[t] = v
         return
-    for i, plane in enumerate(_pixel_planes(out, k)):
+    for i, plane in enumerate(pixel_planes(out, k)):
         plane[t] = v[i % len(v)]
-
-
-def _pixel_planes(a: np.ndarray, k: int) -> list[np.ndarray]:
-    """The flattened C-contiguous 2-D array `a` from each pixel (i, j) of a k x k block on, row by row, so that a
-    block's flat origin picks that pixel in each."""
-    flat, w = a.ravel(), a.shape[1]
-    return [flat[i * w + j :] for i in range(k) for j in range(k)]
 
 
 def _moved(a: np.ndarray, b: np.ndarray, diff: np.ndarray, step: int) -> float:

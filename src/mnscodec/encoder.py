@@ -11,10 +11,10 @@ once and adds in int32, the searches from _norm_table and box-sum products. _fit
 and phase 2 its two contrast values from the same sums, exact in any order on integer pixels; so each mode's codes
 equal its exact per-block fits (README's Encoding section).
 
-The kernels put the block axis last: _gather gives (kk, n) pixels, a row per pixel position and a column per block,
-and phase 2 keeps (4, n) quadrant rows. So each per-block sum adds whole rows of n, where an (n, kk) layout sums
-a tiny trailing axis per block: on a (4096, 4) float64 array that sum took 76 us, against 6 us over (4, 4096). The
-sums are exact, so this order gives the same bits as any other.
+The kernels put the block axis last: _gather gives (kk, n) pixels through image's gathers, a row per pixel position
+and a column per block, and phase 2 keeps (4, n) quadrant rows. So each per-block sum adds whole rows of n, where an
+(n, kk) layout sums a tiny trailing axis per block: on a (4096, 4) float64 array that sum took 76 us, against 6 us
+over (4, 4096). The sums are exact, so this order gives the same bits as any other.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .code import CONTRAST_SETS, LEVEL_SIZES, MAX_PIXELS, MAX_SIDE, MODES, PHASE1, PHASE2, QUADRANT_STEPS, ROOT_SIZE
 from .code import SEARCH, SIZE_LEVELS, TOO_MANY_PIXELS, LeafTable, QuadtreeCode, co_domain_origins, delta_limit
 from .code import leaf_rows, morton_start, phase2_targets
-from .image import GrayImage, box_sums, flat_windows, pad_to_multiple
+from .image import GrayImage, box_sums, flat_windows, gather_planes, pad_to_multiple
 from .image import downsample_mean2  # noqa: F401 (traced by perfbench)
 from .transform import contrast_bins
 from .transform import fit_affine, rms_error  # noqa: F401 (traced by perfbench)
@@ -96,20 +96,10 @@ def _band(image: GrayImage, y0: int, y1: int) -> RowBand:
 def _gather(a: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, step: int) -> np.ndarray:
     """The k x k samples, every step-th row and column, of the C-contiguous 2-D array `a` at origins x, y, as a
     (k * k, n) array: the block axis last, so every per-block sum adds whole rows. Sides up to 4 gather as pixel
-    planes (_plane_gather), where an index per pixel costs less than a fancy-indexed window per block; larger ones
-    as windows (_window_gather). Both give the same elements."""
-    return (_plane_gather if k <= 4 else _window_gather)(a, y * a.shape[1] + x, k, step)
-
-
-def _plane_gather(a: np.ndarray, at: np.ndarray, k: int, step: int) -> np.ndarray:
-    """_gather at flat origins `at`: one flat take of each sample's offset plus every origin."""
-    i, j = np.divmod(np.arange(k * k), k)
-    return a.ravel().take((i * a.shape[1] + j)[:, None] * step + at)
-
-
-def _window_gather(a: np.ndarray, at: np.ndarray, k: int, step: int) -> np.ndarray:
-    """_gather at flat origins `at`: a flat_windows gather of (n, k, k) blocks, viewed transposed."""
-    return flat_windows(a, step * (k - 1) + 1)[at, ::step, ::step].reshape(len(at), k * k).T
+    planes (image.gather_planes), where a take per sample costs less than a fancy-indexed window per block; larger
+    ones as flat_windows, viewed transposed. Both give the same elements."""
+    at = y * a.shape[1] + x
+    return gather_planes(a, at, k, step) if k <= 4 else flat_windows(a, k, step)[at].reshape(len(at), k * k).T
 
 
 def _block_moments(band: RowBand, xy: np.ndarray, k: int) -> np.ndarray:
@@ -317,7 +307,7 @@ def _search(image: GrayImage, k: int, xs: np.ndarray, ys: np.ndarray) -> LeafTab
     ranges = image.pixels.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(-1, k * k)  # in raster order
     norms, sd, dtype = *_norm_table(sums, k), np.float32 if k <= 8 else np.float64
     if shared:
-        pool = flat_windows(sums.astype(dtype), 2 * k - 1)[ys * (w - 1) + xs, ::2, ::2].reshape(c, -1)
+        pool = flat_windows(sums.astype(dtype), k, 2)[ys * (w - 1) + xs].reshape(c, -1)
         pool_norms, pool_sd = norms[ys, xs], sd[ys, xs]
         calls = -(-len(ranges) // max(1, WORK_PIXELS // 3 // c))
         step = -(-len(ranges) // calls)  # equal calls: the largest is as small as their number allows

@@ -107,7 +107,7 @@ def pad_to_multiple(image: GrayImage, m: int) -> GrayImage:
 
 
 def _raster(image) -> np.ndarray:
-    """Accept a GrayImage or a bare 2-D array (decoder iterates on float rasters)."""
+    """Accept a GrayImage or a bare 2-D array."""
     return image.pixels if isinstance(image, GrayImage) else np.asarray(image)
 
 
@@ -158,10 +158,25 @@ def parity_sums(raster: np.ndarray, py: int, px: int) -> np.ndarray:
     return sums
 
 
-def flat_windows(a: np.ndarray, k: int) -> np.ndarray:
-    """Every k x k window of the C-contiguous 2-D array `a`, as a view indexed by the window's flat origin
-    y * w + x, so a gather takes one index array. An origin whose x passes w - k wraps rows. The view skips
-    sliding_window_view's checks, which cost more than a small gather."""
-    h, w = a.shape
-    return np.ndarray(((h - k) * w + w - k + 1, k, k), a.dtype, a, 0, (a.itemsize, a.strides[0], a.itemsize))
+def flat_windows(a: np.ndarray, k: int, step: int = 1) -> np.ndarray:
+    """The k x k samples, every step-th row and column, of each window of the C-contiguous 2-D array `a`, as a view
+    indexed by the window's flat origin y * w + x, so a gather takes one index array; an origin past its row's last
+    wraps rows. The view skips sliding_window_view's checks, which cost more than a small gather."""
+    (h, w), span, size = a.shape, step * (k - 1) + 1, a.itemsize
+    return np.ndarray(((h - span) * w + w - span + 1, k, k), a.dtype, a, 0, (size, step * a.strides[0], step * size))
 
+
+def pixel_planes(a: np.ndarray, k: int, step: int = 1) -> list[np.ndarray]:
+    """The flattened C-contiguous 2-D array `a` from each sample (i, j) of a k x k block on, row by row, the samples
+    every step-th row and column, so that a block's flat origin y * w + x picks that sample in each."""
+    flat, w = a.ravel(), a.shape[1]
+    return [flat[step * (i * w + j) :] for i in range(k) for j in range(k)]
+
+
+def gather_planes(a: np.ndarray, at: np.ndarray, k: int, step: int = 1) -> np.ndarray:
+    """The k x k blocks, every step-th row and column, of the C-contiguous 2-D array `a` at flat origins `at`, as
+    (k * k, n) planes, a take per sample. Each origin lies in the plane, so "clip" only spares take's copy of out."""
+    out = np.empty((k * k, len(at)), a.dtype)
+    for plane, row in zip(pixel_planes(a, k, step), out):
+        plane.take(at, out=row, mode="clip")
+    return out

@@ -3,7 +3,6 @@ plus fuzzing of the reader and bounds on the memory either side takes."""
 
 import dataclasses
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from mnscodec.encoder import EncoderConfig, encode_quadtree
 from mnscodec.image import BlockRect
 
 from records import LeafRecord, records, table_of
-from util import gradient_image, natural_image, noise_image, random_code, scene_image
+from util import gradient_image, natural_image, noise_image, random_code, scene_image, traced_peak
 
 
 def assert_matches_oracle(code):
@@ -167,15 +166,6 @@ def test_flag_edits_raise_only_format_errors():
         blob[4] = flags
         assert_rejects_or_round_trips(bytes(blob))
         assert_same_verdict(bytes(blob))
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_huge_header_with_short_body_fails_fast_and_small():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,17 +21,7 @@ from mnscodec.transform import rms_error
 from records import Phase1Payload, records
 from scalar_oracle import (block_mean, block_pixels, co_domain_rect, dequantize_contrast, domain_means, exact_sse,
                            mean_removed_norms, quadrants, round_to_int)
-from util import natural_image, noise_image, run_phase, scene_image
-
-
-def traced_peak(f, *args):
-    """Peak of tracemalloc-traced memory during f(*args), in bytes."""
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+from util import natural_image, noise_image, run_phase, scene_image, traced_peak
 
 
 def quantized_grid_best_rms(image, rect):
@@ -228,6 +217,7 @@ class TestKernelLayout:
     @pytest.mark.parametrize("step", (1, 2))
     @pytest.mark.parametrize("k", (2, 4, 8, 16))
     def test_plane_and_window_gathers_agree(self, k, step, dtype):
+        # _gather takes planes up to k = 4 and windows from 8 on (image's tests check both helpers at every k):
         # k x k ranges on all four edges of a 96 x 80 raster in its top band (lo = 0) and its bottom one (lo = 48);
         # at step 2, their co-centered domains, clamped at each edge, from the band's box sums
         image = natural_image(96, 80, seed=4)
@@ -236,11 +226,9 @@ class TestKernelLayout:
             xy = np.array([(x, y) for x in (0, 48, 96 - k) for y in (y0, y0 + 16 - k)])
             x, y = xy.T if step == 1 else enc.co_domain_origins(xy[:, 0], xy[:, 1], k, 96, 80)
             a, y, span = (band.pixels if step == 1 else band.sums).astype(dtype), y - band.lo, step * (k - 1) + 1
-            at = y * a.shape[1] + x
             expected = np.stack([a[j : j + span : step, i : i + span : step].ravel() for i, j in zip(x, y)], axis=1)
-            for gather in (enc._plane_gather, enc._window_gather):
-                got = gather(a, at, k, step)
-                assert got.dtype == dtype and np.array_equal(got, expected), (y0, gather.__name__)
+            got = enc._gather(a, x, y, k, step)
+            assert got.dtype == dtype and np.array_equal(got, expected), y0
 
     @pytest.mark.parametrize("k", (2, 4, 8, 16))
     def test_block_moments_equal_the_float64_oracle_bit_for_bit(self, k):
@@ -293,12 +281,12 @@ class TestKernelLayout:
 
     def test_small_blocks_never_gather_through_windows(self, monkeypatch):
         # ranges and domains of sides up to 4 gather as pixel planes; windows are for sides 8 and 16, whose ranges
-        # take 8 x 8 or 16 x 16 windows and whose domains 15 x 15 or 31 x 31 ones
+        # take every sample of their windows and whose domains every second one
         sides, real = [], enc.flat_windows
-        monkeypatch.setattr(enc, "flat_windows", lambda a, k: sides.append(k) or real(a, k))
+        monkeypatch.setattr(enc, "flat_windows", lambda a, k, step=1: sides.append((k, step)) or real(a, k, step))
         code = encode_quadtree(noise_image(64, 64, seed=3), EncoderConfig())
         assert code.level_counts()[3] > 0  # blocks reached level 4
-        assert sorted(set(sides)) == [8, 15, 16, 31]
+        assert set(sides) == {(8, 1), (8, 2), (16, 1), (16, 2)}
 
 
 class TestQuadtree:

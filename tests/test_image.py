@@ -14,6 +14,7 @@ from mnscodec.image import (
     box_sums,
     downsample_mean2,
     flat_windows,
+    gather_planes,
     load_pgm,
     pad_to_multiple,
     parity_sums,
@@ -21,6 +22,7 @@ from mnscodec.image import (
 )
 
 from scalar_oracle import block_mean, co_domain_rect, domain_means
+from util import natural_image, traced_peak
 
 
 class TestPgm:
@@ -225,20 +227,52 @@ class TestBlockOps:
         assert sums.dtype == np.uint16 and sums[0, 0] == 1020
         assert np.array_equal(sums, box_sums(GrayImage(pixels)))
 
-    @pytest.mark.parametrize("h, w, k", ((1, 1, 1), (5, 7, 1), (5, 7, 3), (5, 7, 5), (9, 4, 4), (16, 16, 15),
-                                         (3, 11, 3)))
+    @pytest.mark.parametrize("h, w, k, step", [
+        pytest.param(*case, id="-".join(map(str, case[:3])) + (f"-step{case[3]}" if case[3] > 1 else ""))
+        for case in ((1, 1, 1, 1), (5, 7, 1, 1), (5, 7, 3, 1), (5, 7, 5, 1), (9, 4, 4, 1), (16, 16, 15, 1),
+                     (3, 11, 3, 1), (1, 1, 1, 2), (5, 7, 3, 2), (9, 4, 2, 2), (16, 16, 8, 2), (3, 11, 2, 2))])
     @pytest.mark.parametrize("dtype", (np.uint8, np.uint16, np.float32))
-    def test_flat_windows_index_each_window_by_its_flat_origin(self, h, w, k, dtype):
-        # every gather and scatter in the codec goes through this view, the last row and column too
-        a = np.random.default_rng(7).integers(0, 256, (h, w)).astype(dtype)
-        view = flat_windows(a, k)
-        assert view.shape == ((h - k) * w + w - k + 1, k, k)
-        for y, x in np.ndindex(h - k + 1, w - k + 1):
-            assert np.array_equal(view[y * w + x], a[y : y + k, x : x + k])
+    def test_flat_windows_index_each_window_by_its_flat_origin(self, h, w, k, step, dtype):
+        # every window gather and scatter in the codec goes through this view, the last row and column too; at step
+        # 2, a window holds every second row and column of its span, as the encoder gathers a domain's box sums
+        a, span = np.random.default_rng(7).integers(0, 256, (h, w)).astype(dtype), step * (k - 1) + 1
+        view = flat_windows(a, k, step)
+        assert view.shape == ((h - span) * w + w - span + 1, k, k)
+        for y, x in np.ndindex(h - span + 1, w - span + 1):
+            assert np.array_equal(view[y * w + x], a[y : y + span : step, x : x + span : step])
         expected = a.copy()
-        expected[h - k :, w - k :] = 0
-        view[(h - k) * w + w - k] = 0  # a scatter writes the raster: the last window, its bottom-right corner
+        expected[h - span :: step, w - span :: step] = 0
+        view[(h - span) * w + w - span] = 0  # a scatter writes the raster: the last window, its bottom-right corner
         assert np.array_equal(a, expected)
+
+    @pytest.mark.parametrize("dtype", (np.uint8, np.uint16, np.float32, np.float64))
+    @pytest.mark.parametrize("step", (1, 2))
+    @pytest.mark.parametrize("k", (2, 4, 8, 16))
+    def test_plane_and_window_gathers_agree(self, k, step, dtype):
+        # the blocks of a 96 x 80 raster's top band (rows 0..32) and its bottom one (rows 48..80), and at step 2 of
+        # their box sums, as the encoder gathers ranges and domains and the decoder its domains' float32 sums. The
+        # origins lie on all four edges, the last valid one too, where each plane's premise for "clip" is tight
+        raster = natural_image(96, 80, seed=4).pixels
+        for lo, hi in ((0, 32), (48, 80)):
+            a = (raster[lo:hi] if step == 1 else box_sums(raster[lo:hi], np.uint16)).astype(dtype)
+            (h, w), span = a.shape, step * (k - 1) + 1
+            y, x = np.meshgrid((0, (h - span) // 2, h - span), (0, 48, w - span), indexing="ij")
+            x, y = x.ravel(), y.ravel()
+            at, view = y * w + x, flat_windows(a, k, step)
+            assert at.max() == len(view) - 1  # the last valid origin
+            expected = np.stack([a[j : j + span : step, i : i + span : step].ravel() for i, j in zip(x, y)], axis=1)
+            for got in (gather_planes(a, at, k, step), view[at].reshape(len(at), k * k).T):
+                assert got.dtype == dtype and np.array_equal(got, expected), lo
+
+    @pytest.mark.parametrize("dtype", (np.uint8, np.uint16))
+    @pytest.mark.parametrize("k", (2, 4))
+    def test_gather_planes_holds_nothing_beside_its_planes(self, k, dtype):
+        # a take per sample straight into its row of the output; an int64 index per gathered sample, as one flat
+        # take of the whole block would need, adds 8 bytes per sample and fails this
+        a = np.random.default_rng(k).integers(0, 256, (512, 512)).astype(dtype)
+        ys, xs = np.mgrid[0:512:k, 0:512:k].reshape(2, -1)[:, : (1 << 16) // (k * k)]
+        at = ys * 512 + xs
+        assert traced_peak(gather_planes, a, at, k) <= k * k * len(at) * a.itemsize + 4096
 
     @pytest.mark.parametrize("dtype", (np.uint16, np.float64))
     def test_domain_means_equal_downsample(self, dtype):

@@ -1,6 +1,8 @@
-"""Shared helpers: deterministic synthetic images and random quadtree codes."""
+"""Shared helpers: deterministic synthetic images, random quadtree codes and traced memory peaks."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -149,3 +151,13 @@ def random_code(
         for x in range(0, padded_w, 16):
             emit(BlockRect(x, y, 16), 1)
     return QuadtreeCode(table_of(leaves), padded_w, padded_h, orig_w, orig_h, mode, technique2)
+
+
+def traced_peak(f, *args) -> int:
+    """Peak of tracemalloc-traced memory during f(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
